@@ -72,9 +72,11 @@ def main() -> None:
     )
     (out / "pipeline.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
-    print("scoring the 17-band grid for rest vs thumb")
+    # One pass through the filter bank serves the band scores and every evaluation below.
     bank = make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps)
     decomp = decompose(dataset, bank)
+
+    print("scoring the 17-band grid for rest vs thumb")
     scores = score_bands(decomp, 0, 1, n_pairs=config.csp_pairs, folds=config.cv_folds, seed=config.seed)
     selection = select_bands(scores)
     print(f"  threshold {selection.threshold:.3f}")
@@ -86,13 +88,13 @@ def main() -> None:
     rows = []
     pairs = [(0, c) for c in range(1, 4)] + [(a, b) for a in range(1, 4) for b in range(a + 1, 4)]
     for a, b in pairs:
-        report = repeated_holdout(dataset, config, pair=(a, b))
+        report = repeated_holdout(decomp, config, pair=(a, b))
         label = f"{CLASS_NAMES[a]} vs {CLASS_NAMES[b]}"
         rows.append((label, report))
         print(f"  {label:18s} {report.mean:.2f}+/-{report.sd:.2f} ({report.max:.2f})")
 
     print("\nmulticlass decoding (exhaustive-code ensemble)")
-    multiclass = repeated_holdout(dataset, config)
+    multiclass = repeated_holdout(decomp, config)
     for r, kappa in enumerate(multiclass.kappas):
         print(f"  repetition {r}: accuracy {multiclass.accuracies[r]:.2f}, kappa {kappa:.2f}")
     print(f"  mean kappa {multiclass.kappa_mean:.3f}")

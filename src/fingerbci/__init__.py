@@ -16,12 +16,13 @@ from .bandselect import (
     select_bands,
 )
 from .config import PipelineConfig
-from .csp import CspModel, class_covariance, extract_features, fit_csp, trial_covariance
+from .csp import CspModel, class_covariance, extract_features, fit_csp, log_variance_features, trial_covariance
 from .dsp import (
     BandDecomposition,
     FilterBank,
     FirFilter,
     apply_filter,
+    band_covariances,
     decompose,
     default_bank,
     design_bandpass,

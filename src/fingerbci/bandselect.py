@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossval import stratified_folds
-from .csp import CspModel, extract_features_batch, fit_csp_from_covariances, trial_covariance
+from .csp import CspModel, fit_csp_from_covariances, log_variance_features
 from .dsp import BandDecomposition
 from .rng import stream
-from .trialstore import Trial
 
 DEFAULT_SHRINKAGE = 1e-3
 
@@ -80,65 +79,67 @@ def lda_predict(model: LdaModel, features: np.ndarray) -> np.ndarray:
 
 
 def _fit_fold_model(
-    trials: list[Trial],
+    csp_covariances: np.ndarray,
+    feature_covariances: np.ndarray,
     labels: np.ndarray,
-    covariances: np.ndarray,
     train_mask: np.ndarray,
     n_pairs: int,
     shrinkage: float,
     band: tuple[float, float],
 ) -> tuple[CspModel, LdaModel]:
     # Fits see training-fold trials only; held-out data cannot leak in.
-    cov_a = covariances[train_mask & (labels == 0)].mean(axis=0)
-    cov_b = covariances[train_mask & (labels == 1)].mean(axis=0)
+    cov_a = csp_covariances[train_mask & (labels == 0)].mean(axis=0)
+    cov_b = csp_covariances[train_mask & (labels == 1)].mean(axis=0)
     csp = fit_csp_from_covariances(cov_a, cov_b, n_pairs, band)
-    train_trials = [t for t, keep in zip(trials, train_mask) if keep]
-    lda = lda_fit(extract_features_batch(train_trials, csp), labels[train_mask], shrinkage)
+    lda = lda_fit(log_variance_features(feature_covariances[train_mask], csp), labels[train_mask], shrinkage)
     return csp, lda
 
 
 def _cv_band_score(
-    trials: list[Trial],
+    csp_covariances: np.ndarray,
+    feature_covariances: np.ndarray,
     labels: np.ndarray,
     band: tuple[float, float],
     n_pairs: int,
     folds: int,
     rng: np.random.Generator,
     shrinkage: float,
-    covariances: np.ndarray | None = None,
 ) -> float:
-    if covariances is None:
-        covariances = np.stack([trial_covariance(t) for t in trials])
     fold_ids = stratified_folds(labels, folds, rng)
     accuracies = []
     for k in range(folds):
         test_mask = fold_ids == k
-        csp, lda = _fit_fold_model(trials, labels, covariances, ~test_mask, n_pairs, shrinkage, band)
-        test_trials = [t for t, held in zip(trials, test_mask) if held]
-        predictions = lda_predict(lda, extract_features_batch(test_trials, csp))
+        csp, lda = _fit_fold_model(
+            csp_covariances, feature_covariances, labels, ~test_mask, n_pairs, shrinkage, band
+        )
+        predictions = lda_predict(lda, log_variance_features(feature_covariances[test_mask], csp))
         accuracies.append(float(np.mean(predictions == labels[test_mask])))
     return float(np.mean(accuracies))
 
 
-def _score_band_lists(
-    band_trials: list[list[Trial]],
-    bands: list[tuple[float, float]],
+def _score(
+    decomp: BandDecomposition,
     labels: np.ndarray,
     n_pairs: int,
     folds: int,
     seed: int,
     shrinkage: float,
-    band_covariances: list[np.ndarray] | None = None,
 ) -> list[BandScore]:
     labels = np.asarray(labels)
+    if len(labels) != decomp.n_trials:
+        raise ValueError(f"{len(labels)} labels for {decomp.n_trials} trials")
     if set(np.unique(labels)) != {0, 1}:
         raise ValueError("labels must be binary (0/1) with both classes present")
-    scores = []
-    for i, band in enumerate(bands):
-        covs = band_covariances[i] if band_covariances is not None else None
-        score = _cv_band_score(band_trials[i], labels, band, n_pairs, folds, stream(seed, i), shrinkage, covs)
-        scores.append(BandScore(band=band, score=score))
-    return scores
+    return [
+        BandScore(
+            band=band,
+            score=_cv_band_score(
+                decomp.csp_covariances[i], decomp.feature_covariances[i], labels, band,
+                n_pairs, folds, stream(seed, i), shrinkage,
+            ),
+        )
+        for i, band in enumerate(decomp.bands)
+    ]
 
 
 def score_bands_for_labels(
@@ -148,17 +149,9 @@ def score_bands_for_labels(
     folds: int = 5,
     seed: int = 0,
     shrinkage: float = DEFAULT_SHRINKAGE,
-    band_covariances: list[np.ndarray] | None = None,
 ) -> list[BandScore]:
-    """Per-band CV accuracy for an arbitrary binary labeling of the trials.
-
-    ``band_covariances`` may carry precomputed per-trial covariance stacks
-    (one (n_trials, N, N) array per band) to avoid recomputation when many
-    labelings are scored on one decomposition.
-    """
-    return _score_band_lists(
-        decomp.band_trials(), decomp.bands, labels, n_pairs, folds, seed, shrinkage, band_covariances
-    )
+    """Per-band CV accuracy for an arbitrary binary labeling of the trials."""
+    return _score(decomp, labels, n_pairs, folds, seed, shrinkage)
 
 
 def score_bands(
@@ -171,13 +164,8 @@ def score_bands(
     shrinkage: float = DEFAULT_SHRINKAGE,
 ) -> list[BandScore]:
     """Score every band for the binary problem ``class_a`` vs ``class_b``."""
-    all_labels = decomp.labels()
-    keep = [i for i, y in enumerate(all_labels) if y in (class_a, class_b)]
-    if not any(all_labels[i] == class_a for i in keep) or not any(all_labels[i] == class_b for i in keep):
-        raise ValueError(f"classes {class_a} and {class_b} must both be present")
-    labels = np.array([1 if all_labels[i] == class_b else 0 for i in keep])
-    band_trials = [[ds.trials[i] for i in keep] for ds in decomp.datasets]
-    return _score_band_lists(band_trials, decomp.bands, labels, n_pairs, folds, seed, shrinkage)
+    pair = decomp.classes(class_a, class_b)
+    return _score(pair, pair.labels, n_pairs, folds, seed, shrinkage)
 
 
 def select_bands(scores: list[BandScore]) -> SelectionResult:

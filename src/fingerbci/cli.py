@@ -115,12 +115,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         working = subset_classes(dataset, class_a, class_b)
         decomp = decompose(working, bank)
         model: EcocModel | BinaryModel = fit_binary(
-            decomp, working.labels(), (class_a, class_b), dataset.class_names,
+            decomp, decomp.labels, (class_a, class_b), dataset.class_names,
             n_pairs=config.csp_pairs, folds=config.cv_folds,
             max_features_grid=config.et_max_features,
             min_samples_split_grid=config.et_min_samples_split,
             n_estimators_grid=config.et_n_estimators,
-            seed=config.seed, shrinkage=config.lda_shrinkage, taps=config.fir_taps,
+            seed=config.seed, shrinkage=config.lda_shrinkage,
         )
     else:
         if dataset.n_classes < 3:
@@ -130,12 +130,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
         decomp = decompose(dataset, bank)
         model = fit_ecoc(
-            decomp, dataset.labels(), exhaustive_code(dataset.n_classes),
+            decomp, decomp.labels, exhaustive_code(dataset.n_classes),
             n_pairs=config.csp_pairs, folds=config.cv_folds,
             max_features_grid=config.et_max_features,
             min_samples_split_grid=config.et_min_samples_split,
             n_estimators_grid=config.et_n_estimators,
-            seed=config.seed, shrinkage=config.lda_shrinkage, taps=config.fir_taps,
+            seed=config.seed, shrinkage=config.lda_shrinkage,
         )
     save_model(model, args.out)
     kind = "binary" if args.classes is not None else f"multiclass ({len(model.columns)} columns)"
@@ -161,8 +161,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     payload: dict = {"config": config.to_dict(), "class_names": names}
     binary_rows = {"rest_vs_finger": [], "pairwise": []}
+    # One pass through the filter bank serves the multiclass run and every pair run.
+    decomp = decompose(dataset, make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps))
     if dataset.n_classes >= 3:
-        multiclass = repeated_holdout(dataset, config)
+        multiclass = repeated_holdout(decomp, config)
         payload["multiclass"] = multiclass.summary()
         pairs_rest = [(0, c) for c in range(1, dataset.n_classes)]
         pairs_other = [
@@ -178,7 +180,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for section, pairs in (("rest_vs_finger", pairs_rest), ("pairwise", pairs_other)):
         for a, b in pairs:
             label = f"{names[a]} vs {names[b]}"
-            report = repeated_holdout(dataset, config, pair=(a, b))
+            report = repeated_holdout(decomp, config, pair=(a, b))
             payload[section][label] = report.summary()
             binary_rows[section].append(_report_row(label, report))
 
@@ -207,6 +209,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
+    if dataset.channel_names != model.channel_names or dataset.sample_rate != model.sample_rate:
+        raise ValueError(
+            f"dataset channels {dataset.channel_names} at {dataset.sample_rate} Hz do not match the "
+            f"model's channels {model.channel_names} at {model.sample_rate} Hz "
+            "(names, order and sample rate must agree)"
+        )
     if isinstance(model, EcocModel):
         predicted = predict_trials(model, dataset.trials)
     else:

@@ -5,7 +5,7 @@ Filters solve the generalized eigenproblem ``C_a w = lambda (C_a + C_b) w``
 so eigenvalues fall in [0, 1] and sum to 1 across the two classes; rows of
 the filter matrix are sorted by eigenvalue descending.  Features are log
 variance ratios of the projections through the first and last ``n_pairs``
-filters.
+filters, read from each trial's centred covariance.
 """
 
 from __future__ import annotations
@@ -110,14 +110,24 @@ def fit_csp(
     return fit_csp_from_covariances(class_covariance(class_a), class_covariance(class_b), n_pairs, band)
 
 
-def _log_variance_ratios(projections: np.ndarray) -> np.ndarray:
-    # projections: (..., n_filters, time) -> (..., n_filters)
-    variances = projections.var(axis=-1)
+def log_variance_features(covariances: np.ndarray, model: CspModel) -> np.ndarray:
+    """Log variance-ratio features from centred spatial covariances.
+
+    The variance of a trial projected through filter ``w`` is ``w S w^T``
+    for its centred covariance ``S``, so the features are
+    ``log(diag(W S W^T) / sum(diag(W S W^T)))`` over the kept filters ``W``.
+    ``(..., C, C)`` covariances give ``(..., 2 * n_pairs)`` features; each
+    trial's row is computed on its own, so a batch equals its single trials.
+    """
+    covariances = np.asarray(covariances, dtype=np.float64)
+    if covariances.shape[-1] != model.n_channels:
+        raise ValueError(f"trial has {covariances.shape[-1]} channels, model expects {model.n_channels}")
+    filters = model.selected_filters()
+    variances = np.sum((filters @ covariances) * filters, axis=-1)
     totals = variances.sum(axis=-1, keepdims=True)
     if np.any(totals <= 0.0):
         raise ValueError("projected signal has zero total variance")
-    ratios = variances / totals
-    return np.log(np.maximum(ratios, np.finfo(np.float64).tiny))
+    return np.log(np.maximum(variances / totals, np.finfo(np.float64).tiny))
 
 
 def extract_features(trial: Trial, model: CspModel) -> np.ndarray:
@@ -126,18 +136,6 @@ def extract_features(trial: Trial, model: CspModel) -> np.ndarray:
     Invariant to overall trial scaling and to per-filter sign flips;
     ``exp`` of the features sums to one.
     """
-    if trial.n_channels != model.n_channels:
-        raise ValueError(f"trial has {trial.n_channels} channels, model expects {model.n_channels}")
-    projections = model.selected_filters() @ trial.samples.astype(np.float64)
-    return _log_variance_ratios(projections)
-
-
-def extract_features_batch(trials: list[Trial], model: CspModel) -> np.ndarray:
-    """Feature matrix (n_trials, 2 * n_pairs) for equal-length trials."""
-    if not trials:
-        return np.zeros((0, 2 * model.n_pairs))
-    if any(t.n_samples != trials[0].n_samples for t in trials):
-        return np.array([extract_features(t, model) for t in trials])
-    stacked = np.stack([t.samples for t in trials]).astype(np.float64)
-    projections = np.einsum("fc,nct->nft", model.selected_filters(), stacked)
-    return _log_variance_ratios(projections)
+    x = trial.samples.astype(np.float64)
+    x = x - x.mean(axis=1, keepdims=True)
+    return log_variance_features(x @ x.T / x.shape[1], model)

@@ -4,18 +4,29 @@ Filters are linear-phase windowed-sinc bandpasses (Hamming window),
 normalized to unit gain at the band center.  Application is zero-phase
 forward-backward filtering with the warm-up transients trimmed, so band
 power estimates downstream are not biased by edge effects.
+
+:func:`apply_filter` runs one filter over one trial's time series.  The
+filter bank (:func:`band_covariances`, :func:`decompose`) computes the same
+output in one valid-mode convolution per band and keeps only the spatial
+covariances that everything downstream reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft
 from scipy.signal import fftconvolve
 
 from .trialstore import Dataset, Trial
 
 DEFAULT_TAPS = 257
+
+# Samples (channels x time, summed over trials) filtered together by the
+# bank: large enough to amortise per-call overhead, small enough that the
+# float64 and spectral temporaries of one batch stay near 2 MB each.
+BATCH_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -39,29 +50,65 @@ class FilterBank:
     taps: int = DEFAULT_TAPS
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BandDecomposition:
-    """One filtered dataset per band; labels and trial order preserved."""
+    """Band covariances of a labelled dataset; band time series are not kept.
+
+    ``csp_covariances[b, i]`` is the trace-normalised covariance
+    ``Y Y^T / trace(Y Y^T)`` of trial ``i`` filtered into band ``b`` (what
+    CSP class covariances average), and ``feature_covariances[b, i]`` its
+    centred covariance ``(Y - mean)(Y - mean)^T / T`` (what the log-variance
+    features read).  ``n_samples[i]`` is the filtered length ``T`` of trial
+    ``i``.  Both stacks have shape ``(n_bands, n_trials, C, C)``.
+    """
 
     bands: list[tuple[float, float]]
-    datasets: list[Dataset]
+    taps: int
+    sample_rate: float
+    channel_names: list[str]
+    class_names: list[str]
+    labels: np.ndarray
+    n_samples: np.ndarray = field(repr=False)
+    csp_covariances: np.ndarray = field(repr=False)
+    feature_covariances: np.ndarray = field(repr=False)
 
     @property
     def n_bands(self) -> int:
         return len(self.bands)
 
-    def labels(self) -> np.ndarray:
-        return self.datasets[0].labels()
+    @property
+    def n_trials(self) -> int:
+        return len(self.labels)
 
-    def band_trials(self) -> list[list[Trial]]:
-        return [ds.trials for ds in self.datasets]
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_names)
+
+    def class_indices(self, label: int) -> list[int]:
+        return [int(i) for i in np.flatnonzero(self.labels == label)]
 
     def subset(self, indices: list[int]) -> "BandDecomposition":
-        from .trialstore import select_trials
+        """The given trials, in the given order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return replace(
+            self,
+            labels=self.labels[indices],
+            n_samples=self.n_samples[indices],
+            csp_covariances=self.csp_covariances[:, indices],
+            feature_covariances=self.feature_covariances[:, indices],
+        )
 
-        return BandDecomposition(
-            bands=list(self.bands),
-            datasets=[select_trials(ds, indices) for ds in self.datasets],
+    def classes(self, class_a: int, class_b: int) -> "BandDecomposition":
+        """Two-class view relabelled ``class_a`` -> 0, ``class_b`` -> 1, trial order kept."""
+        if class_a == class_b:
+            raise ValueError("class_a and class_b must differ")
+        if not (np.any(self.labels == class_a) and np.any(self.labels == class_b)):
+            raise ValueError(f"classes {class_a} and {class_b} must both be present")
+        view = self.subset(np.flatnonzero((self.labels == class_a) | (self.labels == class_b)))
+        return replace(
+            view,
+            labels=(view.labels == class_b).astype(np.int64),
+            class_names=[self.class_names[class_a], self.class_names[class_b]],
         )
 
 
@@ -145,23 +192,83 @@ def default_bank(sample_rate: float) -> FilterBank:
     return make_bank(5.0, 39.0, 2.0)
 
 
-def decompose(dataset: Dataset, bank: FilterBank, taps: int | None = None) -> BandDecomposition:
-    """Filter every trial into every band of the bank.
+def band_covariances(
+    trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Filter each trial into each band and reduce it to its covariances.
 
-    Returns one dataset per band with trial order and labels preserved;
-    each trial loses ``2 * (taps - 1)`` samples to edge trimming.
+    Zero-phase forward-backward filtering with ``taps - 1`` samples trimmed
+    at each end is a valid-mode convolution with the kernel's
+    autocorrelation ``h * h[::-1]`` (length ``2 * taps - 1``).  So each
+    trial takes one rfft; each band multiplies it by that kernel's spectrum,
+    inverts, keeps the valid part and reduces it straight to the two
+    covariances of :class:`BandDecomposition` before the next band starts.
+    Trials of equal length go through in batches of about
+    ``BATCH_SAMPLES`` samples, and each trial's result does not depend on
+    which others share its batch.
+
+    Returns ``(csp_covariances, feature_covariances, n_samples)``.
     """
-    taps = bank.taps if taps is None else taps
-    datasets = []
-    for low, high in bank.bands:
-        fir = design_bandpass(low, high, dataset.sample_rate, taps)
-        filtered = [apply_filter(trial, fir) for trial in dataset.trials]
-        datasets.append(
-            Dataset(
-                sample_rate=dataset.sample_rate,
-                channel_names=list(dataset.channel_names),
-                class_names=list(dataset.class_names),
-                trials=filtered,
+    if not trials:
+        raise ValueError("no trials to filter")
+    for trial in trials:
+        if trial.sample_rate != sample_rate:
+            raise ValueError(f"trial rate {trial.sample_rate} != filter rate {sample_rate}")
+        if trial.n_samples <= 3 * taps:
+            raise ValueError(f"trial too short to filter: {trial.n_samples} samples <= 3 x {taps} taps")
+    kernels = []
+    for low, high in bands:
+        h = design_bandpass(low, high, sample_rate, taps).coefficients
+        kernels.append(np.convolve(h, h[::-1]))
+    n_channels = trials[0].n_channels
+    lengths = np.array([trial.n_samples for trial in trials])
+    batches = []
+    for length in np.unique(lengths):
+        same_length = np.flatnonzero(lengths == length)
+        step = max(1, BATCH_SAMPLES // (n_channels * int(length)))
+        batches += [same_length[i : i + step] for i in range(0, len(same_length), step)]
+    shape = (len(bands), len(trials), n_channels, n_channels)
+    csp_covariances, feature_covariances = np.empty(shape), np.empty(shape)
+    for batch in batches:
+        length = int(lengths[batch[0]])
+        n_fft = scipy.fft.next_fast_len(length, real=True)
+        samples = np.stack([trials[i].samples for i in batch]).astype(np.float64)
+        spectra = scipy.fft.rfft(samples, n_fft, axis=-1)
+        for b, kernel in enumerate(kernels):
+            # Output k of a circular convolution of n_fft >= length points
+            # wraps nothing for k >= len(kernel) - 1: the valid part.
+            y = scipy.fft.irfft(spectra * scipy.fft.rfft(kernel, n_fft), n_fft, axis=-1)
+            y = y[..., len(kernel) - 1 : length]
+            products = y @ y.swapaxes(-1, -2)
+            traces = np.trace(products, axis1=-2, axis2=-1)
+            if np.any(traces <= 0.0):
+                index = int(batch[np.argmax(traces <= 0.0)])
+                raise ValueError(f"trial {index} is all zero in band {bands[b]}: it has no covariance")
+            means = y.mean(axis=-1)
+            csp_covariances[b, batch] = products / traces[:, np.newaxis, np.newaxis]
+            feature_covariances[b, batch] = (
+                products / y.shape[-1] - means[:, :, np.newaxis] * means[:, np.newaxis, :]
             )
-        )
-    return BandDecomposition(bands=list(bank.bands), datasets=datasets)
+    return csp_covariances, feature_covariances, lengths - 2 * (taps - 1)
+
+
+def decompose(dataset: Dataset, bank: FilterBank) -> BandDecomposition:
+    """Run every trial through the filter bank (see :func:`band_covariances`).
+
+    Trial order and labels are preserved; each trial loses
+    ``2 * (taps - 1)`` samples to edge trimming.
+    """
+    csp_covariances, feature_covariances, n_samples = band_covariances(
+        dataset.trials, dataset.sample_rate, bank.bands, bank.taps
+    )
+    return BandDecomposition(
+        bands=list(bank.bands),
+        taps=bank.taps,
+        sample_rate=dataset.sample_rate,
+        channel_names=list(dataset.channel_names),
+        class_names=list(dataset.class_names),
+        labels=dataset.labels(),
+        n_samples=n_samples,
+        csp_covariances=csp_covariances,
+        feature_covariances=feature_covariances,
+    )

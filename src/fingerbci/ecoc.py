@@ -11,19 +11,24 @@ row is nearest in Hamming distance (ties to the lowest class index).
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
-from .csp import CspModel, extract_features_batch, fit_csp_from_covariances, trial_covariance
-from .dsp import DEFAULT_TAPS, BandDecomposition, apply_filter, design_bandpass
+from .csp import CspModel, fit_csp_from_covariances, log_variance_features
+from .dsp import BandDecomposition, band_covariances
 from .extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict, tune as et_tune
 from .rng import child_seed
 from .trialstore import Trial
 
 MODEL_NAME = "model.json"
+
+# Centred covariance stacks by band index: a decomposition's
+# (n_bands, n_trials, C, C) array, or only the bands a model reads.
+BandStacks = Mapping[int, np.ndarray] | np.ndarray
 
 DEFAULT_MIN_SPLIT_GRID = [2, 5, 10]
 DEFAULT_TREE_GRID = [50, 100, 200]
@@ -112,17 +117,15 @@ def decode(code: CodeMatrix, codeword: np.ndarray) -> int:
 def _column_features(
     selected_bands: list[int],
     csp_models: list[CspModel],
-    band_trials: list[list[Trial] | None],
+    covariances: BandStacks,
     indices: list[int] | None = None,
 ) -> np.ndarray:
     blocks = []
     for band_index, csp in zip(selected_bands, csp_models):
-        trials = band_trials[band_index]
-        if trials is None:
-            raise ValueError(f"band {band_index} missing from supplied decomposition")
+        stack = covariances[band_index]
         if indices is not None:
-            trials = [trials[i] for i in indices]
-        blocks.append(extract_features_batch(trials, csp))
+            stack = stack[indices]
+        blocks.append(log_variance_features(stack, csp))
     return np.hstack(blocks)
 
 
@@ -134,16 +137,17 @@ class ColumnModel:
     csp_models: list[CspModel]
     forest: EtForest
 
-    def features(self, band_trials: list[list[Trial] | None], indices: list[int] | None = None) -> np.ndarray:
+    def features(self, covariances: BandStacks, indices: list[int] | None = None) -> np.ndarray:
         """Concatenated per-band CSP features for the given trials.
 
-        ``band_trials`` is indexed by band position in the model's band
-        list; only this column's selected bands are touched.
+        ``covariances[b]`` is the ``(n_trials, C, C)`` stack of centred
+        covariances in band ``b`` of the model's band list; only this
+        column's selected bands are read.
         """
-        return _column_features(self.selected_bands, self.csp_models, band_trials, indices)
+        return _column_features(self.selected_bands, self.csp_models, covariances, indices)
 
-    def predict_bits(self, band_trials: list[list[Trial] | None], indices: list[int] | None = None) -> np.ndarray:
-        return et_predict(self.forest, self.features(band_trials, indices))
+    def predict_bits(self, covariances: BandStacks, indices: list[int] | None = None) -> np.ndarray:
+        return et_predict(self.forest, self.features(covariances, indices))
 
 
 def resolve_feature_grid(grid: list[int] | None, feature_dim: int) -> list[int]:
@@ -167,33 +171,25 @@ def fit_column(
     n_estimators_grid: list[int] | None = None,
     seed: int = 0,
     shrinkage: float = 1e-3,
-    band_covariances: list[np.ndarray] | None = None,
 ) -> ColumnModel:
     """Band selection -> per-band CSP -> tuned extra-trees for one binary task."""
     y = np.asarray(binary_labels, dtype=np.int64)
     n_pos = int(np.sum(y == 1))
     if n_pos == 0 or n_pos == len(y):
         raise ValueError("binary task is degenerate: one side has no trials")
-    if band_covariances is None:
-        band_covariances = [
-            np.stack([trial_covariance(t) for t in ds.trials]) for ds in decomp.datasets
-        ]
 
-    scores = score_bands_for_labels(
-        decomp, y, n_pairs, folds, seed=child_seed(seed, 0), shrinkage=shrinkage,
-        band_covariances=band_covariances,
-    )
+    scores = score_bands_for_labels(decomp, y, n_pairs, folds, seed=child_seed(seed, 0), shrinkage=shrinkage)
     selection = select_bands(scores)
 
     csp_models = []
     for band_index in selection.selected:
-        covs = band_covariances[band_index]
+        covs = decomp.csp_covariances[band_index]
         csp_models.append(
             fit_csp_from_covariances(
                 covs[y == 0].mean(axis=0), covs[y == 1].mean(axis=0), n_pairs, decomp.bands[band_index]
             )
         )
-    features = _column_features(list(selection.selected), csp_models, decomp.band_trials())
+    features = _column_features(list(selection.selected), csp_models, decomp.feature_covariances)
 
     params = et_tune(
         features,
@@ -255,7 +251,6 @@ def fit_ecoc(
     n_estimators_grid: list[int] | None = None,
     seed: int = 0,
     shrinkage: float = 1e-3,
-    taps: int | None = None,
 ) -> EcocModel:
     """Train one column model per code-matrix column.
 
@@ -264,16 +259,14 @@ def fit_ecoc(
     forest tuning all run on that relabeled problem.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    reference = decomp.datasets[0]
-    if len(labels) != len(reference.trials):
+    if len(labels) != decomp.n_trials:
         raise ValueError("labels length must match the decomposition")
     present = set(np.unique(labels))
     if present != set(range(code.n_classes)):
         raise ValueError(f"expected all {code.n_classes} classes present, got labels {sorted(present)}")
-    if code.n_classes != len(reference.class_names):
+    if code.n_classes != decomp.n_classes:
         raise ValueError("code matrix size does not match dataset classes")
 
-    band_covariances = [np.stack([trial_covariance(t) for t in ds.trials]) for ds in decomp.datasets]
     columns = []
     for j in range(code.n_columns):
         positive = set(np.flatnonzero(code.bits[:, j] == 1))
@@ -285,17 +278,16 @@ def fit_ecoc(
                 decomp, y, n_pairs, folds,
                 max_features_grid, min_samples_split_grid, n_estimators_grid,
                 seed=child_seed(seed, j), shrinkage=shrinkage,
-                band_covariances=band_covariances,
             )
         )
     return EcocModel(
         code=code,
         columns=columns,
-        class_names=list(reference.class_names),
-        channel_names=list(reference.channel_names),
-        sample_rate=reference.sample_rate,
+        class_names=list(decomp.class_names),
+        channel_names=list(decomp.channel_names),
+        sample_rate=decomp.sample_rate,
         bands=list(decomp.bands),
-        taps=taps if taps is not None else DEFAULT_TAPS,
+        taps=decomp.taps,
         n_pairs=n_pairs,
     )
 
@@ -312,10 +304,8 @@ def fit_binary(
     n_estimators_grid: list[int] | None = None,
     seed: int = 0,
     shrinkage: float = 1e-3,
-    taps: int | None = None,
 ) -> BinaryModel:
     """Train a standalone pair classifier (labels: 0 -> pair[0], 1 -> pair[1])."""
-    reference = decomp.datasets[0]
     column = fit_column(
         decomp, binary_labels, n_pairs, folds,
         max_features_grid, min_samples_split_grid, n_estimators_grid,
@@ -325,39 +315,39 @@ def fit_binary(
         pair=pair,
         column=column,
         class_names=list(class_names),
-        channel_names=list(reference.channel_names),
-        sample_rate=reference.sample_rate,
+        channel_names=list(decomp.channel_names),
+        sample_rate=decomp.sample_rate,
         bands=list(decomp.bands),
-        taps=taps if taps is not None else DEFAULT_TAPS,
+        taps=decomp.taps,
         n_pairs=n_pairs,
     )
 
 
-def _filter_needed_bands(model: EcocModel | BinaryModel, trials: list[Trial]) -> list[list[Trial] | None]:
+def _needed_covariances(model: EcocModel | BinaryModel, trials: list[Trial]) -> dict[int, np.ndarray]:
+    # Runs the training filter bank over the bands the model reads, no others.
     for trial in trials:
         if trial.n_channels != len(model.channel_names):
             raise ValueError(f"trial has {trial.n_channels} channels, model expects {len(model.channel_names)}")
-    band_trials: list[list[Trial] | None] = [None] * len(model.bands)
-    for band_index in model.needed_bands():
-        low, high = model.bands[band_index]
-        fir = design_bandpass(low, high, model.sample_rate, model.taps)
-        band_trials[band_index] = [apply_filter(t, fir) for t in trials]
-    return band_trials
+    needed = model.needed_bands()
+    _, feature_covariances, _ = band_covariances(
+        trials, model.sample_rate, [model.bands[b] for b in needed], model.taps
+    )
+    return dict(zip(needed, feature_covariances))
 
 
 def predict_from_bands(
     model: EcocModel,
-    band_trials: list[list[Trial] | None],
+    covariances: BandStacks,
     indices: list[int] | None = None,
 ) -> np.ndarray:
-    """Decode classes from an existing decomposition (bands aligned with the model)."""
-    bits = np.stack([column.predict_bits(band_trials, indices) for column in model.columns], axis=1)
+    """Decode classes from centred band covariances aligned with the model's bands."""
+    bits = np.stack([column.predict_bits(covariances, indices) for column in model.columns], axis=1)
     return np.array([decode(model.code, word) for word in bits], dtype=np.int64)
 
 
 def predict_trials(model: EcocModel, trials: list[Trial]) -> np.ndarray:
     """Filter raw trials into the model's bands and decode each one."""
-    return predict_from_bands(model, _filter_needed_bands(model, trials))
+    return predict_from_bands(model, _needed_covariances(model, trials))
 
 
 def predict_ecoc(model: EcocModel, trial: Trial) -> int:
@@ -367,16 +357,16 @@ def predict_ecoc(model: EcocModel, trial: Trial) -> int:
 
 def predict_binary_from_bands(
     model: BinaryModel,
-    band_trials: list[list[Trial] | None],
+    covariances: BandStacks,
     indices: list[int] | None = None,
 ) -> np.ndarray:
-    bits = model.column.predict_bits(band_trials, indices)
+    bits = model.column.predict_bits(covariances, indices)
     return np.where(bits == 1, model.pair[1], model.pair[0]).astype(np.int64)
 
 
 def predict_binary_trials(model: BinaryModel, trials: list[Trial]) -> np.ndarray:
     """Predicted class indices (in the full class list) for raw trials."""
-    return predict_binary_from_bands(model, _filter_needed_bands(model, trials))
+    return predict_binary_from_bands(model, _needed_covariances(model, trials))
 
 
 # --- model bundle serialization -------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import decompose, make_bank
+from .dsp import BandDecomposition, decompose, make_bank
 from .ecoc import (
     exhaustive_code,
     fit_binary,
@@ -20,7 +20,7 @@ from .ecoc import (
     predict_from_bands,
 )
 from .rng import child_seed
-from .trialstore import Dataset, stratified_split, subset_classes
+from .trialstore import Dataset, stratified_split
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:
@@ -100,7 +100,7 @@ class RunReport:
 
 
 def repeated_holdout(
-    dataset: Dataset,
+    data: Dataset | BandDecomposition,
     config: PipelineConfig,
     repetitions: int | None = None,
     seed: int | None = None,
@@ -109,30 +109,36 @@ def repeated_holdout(
     """R seeded stratified holdout rounds of the full pipeline.
 
     Multiclass by default (exhaustive-code ECOC); with ``pair`` given, a
-    single binary pipeline on those two classes.  Filtering happens once up
-    front (it is per-trial and label-free); every fit only ever sees
-    training-trial indices.
+    single binary pipeline on those two classes.  ``data`` is a dataset or
+    its decomposition through the config's filter bank; filtering is
+    per-trial and label-free, so one decomposition serves the multiclass
+    run and every pair run.  Every fit only ever sees training-trial
+    indices.
     """
     repetitions = config.repetitions if repetitions is None else repetitions
     seed = config.seed if seed is None else seed
     if repetitions < 1:
         raise ValueError("need at least one repetition")
 
-    if pair is not None:
-        working = subset_classes(dataset, pair[0], pair[1])
-    else:
-        working = dataset
-    n_classes = working.n_classes
     bank = make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps)
-    decomp = decompose(working, bank)
-    labels = working.labels()
+    if isinstance(data, BandDecomposition):
+        if data.bands != bank.bands or data.taps != bank.taps:
+            raise ValueError("decomposition was not made with the config's filter bank")
+        decomp = data
+    else:
+        decomp = decompose(data, bank)
+    if pair is not None:
+        decomp = decomp.classes(pair[0], pair[1])
+    n_classes = decomp.n_classes
+    labels = decomp.labels
     code = exhaustive_code(n_classes) if pair is None else None
 
     accuracies: list[float] = []
     kappas: list[float] = []
     confusions: list[np.ndarray] = []
     for r in range(repetitions):
-        split = stratified_split(working, config.test_fraction, child_seed(seed, r, 0))
+        # The split reads only n_classes and class_indices, which a decomposition has too.
+        split = stratified_split(decomp, config.test_fraction, child_seed(seed, r, 0))
         train_decomp = decomp.subset(split.train)
         fit_seed = child_seed(seed, r, 1)
         if pair is None:
@@ -142,19 +148,19 @@ def repeated_holdout(
                 max_features_grid=config.et_max_features,
                 min_samples_split_grid=config.et_min_samples_split,
                 n_estimators_grid=config.et_n_estimators,
-                seed=fit_seed, shrinkage=config.lda_shrinkage, taps=config.fir_taps,
+                seed=fit_seed, shrinkage=config.lda_shrinkage,
             )
-            predicted = predict_from_bands(model, decomp.band_trials(), split.test)
+            predicted = predict_from_bands(model, decomp.feature_covariances, split.test)
         else:
             model = fit_binary(
-                train_decomp, labels[split.train], (0, 1), working.class_names,
+                train_decomp, labels[split.train], (0, 1), decomp.class_names,
                 n_pairs=config.csp_pairs, folds=config.cv_folds,
                 max_features_grid=config.et_max_features,
                 min_samples_split_grid=config.et_min_samples_split,
                 n_estimators_grid=config.et_n_estimators,
-                seed=fit_seed, shrinkage=config.lda_shrinkage, taps=config.fir_taps,
+                seed=fit_seed, shrinkage=config.lda_shrinkage,
             )
-            predicted = predict_binary_from_bands(model, decomp.band_trials(), split.test)
+            predicted = predict_binary_from_bands(model, decomp.feature_covariances, split.test)
         cm = confusion_matrix(labels[split.test], predicted, n_classes)
         accuracies.append(accuracy(cm))
         kappas.append(cohen_kappa(cm))

@@ -324,7 +324,7 @@ def test_criterion_9_round_trips(tmp_path, mini_four_class):
         model = fit_ecoc(
             decomp, mini_four_class.labels(), exhaustive_code(4),
             n_pairs=1, folds=2, max_features_grid=[1], min_samples_split_grid=[2],
-            n_estimators_grid=[10], seed=6, taps=63,
+            n_estimators_grid=[10], seed=6,
         )
         model_one = tmp_path / "model_one"
         model_two = tmp_path / "model_two"

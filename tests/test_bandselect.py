@@ -15,7 +15,6 @@ from fingerbci import (
 )
 from fingerbci.bandselect import BandScore, _fit_fold_model
 from fingerbci.crossval import stratified_folds
-from fingerbci.csp import trial_covariance
 from fingerbci.rng import stream
 
 
@@ -150,17 +149,20 @@ class TestScoreBands:
             score_bands(scored_decomposition, 0, 1, folds=50)
 
     def test_fold_fit_ignores_heldout_trials(self, scored_decomposition):
-        # Leakage guard: scaling the held-out fold must not move the fitted models.
-        trials = scored_decomposition.datasets[0].trials[:20]
-        covariances = np.stack([trial_covariance(t) for t in trials])
+        # Leakage guard: corrupting the held-out fold must not move the fitted models.
+        first = scored_decomposition.subset(list(range(20)))
+        csp_covariances = first.csp_covariances[0]
+        feature_covariances = first.feature_covariances[0]
         labels = np.array([0, 1] * 10)
         train_mask = np.arange(20) < 12
-        base = _fit_fold_model(trials, labels, covariances, train_mask, 1, 1e-3, (8.0, 10.0))
-        corrupted = [
-            t if keep else type(t)(label=t.label, samples=t.samples * 100.0, sample_rate=t.sample_rate)
-            for t, keep in zip(trials, train_mask)
-        ]
-        perturbed = _fit_fold_model(corrupted, labels, covariances, train_mask, 1, 1e-3, (8.0, 10.0))
+        base = _fit_fold_model(csp_covariances, feature_covariances, labels, train_mask, 1, 1e-3, (8.0, 10.0))
+        # Scaling samples by 100 scales the centred covariance by 1e4; the
+        # trace-normalised one is scale-free, so replace it outright.
+        corrupted_csp = csp_covariances.copy()
+        corrupted_csp[~train_mask] = np.eye(csp_covariances.shape[-1]) / csp_covariances.shape[-1]
+        corrupted_features = feature_covariances.copy()
+        corrupted_features[~train_mask] *= 1e4
+        perturbed = _fit_fold_model(corrupted_csp, corrupted_features, labels, train_mask, 1, 1e-3, (8.0, 10.0))
         assert np.array_equal(base[0].filters, perturbed[0].filters)
         assert np.array_equal(base[1].weights, perturbed[1].weights)
 

@@ -197,3 +197,29 @@ class TestPredict:
         ])
         assert code == 1
         assert "channels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["reversed montage", "renamed channel", "sample rate"])
+    def test_montage_mismatch_fails(self, workspace, tmp_path, capsys, change):
+        from fingerbci import Dataset, Trial, save_dataset
+
+        dataset = load_dataset(workspace / "dataset")
+        names, rate, rows = list(dataset.channel_names), dataset.sample_rate, slice(None)
+        if change == "reversed montage":
+            names, rows = names[::-1], slice(None, None, -1)
+        elif change == "renamed channel":
+            names[0] = "cz"
+        else:
+            rate = 2 * rate
+        altered = Dataset(
+            sample_rate=rate, channel_names=names, class_names=dataset.class_names,
+            trials=[Trial(label=t.label, samples=t.samples[rows], sample_rate=rate) for t in dataset.trials],
+        )
+        save_dataset(altered, tmp_path / "altered")
+        code = main([
+            "predict", "--model", str(workspace / "model"),
+            "--dataset", str(tmp_path / "altered"), "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(names) in err and str(dataset.channel_names) in err and f"{rate} Hz" in err
+        assert not (tmp_path / "p.csv").exists()

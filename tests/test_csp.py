@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fingerbci import SynthConfig, Trial, class_covariance, extract_features, fit_csp, generate, trial_covariance
-from fingerbci.csp import CspModel, extract_features_batch
+from fingerbci.csp import CspModel, log_variance_features
+
+from timeseries_reference import centred_covariance, variance_features
 
 
 def make_trial(values, label=0):
@@ -176,6 +178,7 @@ class TestFeatures:
         rng = np.random.default_rng(6)
         trials = [make_trial(rng.standard_normal((2, 32))) for _ in range(5)]
         model = self.identity_model()
-        batch = extract_features_batch(trials, model)
+        batch = log_variance_features(np.stack([centred_covariance(t) for t in trials]), model)
         singles = np.array([extract_features(t, model) for t in trials])
         assert np.allclose(batch, singles, atol=1e-12)
+        assert np.allclose(variance_features(trials, model), singles, atol=1e-12)

@@ -3,8 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingerbci import Trial, apply_filter, decompose, default_bank, design_bandpass, make_bank
+from fingerbci import (
+    Dataset,
+    Trial,
+    apply_filter,
+    band_covariances,
+    decompose,
+    default_bank,
+    design_bandpass,
+    log_variance_features,
+    make_bank,
+)
+from fingerbci import dsp
+from fingerbci.csp import CspModel, fit_csp_from_covariances
 
+import timeseries_reference as reference
 from conftest import random_dataset
 
 
@@ -137,10 +150,10 @@ class TestDecompose:
         bank = make_bank(8.0, 14.0, 2.0, taps=63)
         decomp = decompose(dataset, bank)
         assert decomp.n_bands == 3
-        for ds in decomp.datasets:
-            assert [t.label for t in ds.trials] == [t.label for t in dataset.trials]
-            assert all(t.n_samples == 2048 - 2 * 62 for t in ds.trials)
-            assert all(t.n_channels == 2 for t in ds.trials)
+        assert list(decomp.labels) == [t.label for t in dataset.trials]
+        assert all(n == 2048 - 2 * 62 for n in decomp.n_samples)
+        for stack in (decomp.csp_covariances, decomp.feature_covariances):
+            assert stack.shape == (3, len(dataset.trials), 2, 2)
 
     def test_default_bank_trim_arithmetic(self):
         t = np.arange(int(512 * 3.0)) / 512.0
@@ -153,8 +166,9 @@ class TestDecompose:
         dataset = Dataset(sample_rate=512.0, channel_names=["c"], class_names=["a", "b"], trials=trials)
         decomp = decompose(dataset, default_bank(512.0))
         assert decomp.n_bands == 17
-        for ds in decomp.datasets:
-            assert ds.trials[0].n_samples == 1536 - 2 * 256
+        for stack in (decomp.csp_covariances, decomp.feature_covariances):
+            assert len(stack) == 17
+            assert decomp.n_samples[0] == 1536 - 2 * 256
 
     def test_wide_band_passthrough(self):
         fir = design_bandpass(1.0, 200.0, 512.0, 257)
@@ -163,3 +177,98 @@ class TestDecompose:
         in_rms = np.sqrt(np.mean(trial.samples.astype(float) ** 2))
         out_rms = np.sqrt(np.mean(out.samples.astype(float) ** 2))
         assert out_rms == pytest.approx(in_rms, rel=0.02)
+
+
+def unequal_dataset(rng, lengths=(700, 900, 700, 1100), n_channels=3):
+    """100 Hz trials of several lengths with a shared 10 Hz source."""
+    trials = []
+    for i, n_samples in enumerate(lengths):
+        t = np.arange(n_samples) / 100.0
+        source = np.sin(2 * np.pi * (9.5 + 0.2 * i) * t)
+        samples = rng.standard_normal((n_channels, n_samples)) + np.outer(rng.standard_normal(n_channels), source)
+        trials.append(Trial(label=i % 2, samples=samples, sample_rate=100.0))
+    return Dataset(sample_rate=100.0, channel_names=[f"ch{c}" for c in range(n_channels)],
+                   class_names=["a", "b"], trials=trials)
+
+
+class TestFilterBankEquivalence:
+    """The filter bank against the time-series reference in ``timeseries_reference``.
+
+    The reference rounds each band trial to float32, so the stacks can
+    differ by that rounding (about 6e-8 relative) and no more.
+    """
+
+    bank = make_bank(8.0, 14.0, 2.0, taps=63)
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return random_dataset(np.random.default_rng(8), trials_per_class=4, n_channels=3, n_samples=1024)
+
+    def test_both_stacks_match_reference(self, dataset):
+        decomp = decompose(dataset, self.bank)
+        csp, feature = reference.band_covariances(dataset.trials, self.bank.bands, self.bank.taps)
+        np.testing.assert_allclose(decomp.csp_covariances, csp, rtol=1e-6, atol=1e-6 * np.abs(csp).max())
+        np.testing.assert_allclose(
+            decomp.feature_covariances, feature, rtol=1e-6, atol=1e-6 * np.abs(feature).max()
+        )
+
+    def test_features_match_reference(self, dataset):
+        decomp = decompose(dataset, self.bank)
+        filtered = reference.filter_bank(dataset.trials, self.bank.bands, self.bank.taps)
+        labels = decomp.labels
+        for b, band in enumerate(decomp.bands):
+            model = fit_csp_from_covariances(
+                decomp.csp_covariances[b][labels == 0].mean(axis=0),
+                decomp.csp_covariances[b][labels == 1].mean(axis=0),
+                n_pairs=1, band=band,
+            )
+            np.testing.assert_allclose(
+                log_variance_features(decomp.feature_covariances[b], model),
+                reference.variance_features(filtered[b], model),
+                rtol=0, atol=1e-6,
+            )
+
+    def test_single_trial_equals_batch_bit_for_bit(self, dataset):
+        model = CspModel(filters=np.eye(3), eigenvalues=np.array([0.6, 0.3, 0.1]), n_pairs=1)
+        _, batch, _ = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
+        for i, trial in enumerate(dataset.trials):
+            _, single, _ = band_covariances([trial], 100.0, self.bank.bands, self.bank.taps)
+            assert np.array_equal(single[:, 0], batch[:, i])
+            assert np.array_equal(log_variance_features(single[:, 0], model), log_variance_features(batch[:, i], model))
+
+    def test_batch_size_changes_no_bit(self, dataset, monkeypatch):
+        whole = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
+        monkeypatch.setattr(dsp, "BATCH_SAMPLES", 3 * 3 * 1024)  # three trials per batch
+        for split, joined in zip(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), whole):
+            assert np.array_equal(split, joined)
+
+    def test_unequal_lengths(self):
+        dataset = unequal_dataset(np.random.default_rng(9))
+        decomp = decompose(dataset, self.bank)
+        assert list(decomp.n_samples) == [t.n_samples - 2 * 62 for t in dataset.trials]
+        csp, feature = reference.band_covariances(dataset.trials, self.bank.bands, self.bank.taps)
+        np.testing.assert_allclose(decomp.csp_covariances, csp, rtol=1e-6, atol=1e-6 * np.abs(csp).max())
+        np.testing.assert_allclose(
+            decomp.feature_covariances, feature, rtol=1e-6, atol=1e-6 * np.abs(feature).max()
+        )
+
+    @pytest.mark.parametrize("n_samples", [3 * 63, 3 * 63 - 40])
+    def test_short_trial_rejected_like_apply_filter(self, n_samples):
+        dataset = random_dataset(np.random.default_rng(10), n_samples=n_samples)
+        fir = design_bandpass(8.0, 10.0, 100.0, 63)
+        with pytest.raises(ValueError) as expected:
+            apply_filter(dataset.trials[0], fir)
+        with pytest.raises(ValueError) as raised:
+            decompose(dataset, self.bank)
+        assert str(raised.value) == str(expected.value)
+
+    def test_pair_view_equals_decomposed_pair_subset(self):
+        from fingerbci import subset_classes
+
+        dataset = random_dataset(np.random.default_rng(11), n_classes=3, trials_per_class=3, n_samples=512)
+        view = decompose(dataset, self.bank).classes(2, 0)
+        direct = decompose(subset_classes(dataset, 2, 0), self.bank)
+        assert view.class_names == direct.class_names == ["class_2", "class_0"]
+        assert np.array_equal(view.labels, direct.labels)
+        assert np.array_equal(view.csp_covariances, direct.csp_covariances)
+        assert np.array_equal(view.feature_covariances, direct.feature_covariances)

@@ -164,7 +164,6 @@ def fit_small_ecoc(decomp, labels, seed=3):
         min_samples_split_grid=[2],
         n_estimators_grid=[10],
         seed=seed,
-        taps=63,
     )
 
 
@@ -183,7 +182,7 @@ class TestFitEcoc:
         bits[1] = [0, 0, 0, 1, 1, 1, 1]  # printed-table variant: column 4 all ones
         with pytest.raises(ValueError, match="one side"):
             fit_ecoc(decomp, dataset.labels(), CodeMatrix(bits=bits), n_pairs=1, folds=2,
-                     max_features_grid=[1], min_samples_split_grid=[2], n_estimators_grid=[10], taps=63)
+                     max_features_grid=[1], min_samples_split_grid=[2], n_estimators_grid=[10])
 
     def test_deterministic(self, mini_decomp):
         dataset, decomp = mini_decomp
@@ -217,6 +216,12 @@ class TestFitEcoc:
         with pytest.raises(ValueError, match="channels"):
             predict_ecoc(model, bad)
 
+    def test_taps_taken_from_decomposition(self, mini_decomp):
+        # Prediction must filter with the bank the model was trained on.
+        dataset, decomp = mini_decomp
+        assert decomp.taps == 63
+        assert fit_small_ecoc(decomp, dataset.labels()).taps == 63
+
     def test_mostly_correct_on_training_distribution(self, mini_decomp):
         dataset, decomp = mini_decomp
         model = fit_small_ecoc(decomp, dataset.labels())
@@ -235,8 +240,9 @@ class TestBinaryModel:
         model = fit_binary(
             decomp, pair_view.labels(), (0, 2), dataset.class_names,
             n_pairs=1, folds=2, max_features_grid=[1], min_samples_split_grid=[2],
-            n_estimators_grid=[10], seed=4, taps=63,
+            n_estimators_grid=[10], seed=4,
         )
+        assert model.taps == 63
         predictions = predict_binary_trials(model, pair_view.trials)
         assert set(np.unique(predictions)) <= {0, 2}
         truth = np.where(pair_view.labels() == 1, 2, 0)
@@ -266,7 +272,7 @@ class TestModelBundle:
         model = fit_binary(
             decomp, pair_view.labels(), (0, 1), dataset.class_names,
             n_pairs=1, folds=2, max_features_grid=[1], min_samples_split_grid=[2],
-            n_estimators_grid=[10], seed=5, taps=63,
+            n_estimators_grid=[10], seed=5,
         )
         save_model(model, tmp_path / "bin")
         loaded = load_model(tmp_path / "bin")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingerbci import accuracy, cohen_kappa, confusion_matrix, repeated_holdout
+from fingerbci import accuracy, cohen_kappa, confusion_matrix, decompose, make_bank, repeated_holdout
 from fingerbci.evaluation import RunReport
 
 
@@ -98,6 +98,11 @@ class TestRepeatedHoldout:
     def test_separable_pair_scores_high(self, mini_four_class, fast_config):
         report = repeated_holdout(mini_four_class, fast_config, repetitions=2, seed=7, pair=(0, 2))
         assert report.mean >= 0.75
+
+    def test_decomposition_from_another_bank_rejected(self, mini_four_class, fast_config):
+        decomp = decompose(mini_four_class, make_bank(8.0, 14.0, 2.0, taps=31))
+        with pytest.raises(ValueError, match="filter bank"):
+            repeated_holdout(decomp, fast_config, repetitions=1, seed=1)
 
     def test_invalid_repetitions(self, mini_four_class, fast_config):
         with pytest.raises(ValueError):
