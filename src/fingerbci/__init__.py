@@ -29,12 +29,11 @@ from .dsp import (
     make_bank,
 )
 from .ecoc import (
-    BinaryModel,
+    PAIR_CODE,
     CodeMatrix,
     EcocModel,
     decode,
     exhaustive_code,
-    fit_binary,
     fit_ecoc,
     hamming,
     load_model,

@@ -117,14 +117,15 @@ def _cv_band_score(
     return float(np.mean(accuracies))
 
 
-def _score(
+def score_bands_for_labels(
     decomp: BandDecomposition,
     labels: np.ndarray,
-    n_pairs: int,
-    folds: int,
-    seed: int,
-    shrinkage: float,
+    n_pairs: int = 2,
+    folds: int = 5,
+    seed: int = 0,
+    shrinkage: float = DEFAULT_SHRINKAGE,
 ) -> list[BandScore]:
+    """Per-band CV accuracy for an arbitrary binary labeling of the trials."""
     labels = np.asarray(labels)
     if len(labels) != decomp.n_trials:
         raise ValueError(f"{len(labels)} labels for {decomp.n_trials} trials")
@@ -142,18 +143,6 @@ def _score(
     ]
 
 
-def score_bands_for_labels(
-    decomp: BandDecomposition,
-    labels: np.ndarray,
-    n_pairs: int = 2,
-    folds: int = 5,
-    seed: int = 0,
-    shrinkage: float = DEFAULT_SHRINKAGE,
-) -> list[BandScore]:
-    """Per-band CV accuracy for an arbitrary binary labeling of the trials."""
-    return _score(decomp, labels, n_pairs, folds, seed, shrinkage)
-
-
 def score_bands(
     decomp: BandDecomposition,
     class_a: int,
@@ -165,7 +154,7 @@ def score_bands(
 ) -> list[BandScore]:
     """Score every band for the binary problem ``class_a`` vs ``class_b``."""
     pair = decomp.classes(class_a, class_b)
-    return _score(pair, pair.labels, n_pairs, folds, seed, shrinkage)
+    return score_bands_for_labels(pair, pair.labels, n_pairs, folds, seed, shrinkage)
 
 
 def select_bands(scores: list[BandScore]) -> SelectionResult:

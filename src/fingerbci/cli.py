@@ -6,21 +6,12 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import PipelineConfig
 from .dsp import decompose, make_bank
-from .ecoc import (
-    BinaryModel,
-    EcocModel,
-    exhaustive_code,
-    fit_binary,
-    fit_ecoc,
-    load_model,
-    predict_binary_trials,
-    predict_trials,
-    save_model,
-)
+from .ecoc import PAIR_CODE, exhaustive_code, fit_ecoc, load_model, predict_trials, save_model
 from .evaluation import repeated_holdout
 from .bandselect import score_bands, select_bands
 from .synthgen import SynthConfig, generate
@@ -111,35 +102,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     bank = make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps)
     if args.classes is not None:
-        class_a, class_b = _parse_classes(args.classes, dataset.class_names)
-        working = subset_classes(dataset, class_a, class_b)
-        decomp = decompose(working, bank)
-        model: EcocModel | BinaryModel = fit_binary(
-            decomp, decomp.labels, (class_a, class_b), dataset.class_names,
-            n_pairs=config.csp_pairs, folds=config.cv_folds,
-            max_features_grid=config.et_max_features,
-            min_samples_split_grid=config.et_min_samples_split,
-            n_estimators_grid=config.et_n_estimators,
-            seed=config.seed, shrinkage=config.lda_shrinkage,
-        )
+        pair = _parse_classes(args.classes, dataset.class_names)
+        decomp, code = decompose(subset_classes(dataset, *pair), bank), PAIR_CODE
     else:
         if dataset.n_classes < 3:
             raise ValueError(
                 "multiclass training needs at least 3 classes (the exhaustive code for 2 "
                 "classes has a single column); train a pair model with --classes instead"
             )
-        decomp = decompose(dataset, bank)
-        model = fit_ecoc(
-            decomp, decomp.labels, exhaustive_code(dataset.n_classes),
-            n_pairs=config.csp_pairs, folds=config.cv_folds,
-            max_features_grid=config.et_max_features,
-            min_samples_split_grid=config.et_min_samples_split,
-            n_estimators_grid=config.et_n_estimators,
-            seed=config.seed, shrinkage=config.lda_shrinkage,
-        )
+        decomp, code = decompose(dataset, bank), exhaustive_code(dataset.n_classes)
+    model = fit_ecoc(
+        decomp, decomp.labels, code,
+        n_pairs=config.csp_pairs, folds=config.cv_folds,
+        max_features_grid=config.et_max_features,
+        min_samples_split_grid=config.et_min_samples_split,
+        n_estimators_grid=config.et_n_estimators,
+        seed=config.seed, shrinkage=config.lda_shrinkage,
+    )
+    if args.classes is not None:
+        # Code rows 0 and 1 stand for the pair's classes in the full class list.
+        model = replace(model, classes=list(pair), class_names=list(dataset.class_names))
     save_model(model, args.out)
-    kind = "binary" if args.classes is not None else f"multiclass ({len(model.columns)} columns)"
-    print(f"trained {kind} model -> {args.out}")
+    print(f"trained a {len(model.columns)}-column model for classes {model.classes} -> {args.out}")
     return 0
 
 
@@ -215,10 +199,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             f"model's channels {model.channel_names} at {model.sample_rate} Hz "
             "(names, order and sample rate must agree)"
         )
-    if isinstance(model, EcocModel):
-        predicted = predict_trials(model, dataset.trials)
-    else:
-        predicted = predict_binary_trials(model, dataset.trials)
+    predicted = predict_trials(model, dataset.trials)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:

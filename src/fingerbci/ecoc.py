@@ -5,7 +5,9 @@ is 1 form the positive pool, the rest the negative pool.  A column model
 selects its own frequency bands, fits one CSP per selected band, and trains
 an extra-trees forest on the concatenated log-variance features.  A trial's
 predicted bits across columns form a codeword, decoded to the class whose
-row is nearest in Hamming distance (ties to the lowest class index).
+row is nearest in Hamming distance (ties to the lowest row), and the row
+maps to a dataset class.  A class-pair decoder is the one-column code
+:data:`PAIR_CODE` with its two rows mapped to the pair's classes.
 """
 
 from __future__ import annotations
@@ -54,22 +56,14 @@ class CodeMatrix:
         return self.bits.shape[1]
 
     def validate(self) -> None:
-        """Check all exhaustive-code structural invariants."""
+        """Check that nearest-row decoding is well defined: 0/1 entries,
+        pairwise distinct rows, and no constant, duplicate or complementary
+        column."""
         p, q = self.bits.shape
         if not np.isin(self.bits, (0, 1)).all():
             raise ValueError("code matrix entries must be 0 or 1")
-        if q != 2 ** (p - 1) - 1:
-            raise ValueError(f"expected {2 ** (p - 1) - 1} columns for {p} classes, got {q}")
-        if not (self.bits[0] == 1).all():
-            raise ValueError("first row must be all ones")
-        rows = {tuple(r) for r in self.bits}
-        if len(rows) != p:
+        if len({tuple(r) for r in self.bits}) != p:
             raise ValueError("rows must be pairwise distinct")
-        min_distance = min(
-            int(np.sum(self.bits[i] != self.bits[j])) for i in range(p) for j in range(i + 1, p)
-        )
-        if min_distance != 2 ** (p - 2):
-            raise ValueError(f"minimum row distance {min_distance}, expected {2 ** (p - 2)}")
         columns = self.bits.T
         for j in range(q):
             if len(np.unique(columns[j])) == 1:
@@ -94,6 +88,10 @@ def exhaustive_code(n_classes: int) -> CodeMatrix:
         run = 2 ** (n_classes - 1 - r)
         bits[r] = (j // run) % 2
     return CodeMatrix(bits=bits)
+
+
+# The code of a class-pair decoder: one column, whose bit is the row index.
+PAIR_CODE = CodeMatrix(bits=[[0], [1]])
 
 
 def hamming(a: np.ndarray, b: np.ndarray) -> int:
@@ -208,9 +206,12 @@ def fit_column(
 
 @dataclass
 class EcocModel:
-    """Trained multiclass decoder: code matrix plus one model per column."""
+    """Trained decoder: code matrix, one model per column, and ``classes``,
+    the dataset class index of each code row: ``range(p)`` for the exhaustive
+    code, ``[a, b]`` for :data:`PAIR_CODE` fitted on the view of pair (a, b)."""
 
     code: CodeMatrix
+    classes: list[int]
     columns: list[ColumnModel]
     class_names: list[str]
     channel_names: list[str]
@@ -221,23 +222,6 @@ class EcocModel:
 
     def needed_bands(self) -> list[int]:
         return sorted({b for column in self.columns for b in column.selected_bands})
-
-
-@dataclass
-class BinaryModel:
-    """One column-style pipeline for a fixed class pair."""
-
-    pair: tuple[int, int]
-    column: ColumnModel
-    class_names: list[str]
-    channel_names: list[str]
-    sample_rate: float
-    bands: list[tuple[float, float]]
-    taps: int
-    n_pairs: int
-
-    def needed_bands(self) -> list[int]:
-        return sorted(set(self.column.selected_bands))
 
 
 def fit_ecoc(
@@ -256,7 +240,8 @@ def fit_ecoc(
 
     For column ``j`` the trials of classes with bit 1 form the positive
     pool and the rest the negative pool; band selection, CSP fitting and
-    forest tuning all run on that relabeled problem.
+    forest tuning all run on that relabeled problem.  Code row ``i`` stands
+    for label ``i`` of the decomposition.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != decomp.n_trials:
@@ -282,6 +267,7 @@ def fit_ecoc(
         )
     return EcocModel(
         code=code,
+        classes=list(range(code.n_classes)),
         columns=columns,
         class_names=list(decomp.class_names),
         channel_names=list(decomp.channel_names),
@@ -292,38 +278,7 @@ def fit_ecoc(
     )
 
 
-def fit_binary(
-    decomp: BandDecomposition,
-    binary_labels: np.ndarray,
-    pair: tuple[int, int],
-    class_names: list[str],
-    n_pairs: int = 2,
-    folds: int = 5,
-    max_features_grid: list[int] | None = None,
-    min_samples_split_grid: list[int] | None = None,
-    n_estimators_grid: list[int] | None = None,
-    seed: int = 0,
-    shrinkage: float = 1e-3,
-) -> BinaryModel:
-    """Train a standalone pair classifier (labels: 0 -> pair[0], 1 -> pair[1])."""
-    column = fit_column(
-        decomp, binary_labels, n_pairs, folds,
-        max_features_grid, min_samples_split_grid, n_estimators_grid,
-        seed=seed, shrinkage=shrinkage,
-    )
-    return BinaryModel(
-        pair=pair,
-        column=column,
-        class_names=list(class_names),
-        channel_names=list(decomp.channel_names),
-        sample_rate=decomp.sample_rate,
-        bands=list(decomp.bands),
-        taps=decomp.taps,
-        n_pairs=n_pairs,
-    )
-
-
-def _needed_covariances(model: EcocModel | BinaryModel, trials: list[Trial]) -> dict[int, np.ndarray]:
+def _needed_covariances(model: EcocModel, trials: list[Trial]) -> dict[int, np.ndarray]:
     # Runs the training filter bank over the bands the model reads, no others.
     for trial in trials:
         if trial.n_channels != len(model.channel_names):
@@ -340,9 +295,10 @@ def predict_from_bands(
     covariances: BandStacks,
     indices: list[int] | None = None,
 ) -> np.ndarray:
-    """Decode classes from centred band covariances aligned with the model's bands."""
+    """Decode class indices from centred band covariances aligned with the model's bands."""
     bits = np.stack([column.predict_bits(covariances, indices) for column in model.columns], axis=1)
-    return np.array([decode(model.code, word) for word in bits], dtype=np.int64)
+    rows = [decode(model.code, word) for word in bits]
+    return np.asarray(model.classes, dtype=np.int64)[rows]
 
 
 def predict_trials(model: EcocModel, trials: list[Trial]) -> np.ndarray:
@@ -353,20 +309,6 @@ def predict_trials(model: EcocModel, trials: list[Trial]) -> np.ndarray:
 def predict_ecoc(model: EcocModel, trial: Trial) -> int:
     """Predicted class index for a single raw trial."""
     return int(predict_trials(model, [trial])[0])
-
-
-def predict_binary_from_bands(
-    model: BinaryModel,
-    covariances: BandStacks,
-    indices: list[int] | None = None,
-) -> np.ndarray:
-    bits = model.column.predict_bits(covariances, indices)
-    return np.where(bits == 1, model.pair[1], model.pair[0]).astype(np.int64)
-
-
-def predict_binary_trials(model: BinaryModel, trials: list[Trial]) -> np.ndarray:
-    """Predicted class indices (in the full class list) for raw trials."""
-    return predict_binary_from_bands(model, _needed_covariances(model, trials))
 
 
 # --- model bundle serialization -------------------------------------------
@@ -455,11 +397,14 @@ def _column_from_json(data: dict) -> ColumnModel:
     )
 
 
-def save_model(model: EcocModel | BinaryModel, path: str | Path) -> None:
+def save_model(model: EcocModel, path: str | Path) -> None:
     """Write a model bundle directory (``model.json``)."""
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
+        "code": model.code.bits.tolist(),
+        "classes": list(model.classes),
+        "columns": [_column_to_json(c) for c in model.columns],
         "class_names": list(model.class_names),
         "channel_names": list(model.channel_names),
         "sample_rate": model.sample_rate,
@@ -467,37 +412,64 @@ def save_model(model: EcocModel | BinaryModel, path: str | Path) -> None:
         "taps": model.taps,
         "n_pairs": model.n_pairs,
     }
-    if isinstance(model, EcocModel):
-        payload["mode"] = "multiclass"
-        payload["code"] = model.code.bits.tolist()
-        payload["columns"] = [_column_to_json(c) for c in model.columns]
-    else:
-        payload["mode"] = "binary"
-        payload["pair"] = list(model.pair)
-        payload["columns"] = [_column_to_json(model.column)]
     with open(directory / MODEL_NAME, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_model(path: str | Path) -> EcocModel | BinaryModel:
-    """Read a model bundle written by :func:`save_model`."""
+def _require(ok: bool, name: str, message: str) -> None:
+    if not ok:
+        raise ValueError(f"model bundle field {name!r}: {message}")
+
+
+def _check_model(model: EcocModel) -> None:
+    """Raise ``ValueError`` naming the first field that cannot serve predictions."""
+    try:
+        model.code.validate()
+    except ValueError as exc:
+        raise ValueError(f"model bundle field 'code': {exc}") from None
+    code, classes = model.code, list(model.classes)
+    _require(code.n_classes == len(classes), "classes", f"{len(classes)} entries for {code.n_classes} code rows")
+    _require(
+        len(set(classes)) == len(classes) and all(0 <= c < len(model.class_names) for c in classes),
+        "classes", f"{classes} are not distinct indices into {len(model.class_names)} class_names",
+    )
+    _require(code.n_columns == len(model.columns), "columns", f"{len(model.columns)} for {code.n_columns} code columns")
+    n_channels = len(model.channel_names)
+    for j, column in enumerate(model.columns):
+        bands = column.selected_bands
+        _require(all(0 <= b < len(model.bands) for b in bands), "selected_bands",
+                 f"column {j} selects {bands} of {len(model.bands)} bands")
+        _require(len(column.csp_models) == len(bands), "csp_models",
+                 f"column {j} has {len(column.csp_models)} for {len(bands)} selected bands")
+        for csp in column.csp_models:
+            _require(csp.filters.shape == (n_channels, n_channels), "filters",
+                     f"column {j} has a {csp.filters.shape} CSP filter matrix for {n_channels} channels")
+        expected_dim = 2 * model.n_pairs * len(bands)
+        _require(column.forest.feature_dim == expected_dim, "feature_dim",
+                 f"column {j} reads {column.forest.feature_dim} features, its bands give {expected_dim}")
+
+
+def load_model(path: str | Path) -> EcocModel:
+    """Read and check a model bundle written by :func:`save_model`."""
     bundle = Path(path) / MODEL_NAME
     if not bundle.is_file():
         raise FileNotFoundError(f"missing {bundle}")
     with open(bundle, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    common = dict(
-        class_names=[str(c) for c in data["class_names"]],
-        channel_names=[str(c) for c in data["channel_names"]],
-        sample_rate=float(data["sample_rate"]),
-        bands=[tuple(b) for b in data["bands"]],
-        taps=int(data["taps"]),
-        n_pairs=int(data["n_pairs"]),
-    )
-    columns = [_column_from_json(c) for c in data["columns"]]
-    if data["mode"] == "multiclass":
-        return EcocModel(code=CodeMatrix(bits=np.array(data["code"])), columns=columns, **common)
-    if data["mode"] == "binary":
-        return BinaryModel(pair=tuple(int(c) for c in data["pair"]), column=columns[0], **common)
-    raise ValueError(f"unknown model mode {data['mode']!r}")
+    try:
+        model = EcocModel(
+            code=CodeMatrix(bits=np.array(data["code"])),
+            classes=[int(c) for c in data["classes"]],
+            columns=[_column_from_json(c) for c in data["columns"]],
+            class_names=[str(c) for c in data["class_names"]],
+            channel_names=[str(c) for c in data["channel_names"]],
+            sample_rate=float(data["sample_rate"]),
+            bands=[tuple(b) for b in data["bands"]],
+            taps=int(data["taps"]),
+            n_pairs=int(data["n_pairs"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"model bundle {bundle} lacks field {exc}") from None
+    _check_model(model)
+    return model

@@ -12,13 +12,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dsp import BandDecomposition, decompose, make_bank
-from .ecoc import (
-    exhaustive_code,
-    fit_binary,
-    fit_ecoc,
-    predict_binary_from_bands,
-    predict_from_bands,
-)
+from .ecoc import PAIR_CODE, exhaustive_code, fit_ecoc, predict_from_bands
 from .rng import child_seed
 from .trialstore import Dataset, stratified_split
 
@@ -108,12 +102,12 @@ def repeated_holdout(
 ) -> RunReport:
     """R seeded stratified holdout rounds of the full pipeline.
 
-    Multiclass by default (exhaustive-code ECOC); with ``pair`` given, a
-    single binary pipeline on those two classes.  ``data`` is a dataset or
-    its decomposition through the config's filter bank; filtering is
-    per-trial and label-free, so one decomposition serves the multiclass
-    run and every pair run.  Every fit only ever sees training-trial
-    indices.
+    Multiclass by default (exhaustive-code ECOC); with ``pair`` given, the
+    one-column :data:`PAIR_CODE` decoder on those two classes.  ``data`` is
+    a dataset or its decomposition through the config's filter bank;
+    filtering is per-trial and label-free, so one decomposition serves the
+    multiclass run and every pair run.  Every fit only ever sees
+    training-trial indices.
     """
     repetitions = config.repetitions if repetitions is None else repetitions
     seed = config.seed if seed is None else seed
@@ -131,7 +125,7 @@ def repeated_holdout(
         decomp = decomp.classes(pair[0], pair[1])
     n_classes = decomp.n_classes
     labels = decomp.labels
-    code = exhaustive_code(n_classes) if pair is None else None
+    code = exhaustive_code(n_classes) if pair is None else PAIR_CODE
 
     accuracies: list[float] = []
     kappas: list[float] = []
@@ -140,27 +134,15 @@ def repeated_holdout(
         # The split reads only n_classes and class_indices, which a decomposition has too.
         split = stratified_split(decomp, config.test_fraction, child_seed(seed, r, 0))
         train_decomp = decomp.subset(split.train)
-        fit_seed = child_seed(seed, r, 1)
-        if pair is None:
-            model = fit_ecoc(
-                train_decomp, labels[split.train], code,
-                n_pairs=config.csp_pairs, folds=config.cv_folds,
-                max_features_grid=config.et_max_features,
-                min_samples_split_grid=config.et_min_samples_split,
-                n_estimators_grid=config.et_n_estimators,
-                seed=fit_seed, shrinkage=config.lda_shrinkage,
-            )
-            predicted = predict_from_bands(model, decomp.feature_covariances, split.test)
-        else:
-            model = fit_binary(
-                train_decomp, labels[split.train], (0, 1), decomp.class_names,
-                n_pairs=config.csp_pairs, folds=config.cv_folds,
-                max_features_grid=config.et_max_features,
-                min_samples_split_grid=config.et_min_samples_split,
-                n_estimators_grid=config.et_n_estimators,
-                seed=fit_seed, shrinkage=config.lda_shrinkage,
-            )
-            predicted = predict_binary_from_bands(model, decomp.feature_covariances, split.test)
+        model = fit_ecoc(
+            train_decomp, labels[split.train], code,
+            n_pairs=config.csp_pairs, folds=config.cv_folds,
+            max_features_grid=config.et_max_features,
+            min_samples_split_grid=config.et_min_samples_split,
+            n_estimators_grid=config.et_n_estimators,
+            seed=child_seed(seed, r, 1), shrinkage=config.lda_shrinkage,
+        )
+        predicted = predict_from_bands(model, decomp.feature_covariances, split.test)
         cm = confusion_matrix(labels[split.test], predicted, n_classes)
         accuracies.append(accuracy(cm))
         kappas.append(cohen_kappa(cm))

@@ -226,20 +226,6 @@ def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> Split
     return SplitIndices(train=sorted(train), test=sorted(test))
 
 
-def select_trials(dataset: Dataset, indices: list[int]) -> Dataset:
-    """Dataset restricted to the given trial indices (classes unchanged).
-
-    Every class must keep at least one trial; stratified splits guarantee
-    this for both halves.
-    """
-    return Dataset(
-        sample_rate=dataset.sample_rate,
-        channel_names=list(dataset.channel_names),
-        class_names=list(dataset.class_names),
-        trials=[dataset.trials[i] for i in indices],
-    )
-
-
 def subset_classes(dataset: Dataset, class_a: int, class_b: int) -> Dataset:
     """Two-class view of a dataset, relabeled so ``class_a`` -> 0, ``class_b`` -> 1."""
     if class_a == class_b:

@@ -111,7 +111,8 @@ class TestTrain:
         ])
         assert code == 0
         bundle = json.loads((model_dir / "model.json").read_text())
-        assert bundle["mode"] == "multiclass"
+        assert bundle["classes"] == [0, 1, 2, 3]
+        assert len(bundle["code"]) == 4
         assert len(bundle["columns"]) == 7
 
     def test_binary_pair_bundle(self, workspace):
@@ -123,8 +124,9 @@ class TestTrain:
         ])
         assert code == 0
         bundle = json.loads((model_dir / "model.json").read_text())
-        assert bundle["mode"] == "binary"
-        assert bundle["pair"] == [0, 1]
+        assert bundle["code"] == [[0], [1]]
+        assert bundle["classes"] == [0, 1]
+        assert bundle["class_names"] == SYNTH_CONFIG["class_names"]
         assert len(bundle["columns"]) == 1
 
     def test_two_class_multiclass_rejected(self, tmp_path, capsys):
@@ -169,37 +171,63 @@ class TestEvaluate:
         assert (out_one / "report.json").read_bytes() == (out_two / "report.json").read_bytes()
 
 
+def _train(workspace, name: str, *extra: str):
+    model_dir = workspace / name
+    assert main([
+        "train", "--dataset", str(workspace / "dataset"),
+        "--config", str(workspace / "pipeline.json"), "--out", str(model_dir), *extra,
+    ]) == 0
+    return model_dir
+
+
+@pytest.fixture(scope="module")
+def model(workspace):
+    return _train(workspace, "predict_model")
+
+
+@pytest.fixture(scope="module")
+def pair_model(workspace):
+    return _train(workspace, "predict_pair_model", "--classes", "thumb,middle")
+
+
+def _predict(model_dir, dataset_dir, out) -> list[list[str]]:
+    assert main(["predict", "--model", str(model_dir), "--dataset", str(dataset_dir), "--out", str(out)]) == 0
+    with open(out) as fh:
+        return list(csv.reader(fh))
+
+
 class TestPredict:
-    def test_row_per_trial_and_accuracy(self, workspace, tmp_path):
-        out = tmp_path / "predictions.csv"
-        code = main([
-            "predict", "--model", str(workspace / "model"),
-            "--dataset", str(workspace / "dataset"), "--out", str(out),
-        ])
-        assert code == 0
-        with open(out) as fh:
-            rows = list(csv.reader(fh))
+    def test_row_per_trial_and_accuracy(self, workspace, model, tmp_path):
+        rows = _predict(model, workspace / "dataset", tmp_path / "predictions.csv")
         assert rows[0] == ["trial", "predicted_index", "predicted_name"]
         assert len(rows) == 25  # header + 24 trials
         dataset = load_dataset(workspace / "dataset")
         predicted = np.array([int(r[1]) for r in rows[1:]])
         assert np.mean(predicted == dataset.labels()) >= 0.6
 
-    def test_channel_mismatch_fails(self, workspace, tmp_path, capsys):
+    def test_pair_model_predicts_its_classes(self, workspace, pair_model, tmp_path):
+        # Code rows 0 and 1 map to thumb (1) and middle (3) in the full class list.
+        rows = _predict(pair_model, workspace / "dataset", tmp_path / "predictions.csv")
+        assert len(rows) == 25
+        names = SYNTH_CONFIG["class_names"]
+        assert {int(r[1]) for r in rows[1:]} <= {1, 3}
+        assert all(r[2] == names[int(r[1])] for r in rows[1:])
+
+    def test_channel_mismatch_fails(self, workspace, model, tmp_path, capsys):
         config = dict(SYNTH_CONFIG)
         config["n_channels"] = 3
         path = tmp_path / "threech.json"
         path.write_text(json.dumps(config))
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "threech")]) == 0
         code = main([
-            "predict", "--model", str(workspace / "model"),
+            "predict", "--model", str(model),
             "--dataset", str(tmp_path / "threech"), "--out", str(tmp_path / "p.csv"),
         ])
         assert code == 1
         assert "channels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change", ["reversed montage", "renamed channel", "sample rate"])
-    def test_montage_mismatch_fails(self, workspace, tmp_path, capsys, change):
+    def test_montage_mismatch_fails(self, workspace, model, tmp_path, capsys, change):
         from fingerbci import Dataset, Trial, save_dataset
 
         dataset = load_dataset(workspace / "dataset")
@@ -216,7 +244,7 @@ class TestPredict:
         )
         save_dataset(altered, tmp_path / "altered")
         code = main([
-            "predict", "--model", str(workspace / "model"),
+            "predict", "--model", str(model),
             "--dataset", str(tmp_path / "altered"), "--out", str(tmp_path / "p.csv"),
         ])
         assert code == 1

@@ -1,4 +1,6 @@
 import itertools
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +9,10 @@ from hypothesis import strategies as st
 
 from fingerbci import decompose, exhaustive_code, fit_ecoc, load_model, make_bank, predict_ecoc, save_model
 from fingerbci.ecoc import (
+    PAIR_CODE,
     CodeMatrix,
     decode,
-    fit_binary,
     hamming,
-    predict_binary_trials,
     predict_trials,
     resolve_feature_grid,
 )
@@ -57,7 +58,26 @@ class TestExhaustiveCode:
 
     def test_invariants_hold_for_all_supported_sizes(self):
         for p in range(3, 9):
-            exhaustive_code(p).validate()
+            code = exhaustive_code(p)
+            code.validate()
+            assert code.n_columns == 2 ** (p - 1) - 1
+            assert (code.bits[0] == 1).all()
+            distances = [hamming(code.bits[i], code.bits[j]) for i in range(p) for j in range(i + 1, p)]
+            assert min(distances) == 2 ** (p - 2)
+
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            ([[0, 1], [2, 0]], "0 or 1"),
+            ([[0, 1], [0, 1], [1, 0]], "distinct"),
+            ([[1, 0], [1, 1]], "constant"),
+            ([[0, 0], [1, 1]], "identical"),
+            ([[0, 1], [1, 0]], "complementary"),
+        ],
+    )
+    def test_generic_check_rejects(self, bits, message):
+        with pytest.raises(ValueError, match=message):
+            CodeMatrix(bits=bits).validate()
 
     def test_out_of_range_rejected(self):
         for p in (2, 9):
@@ -229,21 +249,27 @@ class TestFitEcoc:
         assert np.mean(predictions == dataset.labels()) >= 0.8
 
 
-class TestBinaryModel:
-    def test_fit_and_predict_pair(self, mini_decomp):
-        from fingerbci.trialstore import subset_classes
+def fit_small_pair(dataset, pair, seed):
+    """The class-pair decoder that ``train --classes`` builds: PAIR_CODE on the pair view."""
+    from fingerbci.trialstore import subset_classes
 
+    pair_view = subset_classes(dataset, *pair)
+    decomp = decompose(pair_view, make_bank(8.0, 14.0, 2.0, taps=63))
+    model = fit_ecoc(
+        decomp, pair_view.labels(), PAIR_CODE,
+        n_pairs=1, folds=2, max_features_grid=[1], min_samples_split_grid=[2],
+        n_estimators_grid=[10], seed=seed,
+    )
+    return pair_view, replace(model, classes=list(pair), class_names=list(dataset.class_names))
+
+
+class TestPairModel:
+    def test_fit_and_predict_pair(self, mini_decomp):
         dataset, _ = mini_decomp
-        pair_view = subset_classes(dataset, 0, 2)
-        bank = make_bank(8.0, 14.0, 2.0, taps=63)
-        decomp = decompose(pair_view, bank)
-        model = fit_binary(
-            decomp, pair_view.labels(), (0, 2), dataset.class_names,
-            n_pairs=1, folds=2, max_features_grid=[1], min_samples_split_grid=[2],
-            n_estimators_grid=[10], seed=4,
-        )
+        pair_view, model = fit_small_pair(dataset, (0, 2), seed=4)
         assert model.taps == 63
-        predictions = predict_binary_trials(model, pair_view.trials)
+        assert len(model.columns) == 1
+        predictions = predict_trials(model, pair_view.trials)
         assert set(np.unique(predictions)) <= {0, 2}
         truth = np.where(pair_view.labels() == 1, 2, 0)
         assert np.mean(predictions == truth) >= 0.9
@@ -263,23 +289,68 @@ class TestModelBundle:
         assert np.array_equal(predict_trials(model, probes), predict_trials(loaded, probes))
 
     def test_binary_round_trip(self, mini_decomp, tmp_path):
-        from fingerbci.trialstore import subset_classes
-
         dataset, _ = mini_decomp
-        pair_view = subset_classes(dataset, 0, 1)
-        bank = make_bank(8.0, 14.0, 2.0, taps=63)
-        decomp = decompose(pair_view, bank)
-        model = fit_binary(
-            decomp, pair_view.labels(), (0, 1), dataset.class_names,
-            n_pairs=1, folds=2, max_features_grid=[1], min_samples_split_grid=[2],
-            n_estimators_grid=[10], seed=5,
-        )
+        pair_view, model = fit_small_pair(dataset, (0, 1), seed=5)
         save_model(model, tmp_path / "bin")
         loaded = load_model(tmp_path / "bin")
-        assert loaded.pair == (0, 1)
+        assert loaded.classes == [0, 1]
+        assert np.array_equal(loaded.code.bits, PAIR_CODE.bits)
         probes = pair_view.trials[:4]
-        assert np.array_equal(predict_binary_trials(model, probes), predict_binary_trials(loaded, probes))
+        assert np.array_equal(predict_trials(model, probes), predict_trials(loaded, probes))
 
     def test_missing_bundle_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            load_model(tmp_path)
+
+
+def _band_out_of_range(data):
+    data["columns"][0]["selected_bands"][0] = len(data["bands"])
+
+
+def _filters_not_square(data):
+    csp = data["columns"][0]["csp_models"][0]
+    csp["filters"] = csp["filters"][:-1]
+
+
+def _feature_dim_off_by_one(data):
+    data["columns"][0]["forest"]["feature_dim"] += 1
+
+
+# Hand edits of a valid 4-class bundle, each with the field its error must name.
+BUNDLE_EDITS = {
+    "duplicate code row": (lambda d: d.update(code=[d["code"][0]] * 2 + d["code"][2:]), "'code'.*distinct"),
+    "one class too few": (lambda d: d.update(classes=[0, 1, 2]), "'classes'"),
+    "repeated class": (lambda d: d.update(classes=[0, 0, 2, 3]), "'classes'"),
+    "class outside class_names": (lambda d: d.update(classes=[0, 1, 2, 4]), "'classes'"),
+    "shortened class_names": (lambda d: d["class_names"].pop(), "'classes'"),
+    "column missing": (lambda d: d["columns"].pop(), "'columns'"),
+    "selected band out of range": (_band_out_of_range, "'selected_bands'"),
+    "CSP model missing": (lambda d: d["columns"][0]["csp_models"].pop(), "'csp_models'"),
+    "CSP filters not C x C": (_filters_not_square, "'filters'"),
+    "channel dropped": (lambda d: d["channel_names"].pop(), "'filters'"),
+    "feature_dim off by one": (_feature_dim_off_by_one, "'feature_dim'"),
+    "classes field missing": (lambda d: d.pop("classes"), "lacks field 'classes'"),
+}
+
+
+@pytest.fixture(scope="module")
+def small_bundle(mini_decomp, tmp_path_factory):
+    dataset, decomp = mini_decomp
+    directory = tmp_path_factory.mktemp("bundle")
+    save_model(fit_small_ecoc(decomp, dataset.labels()), directory)
+    return (directory / "model.json").read_text()
+
+
+class TestBundleChecks:
+    def test_valid_bundle_loads(self, small_bundle, tmp_path):
+        (tmp_path / "model.json").write_text(small_bundle)
+        assert load_model(tmp_path).classes == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("edit", list(BUNDLE_EDITS))
+    def test_corrupt_bundle_rejected_at_load(self, small_bundle, tmp_path, edit):
+        change, field = BUNDLE_EDITS[edit]
+        data = json.loads(small_bundle)
+        change(data)
+        (tmp_path / "model.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=field):
             load_model(tmp_path)

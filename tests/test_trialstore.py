@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fingerbci import Dataset, Trial, load_dataset, save_dataset, stratified_split, subset_classes
-from fingerbci.trialstore import select_trials
 
 from conftest import random_dataset
 
@@ -230,13 +229,6 @@ class TestStratifiedSplit:
 
 
 class TestSubsets:
-    def test_select_trials_keeps_metadata(self):
-        dataset = random_dataset(np.random.default_rng(7), trials_per_class=3)
-        subset = select_trials(dataset, [0, 1, 3, 4])
-        assert subset.class_names == dataset.class_names
-        assert len(subset.trials) == 4
-        assert subset.trials[2] is dataset.trials[3]
-
     def test_subset_classes_relabels(self):
         dataset = random_dataset(np.random.default_rng(8), n_classes=3, trials_per_class=2)
         pair = subset_classes(dataset, 2, 0)
