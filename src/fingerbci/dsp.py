@@ -13,6 +13,7 @@ covariances that everything downstream reads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,6 +193,16 @@ def default_bank(sample_rate: float) -> FilterBank:
     return make_bank(5.0, 39.0, 2.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _kernel_spectrum(low: float, high: float, sample_rate: float, taps: int, n_fft: int) -> np.ndarray:
+    # The n_fft-point spectrum of the band kernel's autocorrelation, built
+    # once per band and length and shared read-only by every later call.
+    h = design_bandpass(low, high, sample_rate, taps).coefficients
+    spectrum = scipy.fft.rfft(np.convolve(h, h[::-1]), n_fft)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def band_covariances(
     trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,10 +227,6 @@ def band_covariances(
             raise ValueError(f"trial rate {trial.sample_rate} != filter rate {sample_rate}")
         if trial.n_samples <= 3 * taps:
             raise ValueError(f"trial too short to filter: {trial.n_samples} samples <= 3 x {taps} taps")
-    kernels = []
-    for low, high in bands:
-        h = design_bandpass(low, high, sample_rate, taps).coefficients
-        kernels.append(np.convolve(h, h[::-1]))
     n_channels = trials[0].n_channels
     lengths = np.array([trial.n_samples for trial in trials])
     batches = []
@@ -234,11 +241,11 @@ def band_covariances(
         n_fft = scipy.fft.next_fast_len(length, real=True)
         samples = np.stack([trials[i].samples for i in batch]).astype(np.float64)
         spectra = scipy.fft.rfft(samples, n_fft, axis=-1)
-        for b, kernel in enumerate(kernels):
+        for b, (low, high) in enumerate(bands):
             # Output k of a circular convolution of n_fft >= length points
-            # wraps nothing for k >= len(kernel) - 1: the valid part.
-            y = scipy.fft.irfft(spectra * scipy.fft.rfft(kernel, n_fft), n_fft, axis=-1)
-            y = y[..., len(kernel) - 1 : length]
+            # wraps nothing for k >= 2 * (taps - 1): the valid part.
+            y = scipy.fft.irfft(spectra * _kernel_spectrum(low, high, sample_rate, taps, n_fft), n_fft, axis=-1)
+            y = y[..., 2 * (taps - 1) : length]
             products = y @ y.swapaxes(-1, -2)
             traces = np.trace(products, axis1=-2, axis2=-1)
             if np.any(traces <= 0.0):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .csp import CspModel, fit_csp_from_covariances, log_variance_features
 from .dsp import BandDecomposition, band_covariances
 from .extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict, tune as et_tune
 from .rng import child_seed
-from .trialstore import Trial
+from .trialstore import Trial, replacing
 
 MODEL_NAME = "model.json"
 
@@ -347,7 +347,7 @@ def _node_from_json(data: dict) -> EtNode:
     if "counts" in data:
         return EtNode(counts=tuple(data["counts"]))
     return EtNode(
-        attribute=int(data["attribute"]),
+        attribute=data["attribute"],
         cut=float(data["cut"]),
         left=_node_from_json(data["left"]),
         right=_node_from_json(data["right"]),
@@ -356,27 +356,16 @@ def _node_from_json(data: dict) -> EtNode:
 
 def _forest_to_json(forest: EtForest) -> dict:
     return {
-        "params": {
-            "max_features": forest.params.max_features,
-            "min_samples_split": forest.params.min_samples_split,
-            "n_estimators": forest.params.n_estimators,
-            "seed": forest.params.seed,
-        },
+        "params": asdict(forest.params),
         "feature_dim": forest.feature_dim,
         "trees": [_node_to_json(t) for t in forest.trees],
     }
 
 
 def _forest_from_json(data: dict) -> EtForest:
-    p = data["params"]
     return EtForest(
         trees=[_node_from_json(t) for t in data["trees"]],
-        params=EtParams(
-            max_features=int(p["max_features"]),
-            min_samples_split=int(p["min_samples_split"]),
-            n_estimators=int(p["n_estimators"]),
-            seed=int(p["seed"]),
-        ),
+        params=EtParams(**{f.name: int(data["params"][f.name]) for f in fields(EtParams)}),
         feature_dim=int(data["feature_dim"]),
     )
 
@@ -412,7 +401,7 @@ def save_model(model: EcocModel, path: str | Path) -> None:
         "taps": model.taps,
         "n_pairs": model.n_pairs,
     }
-    with open(directory / MODEL_NAME, "w", encoding="utf-8") as fh:
+    with replacing(directory / MODEL_NAME, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -448,6 +437,17 @@ def _check_model(model: EcocModel) -> None:
         expected_dim = 2 * model.n_pairs * len(bands)
         _require(column.forest.feature_dim == expected_dim, "feature_dim",
                  f"column {j} reads {column.forest.feature_dim} features, its bands give {expected_dim}")
+        stack = list(column.forest.trees)
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                _require(len(node.counts) == 2 and all(type(c) is int and c >= 0 for c in node.counts), "counts",
+                         f"column {j} has a leaf with counts {list(node.counts)}, not two non-negative integers")
+            else:
+                _require(type(node.attribute) is int and 0 <= node.attribute < expected_dim, "attribute",
+                         f"column {j} has a node reading attribute {node.attribute} of {expected_dim}")
+                _require(np.isfinite(node.cut), "cut", f"column {j} has a node with cut {node.cut}")
+                stack += [node.left, node.right]
 
 
 def load_model(path: str | Path) -> EcocModel:

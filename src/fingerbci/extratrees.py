@@ -10,6 +10,7 @@ fixed seed gives bit-identical forests and predictions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,8 @@ class EtForest:
     feature_dim: int
 
 
-def _entropy(counts) -> float:
+@functools.lru_cache(maxsize=4096)  # pure in the two counts; nodes repeat them
+def _entropy(counts: tuple[int, int]) -> float:
     total = counts[0] + counts[1]
     h = 0.0
     for c in counts:
@@ -82,46 +84,42 @@ def _draw_cut(rng: np.random.Generator, lo: float, hi: float) -> float:
 
 
 def _grow(x: np.ndarray, y: np.ndarray, min_samples_split: int, max_features: int, rng: np.random.Generator) -> EtNode:
-    counts = (int(np.sum(y == 0)), int(np.sum(y == 1)))
-    if len(y) < min_samples_split or counts[0] == 0 or counts[1] == 0:
-        return EtNode(counts=counts)
-    lows = x.min(axis=0)
-    highs = x.max(axis=0)
-    candidates = np.flatnonzero(lows < highs)
-    if len(candidates) == 0:
-        return EtNode(counts=counts)
-
-    k = min(max_features, len(candidates))
-    drawn = rng.choice(candidates, size=k, replace=False)
-    parent_entropy = _entropy(counts)
-    best = None  # (gain, attribute, cut, mask)
-    for attribute in drawn:
-        attribute = int(attribute)
-        cut = _draw_cut(rng, float(lows[attribute]), float(highs[attribute]))
-        mask = x[:, attribute] <= cut
-        n_left = int(mask.sum())
-        left_ones = int(np.sum(y[mask]))
-        right_ones = counts[1] - left_ones
-        n = len(y)
-        gain = (
-            parent_entropy
-            - n_left / n * _entropy((n_left - left_ones, left_ones))
-            - (n - n_left) / n * _entropy((n - n_left - right_ones, right_ones))
-        )
-        if (
-            best is None
-            or gain > best[0]
-            or (gain == best[0] and (attribute < best[1] or (attribute == best[1] and cut < best[2])))
+    """Grow one tree from a stack of (node, sample indices).  Children are pushed
+    right then left: nodes split in pre-order, drawing as a recursive grower would."""
+    root = EtNode()
+    stack = [(root, np.arange(len(y)))]
+    while stack:
+        node, idx = stack.pop()
+        ys = y[idx]
+        n, ones = len(idx), int(ys.sum())
+        candidates = ()
+        if n >= min_samples_split and 0 < ones < n:
+            xs = x[idx]
+            lows, highs = xs.min(axis=0), xs.max(axis=0)
+            candidates = np.flatnonzero(lows < highs)
+        if len(candidates) == 0:
+            node.counts = (n - ones, ones)
+            continue
+        drawn = rng.choice(candidates, size=min(max_features, len(candidates)), replace=False)
+        cuts = [_draw_cut(rng, lo, hi) for lo, hi in zip(lows[drawn].tolist(), highs[drawn].tolist())]
+        masks = xs[:, drawn] <= np.array(cuts)  # column j: left side of candidate j's split
+        parent_entropy = _entropy((n - ones, ones))
+        splits = []
+        for j, (attribute, cut, n_left, left_ones) in enumerate(
+            zip(drawn.tolist(), cuts, masks.sum(axis=0).tolist(), (ys @ masks).tolist())
         ):
-            best = (gain, attribute, cut, mask)
-
-    _, attribute, cut, mask = best
-    return EtNode(
-        attribute=attribute,
-        cut=cut,
-        left=_grow(x[mask], y[mask], min_samples_split, max_features, rng),
-        right=_grow(x[~mask], y[~mask], min_samples_split, max_features, rng),
-    )
+            right_ones = ones - left_ones
+            gain = (
+                parent_entropy
+                - n_left / n * _entropy((n_left - left_ones, left_ones))
+                - (n - n_left) / n * _entropy((n - n_left - right_ones, right_ones))
+            )
+            splits.append((gain, -attribute, -cut, j))
+        j = max(splits)[3]  # the best gain; ties go to the lower attribute, then the smaller cut
+        node.attribute, node.cut = int(drawn[j]), cuts[j]
+        node.left, node.right = EtNode(), EtNode()
+        stack += [(node.right, idx[~masks[:, j]]), (node.left, idx[masks[:, j]])]
+    return root
 
 
 def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
@@ -132,6 +130,8 @@ def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
         raise ValueError("features must be (n_samples, n_features) matching labels")
     if len(y) < 2:
         raise ValueError("need at least 2 samples")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("training labels must be 0 or 1")
     if len(np.unique(y)) < 2:
         raise ValueError("training labels contain a single class")
     params.validate(x.shape[1])
@@ -142,11 +142,17 @@ def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
     return EtForest(trees=trees, params=params, feature_dim=x.shape[1])
 
 
-def tree_predict(node: EtNode, x: np.ndarray) -> int:
+def tree_predict(node: EtNode, x: np.ndarray | list[float]) -> int:
     """Single tree vote for one sample; leaf ties go to class 0."""
     while not node.is_leaf:
         node = node.left if x[node.attribute] <= node.cut else node.right
     return 1 if node.counts[1] > node.counts[0] else 0
+
+
+def _tree_votes(trees: list[EtNode], x: np.ndarray) -> np.ndarray:
+    """``(n_trees, n_samples)`` class-1 votes, one row per tree."""
+    rows = x.tolist()
+    return np.array([[tree_predict(tree, row) for row in rows] for tree in trees], dtype=np.int64)
 
 
 def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:
@@ -157,10 +163,7 @@ def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:
         x = x[np.newaxis, :]
     if x.shape[1] != forest.feature_dim:
         raise ValueError(f"feature dimension {x.shape[1]} != trained dimension {forest.feature_dim}")
-    votes = np.zeros(len(x), dtype=np.int64)
-    for tree in forest.trees:
-        for i in range(len(x)):
-            votes[i] += tree_predict(tree, x[i])
+    votes = _tree_votes(forest.trees, x).sum(axis=0)
     labels = (votes * 2 > len(forest.trees)).astype(np.int64)
     return labels[0] if single else labels
 
@@ -176,9 +179,14 @@ def tune(
 ) -> EtParams:
     """Pick the grid point with the best mean stratified-CV accuracy.
 
-    Ties prefer the cheapest model: fewer trees, then fewer attributes per
-    split, then a larger minimum node size.  The returned params carry
-    ``seed`` so a subsequent :func:`fit` is reproducible.
+    One forest of ``max(n_estimators_grid)`` trees is grown per
+    ``(max_features, min_samples_split)`` and fold ``k``, seeded by
+    ``child_seed(seed, 1, max_features, min_samples_split, k)``.  Tree ``t``
+    draws from ``stream(forest_seed, t)``, so the first ``n`` trees are the
+    ``n``-tree forest of that seed and each ``n_estimators`` is scored on
+    that prefix.  Ties prefer the cheapest model: fewer trees, then fewer
+    attributes per split, then a larger minimum node size.  The returned
+    params carry ``seed`` so a subsequent :func:`fit` is reproducible.
     """
     if not max_features_grid or not min_samples_split_grid or not n_estimators_grid:
         raise ValueError("parameter grids must be non-empty")
@@ -196,21 +204,18 @@ def tune(
         return grid[0]
 
     fold_ids = stratified_folds(y, folds, stream(seed, 0))
-    best_params = None
-    best_key = None
-    for gi, params in enumerate(grid):
-        accuracies = []
-        for k in range(folds):
-            test_mask = fold_ids == k
-            forest = fit(
-                x[~test_mask],
-                y[~test_mask],
-                EtParams(params.max_features, params.min_samples_split, params.n_estimators,
-                         seed=child_seed(seed, 1, gi, k)),
-            )
-            accuracies.append(float(np.mean(predict(forest, x[test_mask]) == y[test_mask])))
-        key = (np.mean(accuracies), -params.n_estimators, -params.max_features, params.min_samples_split)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_params = params
-    return best_params
+    n_max = max(n_estimators_grid)
+    keys = []
+    for mf in max_features_grid:
+        for ms in min_samples_split_grid:
+            accuracies = {ne: [] for ne in n_estimators_grid}
+            for k in range(folds):
+                test_mask = fold_ids == k
+                forest = fit(x[~test_mask], y[~test_mask], EtParams(mf, ms, n_max, seed=child_seed(seed, 1, mf, ms, k)))
+                # Row n - 1 holds the class-1 votes of the first n trees.
+                votes = np.cumsum(_tree_votes(forest.trees, x[test_mask]), axis=0)
+                for ne, fold_accuracies in accuracies.items():
+                    fold_accuracies.append(float(np.mean((votes[ne - 1] * 2 > ne) == y[test_mask])))
+            keys += [(np.mean(accuracies[ne]), -ne, -mf, ms) for ne in n_estimators_grid]
+    _, ne, mf, ms = max(keys)
+    return EtParams(max_features=-mf, min_samples_split=ms, n_estimators=-ne, seed=seed)

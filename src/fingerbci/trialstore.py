@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,6 +118,20 @@ class SplitIndices:
     test: list[int]
 
 
+@contextmanager
+def replacing(path: Path, mode: str):
+    """Write to a temporary sibling of ``path`` that replaces it when the
+    block succeeds and is removed when it raises: a failed write keeps the old file."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write ``manifest.json`` + ``trials.bin`` for a dataset.
 
@@ -125,21 +141,21 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     records = []
     offset = 0
-    with open(directory / TRIALS_NAME, "wb") as fh:
+    # Both files are staged before either replaces its predecessor.
+    with replacing(directory / TRIALS_NAME, "wb") as fh, replacing(directory / MANIFEST_NAME, "w") as manifest_fh:
         for trial in dataset.trials:
             payload = np.ascontiguousarray(trial.samples, dtype=_SAMPLE_DTYPE).tobytes()
             records.append({"label": trial.label, "n_samples": trial.n_samples, "offset_bytes": offset})
             fh.write(payload)
             offset += len(payload)
-    manifest = {
-        "sample_rate": dataset.sample_rate,
-        "channel_names": list(dataset.channel_names),
-        "class_names": list(dataset.class_names),
-        "trials": records,
-    }
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        manifest = {
+            "sample_rate": dataset.sample_rate,
+            "channel_names": list(dataset.channel_names),
+            "class_names": list(dataset.class_names),
+            "trials": records,
+        }
+        json.dump(manifest, manifest_fh, indent=2)
+        manifest_fh.write("\n")
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -71,3 +71,9 @@ def random_dataset(rng: np.random.Generator, n_classes=2, trials_per_class=3, n_
         class_names=[f"class_{c}" for c in range(n_classes)],
         trials=trials,
     )
+
+
+def failing_json_dump(obj, fh, **kwargs):
+    # Gets part of the way through a file, then fails like a full disk.
+    fh.write("{")
+    raise OSError("no space left on device")

@@ -242,6 +242,16 @@ class TestFilterBankEquivalence:
         for split, joined in zip(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), whole):
             assert np.array_equal(split, joined)
 
+    def test_cached_kernel_spectra_change_no_bit(self, dataset):
+        cached = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
+        dsp._kernel_spectrum.cache_clear()
+        for fresh, again in zip(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), cached):
+            assert np.array_equal(fresh, again)
+        spectrum = dsp._kernel_spectrum(8.0, 10.0, 100.0, 63, 1024)
+        assert spectrum is dsp._kernel_spectrum(8.0, 10.0, 100.0, 63, 1024)
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum[0] = 0.0
+
     def test_unequal_lengths(self):
         dataset = unequal_dataset(np.random.default_rng(9))
         decomp = decompose(dataset, self.bank)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import failing_json_dump
 from fingerbci import decompose, exhaustive_code, fit_ecoc, load_model, make_bank, predict_ecoc, save_model
 from fingerbci.ecoc import (
     PAIR_CODE,
@@ -298,6 +299,16 @@ class TestModelBundle:
         probes = pair_view.trials[:4]
         assert np.array_equal(predict_trials(model, probes), predict_trials(loaded, probes))
 
+    def test_failed_write_keeps_previous_bundle(self, mini_decomp, tmp_path, monkeypatch):
+        dataset, decomp = mini_decomp
+        save_model(fit_small_ecoc(decomp, dataset.labels(), seed=3), tmp_path)
+        before = (tmp_path / "model.json").read_bytes()
+        monkeypatch.setattr(json, "dump", failing_json_dump)
+        with pytest.raises(OSError, match="no space"):
+            save_model(fit_small_ecoc(decomp, dataset.labels(), seed=4), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        assert (tmp_path / "model.json").read_bytes() == before
+
     def test_missing_bundle_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path)
@@ -316,6 +327,22 @@ def _feature_dim_off_by_one(data):
     data["columns"][0]["forest"]["feature_dim"] += 1
 
 
+def _first_node(data, leaf):
+    """First internal node (or leaf) of column 0's forest, in pre-order."""
+    stack = list(reversed(data["columns"][0]["forest"]["trees"]))
+    while stack:
+        node = stack.pop()
+        if ("counts" in node) == leaf:
+            return node
+        if "counts" not in node:
+            stack += [node["right"], node["left"]]
+    raise AssertionError("no such node")
+
+
+def _set_node(leaf, **fields):
+    return lambda data: _first_node(data, leaf).update(fields)
+
+
 # Hand edits of a valid 4-class bundle, each with the field its error must name.
 BUNDLE_EDITS = {
     "duplicate code row": (lambda d: d.update(code=[d["code"][0]] * 2 + d["code"][2:]), "'code'.*distinct"),
@@ -330,6 +357,16 @@ BUNDLE_EDITS = {
     "channel dropped": (lambda d: d["channel_names"].pop(), "'filters'"),
     "feature_dim off by one": (_feature_dim_off_by_one, "'feature_dim'"),
     "classes field missing": (lambda d: d.pop("classes"), "lacks field 'classes'"),
+    "attribute beyond feature_dim": (_set_node(False, attribute=999), "'attribute'"),
+    "negative attribute": (_set_node(False, attribute=-1), "'attribute'"),
+    "fractional attribute": (_set_node(False, attribute=1.5), "'attribute'"),
+    "attribute not a number": (_set_node(False, attribute="1"), "'attribute'"),
+    "cut not a number": (_set_node(False, cut=float("nan")), "'cut'"),
+    "infinite cut": (_set_node(False, cut=float("inf")), "'cut'"),
+    "leaf with three counts": (_set_node(True, counts=[1, 2, 3]), "'counts'"),
+    "leaf with one count": (_set_node(True, counts=[4]), "'counts'"),
+    "negative count": (_set_node(True, counts=[-1, 3]), "'counts'"),
+    "fractional count": (_set_node(True, counts=[1.5, 3]), "'counts'"),
 }
 
 

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import extratrees_reference as reference
 from fingerbci.extratrees import EtNode, EtParams, fit, predict, tree_predict, tune
 
 
@@ -13,16 +16,30 @@ def separable_clusters(rng, n=30, margin=20.0):
 
 
 def nodes_equal(a: EtNode, b: EtNode) -> bool:
-    if a.is_leaf != b.is_leaf:
-        return False
-    if a.is_leaf:
-        return a.counts == b.counts
-    return (
-        a.attribute == b.attribute
-        and a.cut == b.cut
-        and nodes_equal(a.left, b.left)
-        and nodes_equal(a.right, b.right)
-    )
+    """Equal shape, attributes, cuts and leaf counts (Python ints), walked with a stack."""
+    stack = [(a, b)]
+    while stack:
+        p, q = stack.pop()
+        if p.is_leaf != q.is_leaf:
+            return False
+        if p.is_leaf:
+            if p.counts != q.counts or not all(type(c) is int for c in p.counts):
+                return False
+        elif type(p.attribute) is not int or (p.attribute, p.cut) != (q.attribute, q.cut):
+            return False
+        else:
+            stack += [(p.left, q.left), (p.right, q.right)]
+    return True
+
+
+def depth(tree: EtNode) -> int:
+    deepest, stack = 0, [(tree, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if not node.is_leaf:
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+    return deepest
 
 
 def leaf_count_total(node: EtNode) -> int:
@@ -75,6 +92,11 @@ class TestFit:
         with pytest.raises(ValueError, match="single class"):
             fit(np.random.default_rng(9).standard_normal((6, 2)), np.zeros(6, dtype=int),
                 EtParams(max_features=1, min_samples_split=2, n_estimators=1))
+
+    def test_labels_outside_zero_one_rejected(self):
+        features, labels = separable_clusters(np.random.default_rng(9), n=5)
+        with pytest.raises(ValueError, match="0 or 1"):
+            fit(features, labels * 2, EtParams(max_features=1, min_samples_split=2, n_estimators=1))
 
     def test_max_features_beyond_dimension_rejected(self):
         features, labels = separable_clusters(np.random.default_rng(10), n=5)
@@ -177,3 +199,61 @@ class TestTune:
         features, labels = separable_clusters(np.random.default_rng(28), n=5)
         with pytest.raises(ValueError, match="non-empty"):
             tune(features, labels, [], [2], [5])
+
+
+def random_problem(rng, i):
+    """Small binary problem; some with rounded features (tied values), a
+    constant column, a column of two adjacent floats (every cut there equals
+    the lower one), or min_samples_split above the sample count."""
+    n, d = int(rng.integers(2, 50)), int(rng.integers(1, 7))
+    features = rng.standard_normal((n, d))
+    if i % 3 == 0:
+        features = np.round(features, 1)
+    if i % 4 == 0:
+        features[:, int(rng.integers(d))] = 0.5
+    if i % 7 == 0:
+        features[:, int(rng.integers(d))] = 1.0 + np.spacing(1.0) * rng.integers(0, 2, n)
+    labels = rng.integers(0, 2, n)
+    labels[:2] = [0, 1]
+    min_split = n + int(rng.integers(1, 5)) if i % 10 == 0 else int(rng.integers(2, 8))
+    params = EtParams(max_features=int(rng.integers(1, d + 1)), min_samples_split=min_split, n_estimators=3, seed=i)
+    return features, labels, params
+
+
+class TestReferenceEquivalence:
+    """The stack grower and prefix-scored tuning against the slow reference."""
+
+    def test_forests_bit_identical_to_recursive_grower(self):
+        rng = np.random.default_rng(30)
+        for i in range(240):
+            features, labels, params = random_problem(rng, i)
+            fast, slow = fit(features, labels, params), reference.fit(features, labels, params)
+            assert all(nodes_equal(a, b) for a, b in zip(fast.trees, slow.trees)), f"problem {i}: {params}"
+            probes = np.vstack([features, rng.standard_normal((10, features.shape[1]))])
+            assert np.array_equal(predict(fast, probes), reference.predict(slow, probes)), f"problem {i}"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prefix_tune_equals_brute_force(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        n, d = 30 + 4 * seed, 4
+        features = rng.standard_normal((n, d))
+        if seed % 2:
+            features = np.round(features, 1)
+        labels = (features[:, 0] + rng.standard_normal(n) > 0).astype(np.int64)
+        grids = ([1, 2, 4], [2, 6], [9, 3, 1, 5])
+        fast = tune(features, labels, *grids, folds=3, seed=seed)
+        slow = reference.tune(features, labels, *grids, folds=3, seed=seed)
+        assert fast == slow
+
+    def test_trees_deeper_than_recursion_limit_grow(self):
+        # Each cut is uniform between the smallest and the largest value,
+        # so on powers of two it peels off only the top few samples.
+        features = (2.0 ** np.arange(-1000, 1000))[:, np.newaxis]
+        labels = np.zeros(len(features), dtype=np.int64)
+        labels[0] = 1
+        params = EtParams(max_features=1, min_samples_split=2, n_estimators=1, seed=0)
+        forest = fit(features, labels, params)
+        assert depth(forest.trees[0]) > sys.getrecursionlimit()
+        assert np.array_equal(predict(forest, features), labels)
+        with pytest.raises(RecursionError):
+            reference.fit(features, labels, params)

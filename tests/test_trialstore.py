@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fingerbci import Dataset, Trial, load_dataset, save_dataset, stratified_split, subset_classes
 
-from conftest import random_dataset
+from conftest import failing_json_dump, random_dataset
 
 
 def make_trial(values, label=0, rate=100.0):
@@ -105,6 +105,20 @@ class TestRoundTrip:
         save_dataset(loaded, tmp_path / "two")
         for name in ("manifest.json", "trials.bin"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_dataset(self, tmp_path, monkeypatch):
+        save_dataset(two_class_dataset(), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        changed = two_class_dataset()
+        changed.trials[0].samples[:] = 9.0
+        monkeypatch.setattr(json, "dump", failing_json_dump)
+        with pytest.raises(OSError, match="no space"):
+            save_dataset(changed, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        monkeypatch.undo()
+        assert load_dataset(tmp_path).trials[0].samples[0, 0] == 1.0
 
 
 class TestFormat:
