@@ -6,17 +6,9 @@ exhaustive-code ECOC multiclass decoding, plus a synthetic EEG generator
 and a repeated-holdout evaluation harness.
 """
 
-from .bandselect import (
-    BandScore,
-    LdaModel,
-    SelectionResult,
-    lda_fit,
-    lda_predict,
-    score_bands,
-    select_bands,
-)
+from .bandselect import BandScore, SelectionResult, score_bands, select_bands
 from .config import PipelineConfig
-from .csp import CspModel, class_covariance, extract_features, fit_csp, log_variance_features, trial_covariance
+from .csp import CspModel, log_variance_features
 from .dsp import (
     BandDecomposition,
     FilterBank,

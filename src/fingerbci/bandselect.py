@@ -2,7 +2,8 @@
 
 Each band gets a score: mean held-out accuracy of a Fisher discriminant on
 CSP log-variance features, with the CSP refit inside every training fold
-(no leakage).  Bands scoring at least ``max(score) - std(score)`` are kept;
+(no leakage).  Every (band, fold) of a binary problem is fitted and scored
+in one stacked pass (:func:`fit_folds`).  Bands scoring at least ``max(score) - std(score)`` are kept;
 the argmax band always clears its own threshold, so the selection is never
 empty.
 """
@@ -14,19 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossval import stratified_folds
-from .csp import CspModel, fit_csp_from_covariances, log_variance_features
+from .csp import fit_csp_stack, log_ratios
 from .dsp import BandDecomposition
 from .rng import stream
 
 DEFAULT_SHRINKAGE = 1e-3
-
-
-@dataclass
-class LdaModel:
-    """Fisher discriminant: label 1 iff ``weights . x + bias > 0``."""
-
-    weights: np.ndarray
-    bias: float
 
 
 @dataclass
@@ -42,79 +35,57 @@ class SelectionResult:
     selected: list[int]
 
 
-def lda_fit(features: np.ndarray, labels: np.ndarray, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
-    """Fit a two-class Fisher discriminant.
+def fit_folds(
+    csp_covariances: np.ndarray,
+    feature_covariances: np.ndarray,
+    labels: np.ndarray,
+    train: np.ndarray,
+    n_pairs: int,
+    shrinkage: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit CSP, then a Fisher discriminant, to every training set at once.
 
-    ``w = (S_pooled + shrinkage * mean(diag) * I)^-1 (mu_1 - mu_0)`` with the
-    bias placing the decision point at the midpoint of the projected means.
+    The covariance stacks are ``(n_bands, n_trials, C, C)`` and
+    ``train[b, k]`` masks the trials of training set ``k`` in band ``b``; fits
+    read those trials only, so held-out data cannot leak in.  The
+    discriminant is ``w = (S_pooled + shrinkage * mean(diag) * I)^-1 (mu_1 -
+    mu_0)`` with the bias placing the decision point midway between the
+    projected class means.
+
+    Returns ``(filters, features, weights, biases)``: each set's kept CSP
+    filters ``(B, K, 2m, C)``, the features of every trial through them
+    ``(B, K, n_trials, 2m)``, and the discriminants ``(B, K, 2m)`` and
+    ``(B, K)``; trial ``n`` is predicted 1 iff ``features @ weights + bias >
+    0``.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    mask1 = labels == 1
-    x0, x1 = features[~mask1], features[mask1]
-    if len(x0) == 0 or len(x1) == 0:
-        raise ValueError("both classes must be present")
-    mu0, mu1 = x0.mean(axis=0), x1.mean(axis=0)
-    centered = np.concatenate([x0 - mu0, x1 - mu1])
-    denominator = max(len(features) - 2, 1)
-    pooled = centered.T @ centered / denominator
+    by_class = np.stack([train & (labels == 0), train & (labels == 1)], axis=2).astype(np.float64)
+    counts = by_class.sum(axis=-1)
+    means = np.einsum("bkcn,bnij->bkcij", by_class, csp_covariances) / counts[..., np.newaxis, np.newaxis]
+    filters, _ = fit_csp_stack(means[:, :, 0], means[:, :, 1], n_pairs)
+    kept = np.concatenate([filters[..., :n_pairs, :], filters[..., -n_pairs:, :]], axis=-2)
+    # Projected variances w S w^T of every (set, trial, filter): one product per band.
+    n_bands, n_sets, n_kept, n_channels = kept.shape
+    flat = kept.reshape(n_bands, -1, n_channels)
+    projected = feature_covariances.reshape(n_bands, -1, n_channels) @ flat.swapaxes(1, 2)
+    projected = projected.reshape(n_bands, -1, n_channels, n_sets, n_kept)
+    features = log_ratios(np.einsum("bnckp,bkpc->bknp", projected, kept))
+
+    class_means = np.einsum("bkcn,bknp->bkcp", by_class, features) / counts[..., np.newaxis]
+    centred = (features - class_means[:, :, labels]) * train[..., np.newaxis]
+    denominators = np.maximum(counts.sum(axis=-1) - 2, 1)[..., np.newaxis, np.newaxis]
+    pooled = centred.swapaxes(-1, -2) @ centred / denominators
     if shrinkage > 0:
-        pooled = pooled + shrinkage * np.mean(np.diag(pooled)) * np.eye(pooled.shape[0])
+        ridge = shrinkage * np.diagonal(pooled, axis1=-2, axis2=-1).mean(axis=-1)
+        pooled = pooled + ridge[..., np.newaxis, np.newaxis] * np.eye(n_kept)
     try:
-        weights = np.linalg.solve(pooled, mu1 - mu0)
+        weights = np.linalg.solve(pooled, (class_means[:, :, 1] - class_means[:, :, 0])[..., np.newaxis])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"pooled covariance is singular after shrinkage: {exc}") from exc
     if not np.isfinite(weights).all():
         raise ValueError("non-finite discriminant weights")
-    bias = -float(weights @ ((mu0 + mu1) / 2.0))
-    return LdaModel(weights=weights, bias=bias)
-
-
-def lda_predict(model: LdaModel, features: np.ndarray) -> np.ndarray:
-    """Binary labels; a point exactly on the boundary goes to class 0."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[-1] != len(model.weights):
-        raise ValueError(f"feature dimension {features.shape[-1]} != model dimension {len(model.weights)}")
-    return (features @ model.weights + model.bias > 0.0).astype(np.int64)
-
-
-def _fit_fold_model(
-    csp_covariances: np.ndarray,
-    feature_covariances: np.ndarray,
-    labels: np.ndarray,
-    train_mask: np.ndarray,
-    n_pairs: int,
-    shrinkage: float,
-    band: tuple[float, float],
-) -> tuple[CspModel, LdaModel]:
-    # Fits see training-fold trials only; held-out data cannot leak in.
-    cov_a = csp_covariances[train_mask & (labels == 0)].mean(axis=0)
-    cov_b = csp_covariances[train_mask & (labels == 1)].mean(axis=0)
-    csp = fit_csp_from_covariances(cov_a, cov_b, n_pairs, band)
-    lda = lda_fit(log_variance_features(feature_covariances[train_mask], csp), labels[train_mask], shrinkage)
-    return csp, lda
-
-
-def _cv_band_score(
-    csp_covariances: np.ndarray,
-    feature_covariances: np.ndarray,
-    labels: np.ndarray,
-    band: tuple[float, float],
-    n_pairs: int,
-    folds: int,
-    rng: np.random.Generator,
-    shrinkage: float,
-) -> float:
-    fold_ids = stratified_folds(labels, folds, rng)
-    accuracies = []
-    for k in range(folds):
-        test_mask = fold_ids == k
-        csp, lda = _fit_fold_model(
-            csp_covariances, feature_covariances, labels, ~test_mask, n_pairs, shrinkage, band
-        )
-        predictions = lda_predict(lda, log_variance_features(feature_covariances[test_mask], csp))
-        accuracies.append(float(np.mean(predictions == labels[test_mask])))
-    return float(np.mean(accuracies))
+    midpoints = (class_means[:, :, 0] + class_means[:, :, 1]) / 2.0
+    biases = -np.sum(weights * midpoints, axis=-1)
+    return kept, features, weights, biases
 
 
 def score_bands_for_labels(
@@ -131,16 +102,15 @@ def score_bands_for_labels(
         raise ValueError(f"{len(labels)} labels for {decomp.n_trials} trials")
     if set(np.unique(labels)) != {0, 1}:
         raise ValueError("labels must be binary (0/1) with both classes present")
-    return [
-        BandScore(
-            band=band,
-            score=_cv_band_score(
-                decomp.csp_covariances[i], decomp.feature_covariances[i], labels, band,
-                n_pairs, folds, stream(seed, i), shrinkage,
-            ),
-        )
-        for i, band in enumerate(decomp.bands)
-    ]
+    # Band i draws its folds from stream(seed, i); every (band, fold) is then scored in one pass.
+    fold_ids = np.stack([stratified_folds(labels, folds, stream(seed, i)) for i in range(decomp.n_bands)])
+    test = fold_ids[:, np.newaxis, :] == np.arange(folds)[:, np.newaxis]
+    _, features, weights, biases = fit_folds(
+        decomp.csp_covariances, decomp.feature_covariances, labels, ~test, n_pairs, shrinkage
+    )
+    predictions = (features @ weights[..., np.newaxis])[..., 0] + biases[..., np.newaxis] > 0.0
+    accuracies = ((predictions == (labels == 1)) & test).sum(axis=-1) / test.sum(axis=-1)
+    return [BandScore(band=band, score=float(score)) for band, score in zip(decomp.bands, accuracies.mean(axis=-1))]
 
 
 def score_bands(

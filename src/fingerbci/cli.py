@@ -193,13 +193,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
-    if dataset.channel_names != model.channel_names or dataset.sample_rate != model.sample_rate:
-        raise ValueError(
-            f"dataset channels {dataset.channel_names} at {dataset.sample_rate} Hz do not match the "
-            f"model's channels {model.channel_names} at {model.sample_rate} Hz "
-            "(names, order and sample rate must agree)"
-        )
-    predicted = predict_trials(model, dataset.trials)
+    predicted = predict_trials(
+        model, dataset.trials, channel_names=dataset.channel_names, sample_rate=dataset.sample_rate
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:

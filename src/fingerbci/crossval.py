@@ -20,7 +20,5 @@ def stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator) -
         indices = np.flatnonzero(labels == label)
         if len(indices) < folds:
             raise ValueError(f"class {label} has {len(indices)} samples, fewer than {folds} folds")
-        order = rng.permutation(len(indices))
-        for position, j in enumerate(order):
-            fold_ids[indices[j]] = position % folds
+        fold_ids[indices[rng.permutation(len(indices))]] = np.arange(len(indices)) % folds
     return fold_ids

@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .trialstore import Trial
-
-# Ridge added to the composite covariance before eigendecomposition, scaled
-# by trace/N; guards rank deficiency from short trimmed trials.
+# Ridge added to a composite covariance whose Cholesky factorisation fails,
+# scaled by trace/N; guards rank deficiency from short trimmed trials.
 RIDGE = 1e-8
 
 
@@ -41,73 +38,48 @@ class CspModel:
         return np.vstack([self.filters[:m], self.filters[-m:]])
 
 
-def trial_covariance(trial: Trial) -> np.ndarray:
-    """Trace-normalized spatial covariance ``X X^T / trace(X X^T)``."""
-    x = trial.samples.astype(np.float64)
-    if x.shape[1] < 2:
-        raise ValueError("trial needs at least 2 samples for a covariance")
-    c = x @ x.T
-    trace = np.trace(c)
-    if trace <= 0.0:
-        raise ValueError("all-zero trial has no covariance")
-    return c / trace
+def fit_csp_stack(cov_a: np.ndarray, cov_b: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fit CSP to every slice of a stack of class covariance pairs.
 
-
-def class_covariance(trials: list[Trial]) -> np.ndarray:
-    """Arithmetic mean of per-trial covariances."""
-    if not trials:
-        raise ValueError("cannot average covariances of an empty trial list")
-    acc = trial_covariance(trials[0])
-    for trial in trials[1:]:
-        acc = acc + trial_covariance(trial)
-    return acc / len(trials)
-
-
-def fit_csp_from_covariances(
-    cov_a: np.ndarray,
-    cov_b: np.ndarray,
-    n_pairs: int,
-    band: tuple[float, float] | None = None,
-) -> CspModel:
-    """Fit from precomputed class covariances (see :func:`fit_csp`)."""
-    n = cov_a.shape[0]
+    ``cov_a`` and ``cov_b`` are ``(..., C, C)``.  Each slice solves
+    ``C_a w = lambda (C_a + C_b) w`` by Cholesky whitening: with
+    ``C_a + C_b = L L^T``, the eigenvectors ``v`` of ``L^-1 C_a L^-T`` give
+    filters ``w = L^-T v``.  Returns ``(filters, eigenvalues)``, shaped
+    ``(..., C, C)`` and ``(..., C)``: filter rows sorted by eigenvalue
+    descending, eigenvalues clipped to [0, 1], and the largest-magnitude
+    entry of each filter positive.
+    """
+    n = cov_a.shape[-1]
     if 2 * n_pairs > n:
         raise ValueError(f"cannot keep 2 x {n_pairs} filters from {n} channels")
-    composite = cov_a + cov_b
+    inverse = np.linalg.inv(_cholesky(cov_a + cov_b))
+    eigenvalues, vectors = np.linalg.eigh(inverse @ cov_a @ inverse.swapaxes(-1, -2))
+    order = np.argsort(eigenvalues, axis=-1)[..., ::-1]
+    eigenvalues = np.clip(np.take_along_axis(eigenvalues, order, axis=-1), 0.0, 1.0)
+    filters = np.take_along_axis((inverse.swapaxes(-1, -2) @ vectors).swapaxes(-1, -2), order[..., np.newaxis], -2)
+    peaks = np.take_along_axis(filters, np.argmax(np.abs(filters), axis=-1)[..., np.newaxis], -1)
+    return np.where(peaks < 0.0, -filters, filters), eigenvalues
+
+
+def _cholesky(composite: np.ndarray) -> np.ndarray:
     try:
-        eigenvalues, vectors = scipy.linalg.eigh(cov_a, composite)
-    except scipy.linalg.LinAlgError:
-        # Rank-deficient composite (e.g. noise-free planted sources): retry
-        # with a small ridge instead of failing outright.
-        regularized = composite + RIDGE * np.trace(composite) / n * np.eye(n)
+        return np.linalg.cholesky(composite)
+    except np.linalg.LinAlgError:
+        pass
+    factors = np.empty_like(composite)
+    n = composite.shape[-1]
+    for index in np.ndindex(composite.shape[:-2]):
         try:
-            eigenvalues, vectors = scipy.linalg.eigh(cov_a, regularized)
-        except scipy.linalg.LinAlgError as exc:
-            raise ValueError(f"composite covariance is singular after regularization: {exc}") from exc
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = np.clip(eigenvalues[order], 0.0, 1.0)
-    filters = vectors[:, order].T
-    # Sign convention: largest-magnitude entry of each filter is positive.
-    peaks = np.argmax(np.abs(filters), axis=1)
-    signs = np.sign(filters[np.arange(n), peaks])
-    signs[signs == 0] = 1.0
-    filters = filters * signs[:, np.newaxis]
-    return CspModel(filters=filters, eigenvalues=eigenvalues, n_pairs=n_pairs, band=band)
-
-
-def fit_csp(
-    class_a: list[Trial],
-    class_b: list[Trial],
-    n_pairs: int,
-    band: tuple[float, float] | None = None,
-) -> CspModel:
-    """Learn spatial filters contrasting two sets of trials.
-
-    Rows of the result are generalized eigenvectors of
-    ``C_a w = lambda (C_a + C_b) w`` sorted by eigenvalue descending: early
-    rows maximize class-a variance share, late rows class-b's.
-    """
-    return fit_csp_from_covariances(class_covariance(class_a), class_covariance(class_b), n_pairs, band)
+            factors[index] = np.linalg.cholesky(composite[index])
+        except np.linalg.LinAlgError:
+            # Rank-deficient composite (e.g. noise-free planted sources):
+            # retry this slice with a small ridge instead of failing outright.
+            regularized = composite[index] + RIDGE * np.trace(composite[index]) / n * np.eye(n)
+            try:
+                factors[index] = np.linalg.cholesky(regularized)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"composite covariance is singular after regularization: {exc}") from exc
+    return factors
 
 
 def log_variance_features(covariances: np.ndarray, model: CspModel) -> np.ndarray:
@@ -123,19 +95,12 @@ def log_variance_features(covariances: np.ndarray, model: CspModel) -> np.ndarra
     if covariances.shape[-1] != model.n_channels:
         raise ValueError(f"trial has {covariances.shape[-1]} channels, model expects {model.n_channels}")
     filters = model.selected_filters()
-    variances = np.sum((filters @ covariances) * filters, axis=-1)
+    return log_ratios(np.sum((filters @ covariances) * filters, axis=-1))
+
+
+def log_ratios(variances: np.ndarray) -> np.ndarray:
+    """``log(v / sum(v))`` over the last axis of projected variances ``v``."""
     totals = variances.sum(axis=-1, keepdims=True)
     if np.any(totals <= 0.0):
         raise ValueError("projected signal has zero total variance")
     return np.log(np.maximum(variances / totals, np.finfo(np.float64).tiny))
-
-
-def extract_features(trial: Trial, model: CspModel) -> np.ndarray:
-    """Log variance-ratio features of one trial (length 2 * n_pairs).
-
-    Invariant to overall trial scaling and to per-filter sign flips;
-    ``exp`` of the features sums to one.
-    """
-    x = trial.samples.astype(np.float64)
-    x = x - x.mean(axis=1, keepdims=True)
-    return log_variance_features(x @ x.T / x.shape[1], model)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
-from .csp import CspModel, fit_csp_from_covariances, log_variance_features
+from .csp import CspModel, fit_csp_stack, log_variance_features
 from .dsp import BandDecomposition, band_covariances
 from .extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict, tune as et_tune
 from .rng import child_seed
@@ -179,15 +179,13 @@ def fit_column(
     scores = score_bands_for_labels(decomp, y, n_pairs, folds, seed=child_seed(seed, 0), shrinkage=shrinkage)
     selection = select_bands(scores)
 
-    csp_models = []
-    for band_index in selection.selected:
-        covs = decomp.csp_covariances[band_index]
-        csp_models.append(
-            fit_csp_from_covariances(
-                covs[y == 0].mean(axis=0), covs[y == 1].mean(axis=0), n_pairs, decomp.bands[band_index]
-            )
-        )
-    features = _column_features(list(selection.selected), csp_models, decomp.feature_covariances)
+    covs = decomp.csp_covariances[selection.selected]
+    filters, eigenvalues = fit_csp_stack(covs[:, y == 0].mean(axis=1), covs[:, y == 1].mean(axis=1), n_pairs)
+    csp_models = [
+        CspModel(filters=f, eigenvalues=e, n_pairs=n_pairs, band=decomp.bands[b])
+        for f, e, b in zip(filters, eigenvalues, selection.selected)
+    ]
+    features = _column_features(selection.selected, csp_models, decomp.feature_covariances)
 
     params = et_tune(
         features,
@@ -278,8 +276,17 @@ def fit_ecoc(
     )
 
 
-def _needed_covariances(model: EcocModel, trials: list[Trial]) -> dict[int, np.ndarray]:
+def _needed_covariances(
+    model: EcocModel, trials: list[Trial], channel_names: list[str] | None, sample_rate: float | None
+) -> dict[int, np.ndarray]:
     # Runs the training filter bank over the bands the model reads, no others.
+    names = model.channel_names if channel_names is None else list(channel_names)
+    rate = model.sample_rate if sample_rate is None else sample_rate
+    if names != model.channel_names or rate != model.sample_rate:
+        raise ValueError(
+            f"channels {names} at {rate} Hz do not match the model's channels {model.channel_names} "
+            f"at {model.sample_rate} Hz (names, order and sample rate must agree)"
+        )
     for trial in trials:
         if trial.n_channels != len(model.channel_names):
             raise ValueError(f"trial has {trial.n_channels} channels, model expects {len(model.channel_names)}")
@@ -301,14 +308,30 @@ def predict_from_bands(
     return np.asarray(model.classes, dtype=np.int64)[rows]
 
 
-def predict_trials(model: EcocModel, trials: list[Trial]) -> np.ndarray:
-    """Filter raw trials into the model's bands and decode each one."""
-    return predict_from_bands(model, _needed_covariances(model, trials))
+def predict_trials(
+    model: EcocModel,
+    trials: list[Trial],
+    *,
+    channel_names: list[str] | None = None,
+    sample_rate: float | None = None,
+) -> np.ndarray:
+    """Filter raw trials into the model's bands and decode each one.
+
+    ``channel_names`` and ``sample_rate``, when given, describe the trials'
+    montage; it must equal the model's in names, order and rate.
+    """
+    return predict_from_bands(model, _needed_covariances(model, trials, channel_names, sample_rate))
 
 
-def predict_ecoc(model: EcocModel, trial: Trial) -> int:
-    """Predicted class index for a single raw trial."""
-    return int(predict_trials(model, [trial])[0])
+def predict_ecoc(
+    model: EcocModel,
+    trial: Trial,
+    *,
+    channel_names: list[str] | None = None,
+    sample_rate: float | None = None,
+) -> int:
+    """Predicted class index for a single raw trial (see :func:`predict_trials`)."""
+    return int(predict_trials(model, [trial], channel_names=channel_names, sample_rate=sample_rate)[0])
 
 
 # --- model bundle serialization -------------------------------------------
@@ -344,11 +367,13 @@ def _node_to_json(node: EtNode) -> dict:
 
 
 def _node_from_json(data: dict) -> EtNode:
+    # Values are kept as read; load_model's checks name any that is malformed.
     if "counts" in data:
-        return EtNode(counts=tuple(data["counts"]))
+        counts = data["counts"]
+        return EtNode(counts=tuple(counts) if type(counts) is list else counts)
     return EtNode(
         attribute=data["attribute"],
-        cut=float(data["cut"]),
+        cut=data["cut"],
         left=_node_from_json(data["left"]),
         right=_node_from_json(data["right"]),
     )
@@ -411,12 +436,22 @@ def _require(ok: bool, name: str, message: str) -> None:
         raise ValueError(f"model bundle field {name!r}: {message}")
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
 def _check_model(model: EcocModel) -> None:
     """Raise ``ValueError`` naming the first field that cannot serve predictions."""
     try:
         model.code.validate()
     except ValueError as exc:
         raise ValueError(f"model bundle field 'code': {exc}") from None
+    rate = model.sample_rate
+    _require(np.isfinite(rate) and rate > 0.0, "sample_rate", f"{rate} is not a positive finite rate")
+    _require(model.taps % 2 == 1 and model.taps >= 31, "taps", f"{model.taps} is not an odd count of at least 31")
+    for band in model.bands:
+        _require(len(band) == 2 and all(_is_number(f) for f in band) and 0.0 < band[0] < band[1] < rate / 2.0,
+                 "bands", f"{list(band)} is not a band 0 < low < high < {rate / 2.0} Hz")
     code, classes = model.code, list(model.classes)
     _require(code.n_classes == len(classes), "classes", f"{len(classes)} entries for {code.n_classes} code rows")
     _require(
@@ -441,12 +476,14 @@ def _check_model(model: EcocModel) -> None:
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                _require(len(node.counts) == 2 and all(type(c) is int and c >= 0 for c in node.counts), "counts",
-                         f"column {j} has a leaf with counts {list(node.counts)}, not two non-negative integers")
+                counts = node.counts
+                _require(type(counts) is tuple and len(counts) == 2 and all(type(c) is int and c >= 0 for c in counts),
+                         "counts", f"column {j} has a leaf with counts {counts}, not two non-negative integers")
             else:
                 _require(type(node.attribute) is int and 0 <= node.attribute < expected_dim, "attribute",
                          f"column {j} has a node reading attribute {node.attribute} of {expected_dim}")
-                _require(np.isfinite(node.cut), "cut", f"column {j} has a node with cut {node.cut}")
+                _require(_is_number(node.cut) and np.isfinite(node.cut), "cut",
+                         f"column {j} has a node with cut {node.cut!r}")
                 stack += [node.left, node.right]
 
 

@@ -21,7 +21,6 @@ from fingerbci import (
     default_bank,
     design_bandpass,
     exhaustive_code,
-    fit_csp,
     generate,
     load_dataset,
     load_model,
@@ -33,11 +32,12 @@ from fingerbci import (
 )
 from fingerbci.bandselect import BandScore
 from fingerbci.config import PipelineConfig
-from fingerbci.csp import class_covariance
 from fingerbci.ecoc import decode, fit_ecoc, hamming
 from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
 from fingerbci.rng import child_seed, stream
 from fingerbci.dsp import make_bank
+
+from timeseries_reference import class_covariance, fit_csp
 
 
 @contextmanager

@@ -3,10 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingerbci import SynthConfig, Trial, class_covariance, extract_features, fit_csp, generate, trial_covariance
-from fingerbci.csp import CspModel, log_variance_features
+from fingerbci import SynthConfig, Trial, generate
+from fingerbci.csp import CspModel, fit_csp_stack, log_variance_features
 
-from timeseries_reference import centred_covariance, variance_features
+from timeseries_reference import (
+    centred_covariance,
+    class_covariance,
+    extract_features,
+    fit_csp,
+    trial_covariance,
+    variance_features,
+)
 
 
 def make_trial(values, label=0):
@@ -182,3 +189,35 @@ class TestFeatures:
         singles = np.array([extract_features(t, model) for t in trials])
         assert np.allclose(batch, singles, atol=1e-12)
         assert np.allclose(variance_features(trials, model), singles, atol=1e-12)
+
+
+class TestFitCspStack:
+    """The stacked Cholesky-whitened solver against scipy's generalised eigensolver, slice by slice."""
+
+    def test_matches_scipy_reference(self):
+        from bandselect_reference import fit_csp_from_covariances
+
+        rng = np.random.default_rng(11)
+        n_channels, pairs = 6, []
+        for slice_index in range(12):
+            # Odd slices live on 3 channels only: their composite fails
+            # Cholesky and takes the ridge, the others must not.
+            active = n_channels if slice_index % 2 == 0 else 3
+            x = rng.standard_normal((2, active, 4 * n_channels))
+            covs = np.zeros((2, n_channels, n_channels))
+            covs[:, :active, :active] = x @ x.swapaxes(-1, -2) / x.shape[-1]
+            pairs.append(covs / np.trace(covs, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis])
+        pairs = np.array(pairs)
+        filters, eigenvalues = fit_csp_stack(pairs[:, 0], pairs[:, 1], n_pairs=2)
+        for i, (cov_a, cov_b) in enumerate(pairs):
+            expected = fit_csp_from_covariances(cov_a, cov_b, n_pairs=2)
+            np.testing.assert_allclose(eigenvalues[i], expected.eigenvalues, rtol=0, atol=1e-12)
+            # Eigenvectors of the ridge slices' repeated zero eigenvalue are
+            # any basis of the idle channels; their norms 1 / sqrt(ridge) are not.
+            np.testing.assert_allclose(
+                np.sort(np.linalg.norm(filters[i], axis=1)), np.sort(np.linalg.norm(expected.filters, axis=1)),
+                rtol=1e-9,
+            )
+            if i % 2 == 0:
+                scale = np.abs(expected.filters).max()
+                np.testing.assert_allclose(filters[i], expected.filters, rtol=0, atol=1e-10 * scale)

@@ -15,7 +15,7 @@ from fingerbci import (
     make_bank,
 )
 from fingerbci import dsp
-from fingerbci.csp import CspModel, fit_csp_from_covariances
+from fingerbci.csp import CspModel, fit_csp_stack
 
 import timeseries_reference as reference
 from conftest import random_dataset
@@ -217,11 +217,12 @@ class TestFilterBankEquivalence:
         filtered = reference.filter_bank(dataset.trials, self.bank.bands, self.bank.taps)
         labels = decomp.labels
         for b, band in enumerate(decomp.bands):
-            model = fit_csp_from_covariances(
+            filters, eigenvalues = fit_csp_stack(
                 decomp.csp_covariances[b][labels == 0].mean(axis=0),
                 decomp.csp_covariances[b][labels == 1].mean(axis=0),
-                n_pairs=1, band=band,
+                n_pairs=1,
             )
+            model = CspModel(filters=filters, eigenvalues=eigenvalues, n_pairs=1, band=band)
             np.testing.assert_allclose(
                 log_variance_features(decomp.feature_covariances[b], model),
                 reference.variance_features(filtered[b], model),

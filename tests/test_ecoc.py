@@ -237,6 +237,27 @@ class TestFitEcoc:
         with pytest.raises(ValueError, match="channels"):
             predict_ecoc(model, bad)
 
+    def test_montage_checked_when_given(self, mini_decomp):
+        from fingerbci import Trial
+
+        dataset, decomp = mini_decomp
+        model = fit_small_ecoc(decomp, dataset.labels())
+        names = list(dataset.channel_names)
+        reversed_trials = [Trial(t.label, t.samples[::-1], t.sample_rate) for t in dataset.trials[:3]]
+        for call in (
+            lambda: predict_trials(model, reversed_trials, channel_names=names[::-1]),
+            lambda: predict_ecoc(model, reversed_trials[0], channel_names=names[::-1]),
+        ):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(names[::-1]) in str(caught.value) and str(names) in str(caught.value)
+        with pytest.raises(ValueError, match="256.0 Hz"):
+            predict_trials(model, dataset.trials[:3], channel_names=names, sample_rate=256.0)
+        # The model's own montage, given or not, predicts the same.
+        given = predict_trials(model, dataset.trials[:3], channel_names=names, sample_rate=dataset.sample_rate)
+        assert np.array_equal(given, predict_trials(model, dataset.trials[:3]))
+        assert predict_ecoc(model, dataset.trials[0], channel_names=names) == given[0]
+
     def test_taps_taken_from_decomposition(self, mini_decomp):
         # Prediction must filter with the bank the model was trained on.
         dataset, decomp = mini_decomp
@@ -367,6 +388,16 @@ BUNDLE_EDITS = {
     "leaf with one count": (_set_node(True, counts=[4]), "'counts'"),
     "negative count": (_set_node(True, counts=[-1, 3]), "'counts'"),
     "fractional count": (_set_node(True, counts=[1.5, 3]), "'counts'"),
+    "cut not numeric": (_set_node(False, cut="x"), "'cut'"),
+    "counts not a list": (_set_node(True, counts=3), "'counts'"),
+    "even taps": (lambda d: d.update(taps=64), "'taps'"),
+    "too few taps": (lambda d: d.update(taps=29), "'taps'"),
+    "zero sample_rate": (lambda d: d.update(sample_rate=0.0), "'sample_rate'"),
+    "negative sample_rate": (lambda d: d.update(sample_rate=-128.0), "'sample_rate'"),
+    "infinite sample_rate": (lambda d: d.update(sample_rate=float("inf")), "'sample_rate'"),
+    "reversed band": (lambda d: d["bands"].__setitem__(0, d["bands"][0][::-1]), "'bands'"),
+    "band at zero": (lambda d: d["bands"].__setitem__(0, [0.0, d["bands"][0][1]]), "'bands'"),
+    "band beyond Nyquist": (lambda d: d["bands"].__setitem__(-1, [60.0, d["sample_rate"]]), "'bands'"),
 }
 
 
