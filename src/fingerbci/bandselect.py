@@ -102,6 +102,7 @@ def score_bands_for_labels(
         raise ValueError(f"{len(labels)} labels for {decomp.n_trials} trials")
     if set(np.unique(labels)) != {0, 1}:
         raise ValueError("labels must be binary (0/1) with both classes present")
+    labels = (labels == 1).astype(np.int64)
     # Band i draws its folds from stream(seed, i); every (band, fold) is then scored in one pass.
     fold_ids = np.stack([stratified_folds(labels, folds, stream(seed, i)) for i in range(decomp.n_bands)])
     test = fold_ids[:, np.newaxis, :] == np.arange(folds)[:, np.newaxis]

@@ -193,9 +193,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
-    predicted = predict_trials(
-        model, dataset.trials, channel_names=dataset.channel_names, sample_rate=dataset.sample_rate
-    )
+    predicted = predict_trials(model, dataset.trials, channel_names=dataset.channel_names)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:

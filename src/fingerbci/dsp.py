@@ -113,6 +113,31 @@ class BandDecomposition:
         )
 
 
+class BankError(ValueError):
+    """A filter-bank setting that cannot be designed; ``field`` names it."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+def check_bank(bands, sample_rate: float, taps: int) -> None:
+    """Raise :class:`BankError` unless every band of ``bands`` can be designed.
+
+    The rules: a positive finite ``sample_rate``, odd ``taps`` of at least 31
+    and ``0 < low < high < sample_rate / 2`` for each ``(low, high)``.
+    """
+    if not (np.isfinite(sample_rate) and sample_rate > 0.0):
+        raise BankError("sample_rate", f"sample rate must be positive and finite, got {sample_rate}")
+    if taps % 2 == 0 or taps < 31:
+        raise BankError("taps", f"taps must be odd and >= 31, got {taps}")
+    for low, high in bands:
+        if not 0.0 < low < high < sample_rate / 2.0:
+            raise BankError(
+                "bands", f"band edges must satisfy 0 < low < high < Nyquist, got ({low}, {high}) at {sample_rate} Hz"
+            )
+
+
 def design_bandpass(low: float, high: float, sample_rate: float, taps: int) -> FirFilter:
     """Windowed-sinc bandpass: ideal impulse response x Hamming window.
 
@@ -127,11 +152,7 @@ def design_bandpass(low: float, high: float, sample_rate: float, taps: int) -> F
     taps : int
         Filter length; odd, at least 31.
     """
-    if not 0.0 < low < high < sample_rate / 2.0:
-        raise ValueError(f"band edges must satisfy 0 < low < high < Nyquist, got ({low}, {high}) at {sample_rate} Hz")
-    if taps % 2 == 0 or taps < 31:
-        raise ValueError(f"taps must be odd and >= 31, got {taps}")
-
+    check_bank([(low, high)], sample_rate, taps)
     center = (taps - 1) // 2
     w1 = 2.0 * np.pi * low / sample_rate
     w2 = 2.0 * np.pi * high / sample_rate

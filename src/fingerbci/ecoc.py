@@ -21,7 +21,7 @@ import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
 from .csp import CspModel, fit_csp_stack, log_variance_features
-from .dsp import BandDecomposition, band_covariances
+from .dsp import BandDecomposition, BankError, band_covariances, check_bank
 from .extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict, tune as et_tune
 from .rng import child_seed
 from .trialstore import Trial, replacing
@@ -277,11 +277,11 @@ def fit_ecoc(
 
 
 def _needed_covariances(
-    model: EcocModel, trials: list[Trial], channel_names: list[str] | None, sample_rate: float | None
+    model: EcocModel, trials: list[Trial], channel_names: list[str] | None
 ) -> dict[int, np.ndarray]:
     # Runs the training filter bank over the bands the model reads, no others.
     names = model.channel_names if channel_names is None else list(channel_names)
-    rate = model.sample_rate if sample_rate is None else sample_rate
+    rate = next((t.sample_rate for t in trials if t.sample_rate != model.sample_rate), model.sample_rate)
     if names != model.channel_names or rate != model.sample_rate:
         raise ValueError(
             f"channels {names} at {rate} Hz do not match the model's channels {model.channel_names} "
@@ -313,14 +313,14 @@ def predict_trials(
     trials: list[Trial],
     *,
     channel_names: list[str] | None = None,
-    sample_rate: float | None = None,
 ) -> np.ndarray:
     """Filter raw trials into the model's bands and decode each one.
 
-    ``channel_names`` and ``sample_rate``, when given, describe the trials'
-    montage; it must equal the model's in names, order and rate.
+    ``channel_names``, when given, names the trials' channel rows; it must
+    equal the model's in names and order. Every trial's sample rate must
+    equal the model's.
     """
-    return predict_from_bands(model, _needed_covariances(model, trials, channel_names, sample_rate))
+    return predict_from_bands(model, _needed_covariances(model, trials, channel_names))
 
 
 def predict_ecoc(
@@ -328,10 +328,9 @@ def predict_ecoc(
     trial: Trial,
     *,
     channel_names: list[str] | None = None,
-    sample_rate: float | None = None,
 ) -> int:
     """Predicted class index for a single raw trial (see :func:`predict_trials`)."""
-    return int(predict_trials(model, [trial], channel_names=channel_names, sample_rate=sample_rate)[0])
+    return int(predict_trials(model, [trial], channel_names=channel_names)[0])
 
 
 # --- model bundle serialization -------------------------------------------
@@ -446,12 +445,12 @@ def _check_model(model: EcocModel) -> None:
         model.code.validate()
     except ValueError as exc:
         raise ValueError(f"model bundle field 'code': {exc}") from None
-    rate = model.sample_rate
-    _require(np.isfinite(rate) and rate > 0.0, "sample_rate", f"{rate} is not a positive finite rate")
-    _require(model.taps % 2 == 1 and model.taps >= 31, "taps", f"{model.taps} is not an odd count of at least 31")
     for band in model.bands:
-        _require(len(band) == 2 and all(_is_number(f) for f in band) and 0.0 < band[0] < band[1] < rate / 2.0,
-                 "bands", f"{list(band)} is not a band 0 < low < high < {rate / 2.0} Hz")
+        _require(len(band) == 2 and all(_is_number(f) for f in band), "bands", f"{list(band)} is not a (low, high) pair")
+    try:
+        check_bank(model.bands, model.sample_rate, model.taps)
+    except BankError as exc:
+        raise ValueError(f"model bundle field {exc.field!r}: {exc}") from None
     code, classes = model.code, list(model.classes)
     _require(code.n_classes == len(classes), "classes", f"{len(classes)} entries for {code.n_classes} code rows")
     _require(

@@ -341,6 +341,12 @@ class TestStackedEquivalence:
             stacked, expected = stacked_and_reference(decomp, labels, seed=seed)
             assert stacked == expected
 
+    def test_bool_and_float_labels(self):
+        decomp = random_problem(2, trials_per_class=12)
+        expected = [s.score for s in reference.score_bands_for_labels(decomp, decomp.labels)]
+        for labels in (decomp.labels == 1, decomp.labels.astype(np.float64)):
+            assert [s.score for s in score_bands_for_labels(decomp, labels)] == expected
+
     def test_thirty_two_channels(self):
         decomp = decompose(generate(oracle_like(4, 8, 32, 0.1, 2.0)), default_bank(512.0))
         for labels, seed in ecoc_columns(decomp, 2)[:3]:

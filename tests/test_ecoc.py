@@ -251,10 +251,13 @@ class TestFitEcoc:
             with pytest.raises(ValueError) as caught:
                 call()
             assert str(names[::-1]) in str(caught.value) and str(names) in str(caught.value)
-        with pytest.raises(ValueError, match="256.0 Hz"):
-            predict_trials(model, dataset.trials[:3], channel_names=names, sample_rate=256.0)
+        # The rate is read from the trials, whether names are given or not.
+        faster = [Trial(t.label, t.samples, 2 * t.sample_rate) for t in dataset.trials[:3]]
+        for given_names in (names, None):
+            with pytest.raises(ValueError, match=f"{2 * dataset.sample_rate} Hz"):
+                predict_trials(model, faster, channel_names=given_names)
         # The model's own montage, given or not, predicts the same.
-        given = predict_trials(model, dataset.trials[:3], channel_names=names, sample_rate=dataset.sample_rate)
+        given = predict_trials(model, dataset.trials[:3], channel_names=names)
         assert np.array_equal(given, predict_trials(model, dataset.trials[:3]))
         assert predict_ecoc(model, dataset.trials[0], channel_names=names) == given[0]
 
