@@ -21,7 +21,6 @@ from fingerbci import (
     SynthConfig,
     decompose,
     generate,
-    make_bank,
     repeated_holdout,
     save_dataset,
     score_bands,
@@ -73,11 +72,13 @@ def main() -> None:
     (out / "pipeline.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
     # One pass through the filter bank serves the band scores and every evaluation below.
-    bank = make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps)
-    decomp = decompose(dataset, bank)
+    decomp = decompose(dataset, config.bank())
 
     print("scoring the 17-band grid for rest vs thumb")
-    scores = score_bands(decomp, 0, 1, n_pairs=config.csp_pairs, folds=config.cv_folds, seed=config.seed)
+    scores = score_bands(
+        decomp, 0, 1, n_pairs=config.csp_pairs, folds=config.cv_folds, seed=config.seed,
+        shrinkage=config.lda_shrinkage,
+    )
     selection = select_bands(scores)
     print(f"  threshold {selection.threshold:.3f}")
     for i, s in enumerate(scores):

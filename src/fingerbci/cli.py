@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import PipelineConfig
-from .dsp import decompose, make_bank
+from .dsp import decompose
 from .ecoc import PAIR_CODE, exhaustive_code, fit_ecoc, load_model, predict_trials, save_model
 from .evaluation import repeated_holdout
 from .bandselect import score_bands, select_bands
@@ -20,10 +20,7 @@ from .trialstore import load_dataset, save_dataset, subset_classes
 
 def _load_pipeline_config(path: str | None, seed_override: int | None) -> PipelineConfig:
     config = PipelineConfig.from_json(path) if path else PipelineConfig()
-    if seed_override is not None:
-        config.seed = seed_override
-        config.validate()
-    return config
+    return config if seed_override is None else replace(config, seed=seed_override)
 
 
 def _parse_classes(spec: str, class_names: list[str]) -> tuple[int, int]:
@@ -67,8 +64,7 @@ def cmd_score_bands(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config, args.seed)
     dataset = load_dataset(args.dataset)
     class_a, class_b = _parse_classes(args.classes, dataset.class_names)
-    bank = make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps)
-    decomp = decompose(dataset, bank)
+    decomp = decompose(dataset, config.bank())
     scores = score_bands(
         decomp, class_a, class_b,
         n_pairs=config.csp_pairs, folds=config.cv_folds,
@@ -100,7 +96,7 @@ def cmd_score_bands(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config, args.seed)
     dataset = load_dataset(args.dataset)
-    bank = make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps)
+    bank = config.bank()
     if args.classes is not None:
         pair = _parse_classes(args.classes, dataset.class_names)
         decomp, code = decompose(subset_classes(dataset, *pair), bank), PAIR_CODE
@@ -111,14 +107,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "classes has a single column); train a pair model with --classes instead"
             )
         decomp, code = decompose(dataset, bank), exhaustive_code(dataset.n_classes)
-    model = fit_ecoc(
-        decomp, decomp.labels, code,
-        n_pairs=config.csp_pairs, folds=config.cv_folds,
-        max_features_grid=config.et_max_features,
-        min_samples_split_grid=config.et_min_samples_split,
-        n_estimators_grid=config.et_n_estimators,
-        seed=config.seed, shrinkage=config.lda_shrinkage,
-    )
+    model = fit_ecoc(decomp, code, config)
     if args.classes is not None:
         # Code rows 0 and 1 stand for the pair's classes in the full class list.
         model = replace(model, classes=list(pair), class_names=list(dataset.class_names))
@@ -146,7 +135,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     payload: dict = {"config": config.to_dict(), "class_names": names}
     binary_rows = {"rest_vs_finger": [], "pairwise": []}
     # One pass through the filter bank serves the multiclass run and every pair run.
-    decomp = decompose(dataset, make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps))
+    decomp = decompose(dataset, config.bank())
     if dataset.n_classes >= 3:
         multiclass = repeated_holdout(decomp, config)
         payload["multiclass"] = multiclass.summary()

@@ -6,15 +6,18 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .dsp import FilterBank, make_bank
 
-@dataclass
+
+@dataclass(frozen=True)
 class PipelineConfig:
-    """All tunables of the decoding pipeline.
+    """All tunables of the decoding pipeline, checked on construction.
 
     The band grid defaults to seventeen 2 Hz bands from 5 to 39 Hz; the
     extra-trees grids are searched by cross-validation per binary task
     (``et_max_features`` of ``None`` means {1, ceil(sqrt(d)), d} for the
-    task's feature dimension d).
+    task's feature dimension d).  ``dataclasses.replace`` checks the new
+    values too.
     """
 
     band_start: float = 5.0
@@ -31,11 +34,18 @@ class PipelineConfig:
     repetitions: int = 10
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def bank(self) -> FilterBank:
+        """The filter bank of the band grid."""
+        return make_bank(self.band_start, self.band_stop, self.band_width, self.fir_taps)
+
     def validate(self) -> None:
-        if self.band_width <= 0 or self.band_stop <= self.band_start or self.band_start <= 0:
-            raise ValueError("band grid must satisfy 0 < band_start < band_stop with positive width")
-        if self.fir_taps % 2 == 0 or self.fir_taps < 31:
-            raise ValueError("fir_taps must be odd and >= 31")
+        try:
+            self.bank()
+        except ValueError as exc:
+            raise ValueError(f"band grid (band_start, band_stop, band_width, fir_taps): {exc}") from None
         if self.csp_pairs < 1:
             raise ValueError("csp_pairs must be >= 1")
         if self.lda_shrinkage < 0:
@@ -44,8 +54,10 @@ class PipelineConfig:
             raise ValueError("cv_folds must be >= 2")
         if self.et_max_features is not None and not self.et_max_features:
             raise ValueError("et_max_features must be null or a non-empty list")
-        if not self.et_min_samples_split or not self.et_n_estimators:
-            raise ValueError("extra-trees grids must be non-empty")
+        if not self.et_min_samples_split or min(self.et_min_samples_split) < 2:
+            raise ValueError("et_min_samples_split must be a non-empty list of values >= 2")
+        if not self.et_n_estimators or min(self.et_n_estimators) < 1:
+            raise ValueError("et_n_estimators must be a non-empty list of values >= 1")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
         if self.repetitions < 1:
@@ -58,13 +70,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        config = cls(**data)
-        config.validate()
-        return config
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":

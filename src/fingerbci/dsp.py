@@ -121,16 +121,21 @@ class BankError(ValueError):
         self.field = field
 
 
+def _check_taps(taps: int) -> None:
+    if not isinstance(taps, (int, np.integer)) or taps % 2 == 0 or taps < 31:
+        raise BankError("taps", f"taps must be an odd integer >= 31, got {taps!r}")
+
+
 def check_bank(bands, sample_rate: float, taps: int) -> None:
     """Raise :class:`BankError` unless every band of ``bands`` can be designed.
 
-    The rules: a positive finite ``sample_rate``, odd ``taps`` of at least 31
-    and ``0 < low < high < sample_rate / 2`` for each ``(low, high)``.
+    The rules: a positive finite ``sample_rate``, an odd integer ``taps`` of
+    at least 31 and ``0 < low < high < sample_rate / 2`` for each
+    ``(low, high)``.
     """
     if not (np.isfinite(sample_rate) and sample_rate > 0.0):
         raise BankError("sample_rate", f"sample rate must be positive and finite, got {sample_rate}")
-    if taps % 2 == 0 or taps < 31:
-        raise BankError("taps", f"taps must be odd and >= 31, got {taps}")
+    _check_taps(taps)
     for low, high in bands:
         if not 0.0 < low < high < sample_rate / 2.0:
             raise BankError(
@@ -197,9 +202,10 @@ def apply_filter(trial: Trial, fir: FirFilter) -> Trial:
 
 
 def make_bank(start: float, stop: float, width: float, taps: int = DEFAULT_TAPS) -> FilterBank:
-    """Contiguous bank of ``width``-Hz bands covering [start, stop]."""
-    if width <= 0 or stop <= start:
-        raise ValueError("need width > 0 and stop > start")
+    """Contiguous bank of ``width``-Hz bands covering [start, stop] (``0 < start``)."""
+    if width <= 0 or stop <= start or start <= 0:
+        raise ValueError("need width > 0 and 0 < start < stop")
+    _check_taps(taps)
     n_bands = int(round((stop - start) / width))
     if n_bands < 1 or abs(start + n_bands * width - stop) > 1e-9:
         raise ValueError(f"({start}, {stop}) is not an integer number of {width} Hz bands")

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
+from .config import PipelineConfig
 from .csp import CspModel, fit_csp_stack, log_variance_features
 from .dsp import BandDecomposition, BankError, band_covariances, check_bank
 from .extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict, tune as et_tune
@@ -32,9 +33,6 @@ MODEL_NAME = "model.json"
 # (n_bands, n_trials, C, C) array, or only the bands a model reads.
 BandStacks = Mapping[int, np.ndarray] | np.ndarray
 
-DEFAULT_MIN_SPLIT_GRID = [2, 5, 10]
-DEFAULT_TREE_GRID = [50, 100, 200]
-
 
 @dataclass
 class CodeMatrix:
@@ -43,7 +41,7 @@ class CodeMatrix:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits, dtype=np.int64)
+        self.bits = np.asarray(self.bits)
         if self.bits.ndim != 2:
             raise ValueError("code matrix must be 2-D")
 
@@ -56,12 +54,12 @@ class CodeMatrix:
         return self.bits.shape[1]
 
     def validate(self) -> None:
-        """Check that nearest-row decoding is well defined: 0/1 entries,
-        pairwise distinct rows, and no constant, duplicate or complementary
-        column."""
+        """Check that nearest-row decoding is well defined: integer 0/1
+        entries, pairwise distinct rows, and no constant, duplicate or
+        complementary column."""
         p, q = self.bits.shape
-        if not np.isin(self.bits, (0, 1)).all():
-            raise ValueError("code matrix entries must be 0 or 1")
+        if self.bits.dtype.kind not in "iu" or not np.isin(self.bits, (0, 1)).all():
+            raise ValueError("code matrix entries must be integers 0 or 1")
         if len({tuple(r) for r in self.bits}) != p:
             raise ValueError("rows must be pairwise distinct")
         columns = self.bits.T
@@ -112,19 +110,14 @@ def decode(code: CodeMatrix, codeword: np.ndarray) -> int:
     return int(np.argmin(distances))
 
 
-def _column_features(
-    selected_bands: list[int],
-    csp_models: list[CspModel],
-    covariances: BandStacks,
-    indices: list[int] | None = None,
-) -> np.ndarray:
-    blocks = []
-    for band_index, csp in zip(selected_bands, csp_models):
-        stack = covariances[band_index]
-        if indices is not None:
-            stack = stack[indices]
-        blocks.append(log_variance_features(stack, csp))
-    return np.hstack(blocks)
+def _column_features(selected_bands: list[int], csp_models: list[CspModel], covariances: BandStacks) -> np.ndarray:
+    """Concatenated per-band CSP features of every trial in ``covariances``.
+
+    ``covariances[b]`` is the ``(n_trials, C, C)`` stack of centred
+    covariances in band ``b`` of the model's band list; only the selected
+    bands are read.
+    """
+    return np.hstack([log_variance_features(covariances[b], csp) for b, csp in zip(selected_bands, csp_models)])
 
 
 @dataclass
@@ -134,18 +127,6 @@ class ColumnModel:
     selected_bands: list[int]
     csp_models: list[CspModel]
     forest: EtForest
-
-    def features(self, covariances: BandStacks, indices: list[int] | None = None) -> np.ndarray:
-        """Concatenated per-band CSP features for the given trials.
-
-        ``covariances[b]`` is the ``(n_trials, C, C)`` stack of centred
-        covariances in band ``b`` of the model's band list; only this
-        column's selected bands are read.
-        """
-        return _column_features(self.selected_bands, self.csp_models, covariances, indices)
-
-    def predict_bits(self, covariances: BandStacks, indices: list[int] | None = None) -> np.ndarray:
-        return et_predict(self.forest, self.features(covariances, indices))
 
 
 def resolve_feature_grid(grid: list[int] | None, feature_dim: int) -> list[int]:
@@ -159,24 +140,16 @@ def resolve_feature_grid(grid: list[int] | None, feature_dim: int) -> list[int]:
     return sorted(values)
 
 
-def fit_column(
-    decomp: BandDecomposition,
-    binary_labels: np.ndarray,
-    n_pairs: int = 2,
-    folds: int = 5,
-    max_features_grid: list[int] | None = None,
-    min_samples_split_grid: list[int] | None = None,
-    n_estimators_grid: list[int] | None = None,
-    seed: int = 0,
-    shrinkage: float = 1e-3,
-) -> ColumnModel:
-    """Band selection -> per-band CSP -> tuned extra-trees for one binary task."""
-    y = np.asarray(binary_labels, dtype=np.int64)
-    n_pos = int(np.sum(y == 1))
-    if n_pos == 0 or n_pos == len(y):
-        raise ValueError("binary task is degenerate: one side has no trials")
+def fit_column(decomp: BandDecomposition, binary_labels: np.ndarray, config: PipelineConfig, seed: int) -> ColumnModel:
+    """Band selection -> per-band CSP -> tuned extra-trees for one binary task.
 
-    scores = score_bands_for_labels(decomp, y, n_pairs, folds, seed=child_seed(seed, 0), shrinkage=shrinkage)
+    ``config`` gives the settings; ``seed`` keys the task's random streams.
+    """
+    y = np.asarray(binary_labels, dtype=np.int64)
+    n_pairs = config.csp_pairs
+    scores = score_bands_for_labels(
+        decomp, y, n_pairs, config.cv_folds, seed=child_seed(seed, 0), shrinkage=config.lda_shrinkage
+    )
     selection = select_bands(scores)
 
     covs = decomp.csp_covariances[selection.selected]
@@ -190,15 +163,13 @@ def fit_column(
     params = et_tune(
         features,
         y,
-        resolve_feature_grid(max_features_grid, features.shape[1]),
-        min_samples_split_grid or DEFAULT_MIN_SPLIT_GRID,
-        n_estimators_grid or DEFAULT_TREE_GRID,
-        folds=folds,
+        resolve_feature_grid(config.et_max_features, features.shape[1]),
+        config.et_min_samples_split,
+        config.et_n_estimators,
+        folds=config.cv_folds,
         seed=child_seed(seed, 1),
     )
-    forest = et_fit(features, y, EtParams(
-        params.max_features, params.min_samples_split, params.n_estimators, seed=child_seed(seed, 2)
-    ))
+    forest = et_fit(features, y, replace(params, seed=child_seed(seed, 2)))
     return ColumnModel(selected_bands=list(selection.selected), csp_models=csp_models, forest=forest)
 
 
@@ -218,32 +189,17 @@ class EcocModel:
     taps: int
     n_pairs: int
 
-    def needed_bands(self) -> list[int]:
-        return sorted({b for column in self.columns for b in column.selected_bands})
 
-
-def fit_ecoc(
-    decomp: BandDecomposition,
-    labels: np.ndarray,
-    code: CodeMatrix,
-    n_pairs: int = 2,
-    folds: int = 5,
-    max_features_grid: list[int] | None = None,
-    min_samples_split_grid: list[int] | None = None,
-    n_estimators_grid: list[int] | None = None,
-    seed: int = 0,
-    shrinkage: float = 1e-3,
-) -> EcocModel:
+def fit_ecoc(decomp: BandDecomposition, code: CodeMatrix, config: PipelineConfig) -> EcocModel:
     """Train one column model per code-matrix column.
 
     For column ``j`` the trials of classes with bit 1 form the positive
     pool and the rest the negative pool; band selection, CSP fitting and
-    forest tuning all run on that relabeled problem.  Code row ``i`` stands
-    for label ``i`` of the decomposition.
+    forest tuning all run on that relabeled problem, with the settings of
+    ``config`` and seeds derived from ``config.seed``.  Code row ``i``
+    stands for label ``i`` of the decomposition.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != decomp.n_trials:
-        raise ValueError("labels length must match the decomposition")
+    labels = decomp.labels
     present = set(np.unique(labels))
     if present != set(range(code.n_classes)):
         raise ValueError(f"expected all {code.n_classes} classes present, got labels {sorted(present)}")
@@ -252,17 +208,10 @@ def fit_ecoc(
 
     columns = []
     for j in range(code.n_columns):
-        positive = set(np.flatnonzero(code.bits[:, j] == 1))
-        y = np.isin(labels, list(positive)).astype(np.int64)
+        y = code.bits[labels, j]
         if y.all() or not y.any():
             raise ValueError(f"code column {j} puts every class on one side (degenerate code matrix)")
-        columns.append(
-            fit_column(
-                decomp, y, n_pairs, folds,
-                max_features_grid, min_samples_split_grid, n_estimators_grid,
-                seed=child_seed(seed, j), shrinkage=shrinkage,
-            )
-        )
+        columns.append(fit_column(decomp, y, config, child_seed(config.seed, j)))
     return EcocModel(
         code=code,
         classes=list(range(code.n_classes)),
@@ -272,7 +221,7 @@ def fit_ecoc(
         sample_rate=decomp.sample_rate,
         bands=list(decomp.bands),
         taps=decomp.taps,
-        n_pairs=n_pairs,
+        n_pairs=config.csp_pairs,
     )
 
 
@@ -290,20 +239,18 @@ def _needed_covariances(
     for trial in trials:
         if trial.n_channels != len(model.channel_names):
             raise ValueError(f"trial has {trial.n_channels} channels, model expects {len(model.channel_names)}")
-    needed = model.needed_bands()
+    needed = sorted({b for column in model.columns for b in column.selected_bands})
     _, feature_covariances, _ = band_covariances(
         trials, model.sample_rate, [model.bands[b] for b in needed], model.taps
     )
     return dict(zip(needed, feature_covariances))
 
 
-def predict_from_bands(
-    model: EcocModel,
-    covariances: BandStacks,
-    indices: list[int] | None = None,
-) -> np.ndarray:
+def predict_from_bands(model: EcocModel, covariances: BandStacks) -> np.ndarray:
     """Decode class indices from centred band covariances aligned with the model's bands."""
-    bits = np.stack([column.predict_bits(covariances, indices) for column in model.columns], axis=1)
+    bits = np.stack([
+        et_predict(c.forest, _column_features(c.selected_bands, c.csp_models, covariances)) for c in model.columns
+    ], axis=1)
     rows = [decode(model.code, word) for word in bits]
     return np.asarray(model.classes, dtype=np.int64)[rows]
 
@@ -347,9 +294,9 @@ def _csp_to_json(model: CspModel) -> dict:
 
 def _csp_from_json(data: dict) -> CspModel:
     return CspModel(
-        filters=np.array(data["filters"], dtype=np.float64),
-        eigenvalues=np.array(data["eigenvalues"], dtype=np.float64),
-        n_pairs=int(data["n_pairs"]),
+        filters=np.array(data["filters"]),
+        eigenvalues=np.array(data["eigenvalues"]),
+        n_pairs=data["n_pairs"],
         band=tuple(data["band"]) if data["band"] is not None else None,
     )
 
@@ -389,8 +336,8 @@ def _forest_to_json(forest: EtForest) -> dict:
 def _forest_from_json(data: dict) -> EtForest:
     return EtForest(
         trees=[_node_from_json(t) for t in data["trees"]],
-        params=EtParams(**{f.name: int(data["params"][f.name]) for f in fields(EtParams)}),
-        feature_dim=int(data["feature_dim"]),
+        params=EtParams(**{f.name: data["params"][f.name] for f in fields(EtParams)}),
+        feature_dim=data["feature_dim"],
     )
 
 
@@ -404,7 +351,7 @@ def _column_to_json(column: ColumnModel) -> dict:
 
 def _column_from_json(data: dict) -> ColumnModel:
     return ColumnModel(
-        selected_bands=[int(b) for b in data["selected_bands"]],
+        selected_bands=data["selected_bands"],
         csp_models=[_csp_from_json(c) for c in data["csp_models"]],
         forest=_forest_from_json(data["forest"]),
     )
@@ -439,19 +386,36 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
+def _is_list_of(values, kind: type) -> bool:
+    return type(values) is list and all(type(v) is kind for v in values)
+
+
+def _is_finite_floats(array: np.ndarray, shape: tuple[int, ...]) -> bool:
+    return array.dtype == np.float64 and array.shape == shape and bool(np.isfinite(array).all())
+
+
 def _check_model(model: EcocModel) -> None:
-    """Raise ``ValueError`` naming the first field that cannot serve predictions."""
+    """Raise ``ValueError`` naming the first field that cannot serve predictions.
+
+    Values are checked as read, so a wrong type is reported, not converted.
+    """
     try:
         model.code.validate()
     except ValueError as exc:
         raise ValueError(f"model bundle field 'code': {exc}") from None
+    for name in ("class_names", "channel_names"):
+        _require(_is_list_of(getattr(model, name), str), name, "must be a list of strings")
+    _require(_is_number(model.sample_rate), "sample_rate", f"{model.sample_rate!r} is not a number")
+    _require(type(model.n_pairs) is int and model.n_pairs >= 1, "n_pairs",
+             f"{model.n_pairs!r} is not a positive integer")
     for band in model.bands:
         _require(len(band) == 2 and all(_is_number(f) for f in band), "bands", f"{list(band)} is not a (low, high) pair")
     try:
         check_bank(model.bands, model.sample_rate, model.taps)
     except BankError as exc:
         raise ValueError(f"model bundle field {exc.field!r}: {exc}") from None
-    code, classes = model.code, list(model.classes)
+    code, classes = model.code, model.classes
+    _require(_is_list_of(classes, int), "classes", f"{classes!r} is not a list of integers")
     _require(code.n_classes == len(classes), "classes", f"{len(classes)} entries for {code.n_classes} code rows")
     _require(
         len(set(classes)) == len(classes) and all(0 <= c < len(model.class_names) for c in classes),
@@ -461,17 +425,27 @@ def _check_model(model: EcocModel) -> None:
     n_channels = len(model.channel_names)
     for j, column in enumerate(model.columns):
         bands = column.selected_bands
-        _require(all(0 <= b < len(model.bands) for b in bands), "selected_bands",
+        _require(_is_list_of(bands, int) and all(0 <= b < len(model.bands) for b in bands), "selected_bands",
                  f"column {j} selects {bands} of {len(model.bands)} bands")
         _require(len(column.csp_models) == len(bands), "csp_models",
                  f"column {j} has {len(column.csp_models)} for {len(bands)} selected bands")
         for csp in column.csp_models:
-            _require(csp.filters.shape == (n_channels, n_channels), "filters",
-                     f"column {j} has a {csp.filters.shape} CSP filter matrix for {n_channels} channels")
+            _require(_is_finite_floats(csp.filters, (n_channels, n_channels)), "filters",
+                     f"column {j} has a {csp.filters.shape} {csp.filters.dtype} CSP filter matrix "
+                     f"for {n_channels} channels")
+            _require(_is_finite_floats(csp.eigenvalues, (n_channels,)), "eigenvalues",
+                     f"column {j} has {csp.eigenvalues.tolist()} as CSP eigenvalues for {n_channels} channels")
+            _require(type(csp.n_pairs) is int and csp.n_pairs == model.n_pairs, "n_pairs",
+                     f"column {j} has a CSP model with {csp.n_pairs!r} pairs, the model {model.n_pairs}")
+        forest = column.forest
         expected_dim = 2 * model.n_pairs * len(bands)
-        _require(column.forest.feature_dim == expected_dim, "feature_dim",
-                 f"column {j} reads {column.forest.feature_dim} features, its bands give {expected_dim}")
-        stack = list(column.forest.trees)
+        _require(type(forest.feature_dim) is int and forest.feature_dim == expected_dim, "feature_dim",
+                 f"column {j} reads {forest.feature_dim!r} features, its bands give {expected_dim}")
+        for name, value in asdict(forest.params).items():
+            _require(type(value) is int, name, f"column {j} has a forest with {name} {value!r}, not an integer")
+        _require(len(forest.trees) == forest.params.n_estimators >= 1, "trees",
+                 f"column {j} has {len(forest.trees)} trees for n_estimators {forest.params.n_estimators}")
+        stack = list(forest.trees)
         while stack:
             node = stack.pop()
             if node.is_leaf:
@@ -496,14 +470,14 @@ def load_model(path: str | Path) -> EcocModel:
     try:
         model = EcocModel(
             code=CodeMatrix(bits=np.array(data["code"])),
-            classes=[int(c) for c in data["classes"]],
+            classes=data["classes"],
             columns=[_column_from_json(c) for c in data["columns"]],
-            class_names=[str(c) for c in data["class_names"]],
-            channel_names=[str(c) for c in data["channel_names"]],
-            sample_rate=float(data["sample_rate"]),
+            class_names=data["class_names"],
+            channel_names=data["channel_names"],
+            sample_rate=data["sample_rate"],
             bands=[tuple(b) for b in data["bands"]],
-            taps=int(data["taps"]),
-            n_pairs=int(data["n_pairs"]),
+            taps=data["taps"],
+            n_pairs=data["n_pairs"],
         )
     except KeyError as exc:
         raise ValueError(f"model bundle {bundle} lacks field {exc}") from None

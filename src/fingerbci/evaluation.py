@@ -6,12 +6,12 @@ per repetition, computed on the pooled test confusion of that repetition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import BandDecomposition, decompose, make_bank
+from .dsp import BandDecomposition, decompose
 from .ecoc import PAIR_CODE, exhaustive_code, fit_ecoc, predict_from_bands
 from .rng import child_seed
 from .trialstore import Dataset, stratified_split
@@ -94,13 +94,9 @@ class RunReport:
 
 
 def repeated_holdout(
-    data: Dataset | BandDecomposition,
-    config: PipelineConfig,
-    repetitions: int | None = None,
-    seed: int | None = None,
-    pair: tuple[int, int] | None = None,
+    data: Dataset | BandDecomposition, config: PipelineConfig, pair: tuple[int, int] | None = None
 ) -> RunReport:
-    """R seeded stratified holdout rounds of the full pipeline.
+    """``config.repetitions`` seeded stratified holdout rounds of the full pipeline.
 
     Multiclass by default (exhaustive-code ECOC); with ``pair`` given, the
     one-column :data:`PAIR_CODE` decoder on those two classes.  ``data`` is
@@ -109,12 +105,7 @@ def repeated_holdout(
     multiclass run and every pair run.  Every fit only ever sees
     training-trial indices.
     """
-    repetitions = config.repetitions if repetitions is None else repetitions
-    seed = config.seed if seed is None else seed
-    if repetitions < 1:
-        raise ValueError("need at least one repetition")
-
-    bank = make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps)
+    bank = config.bank()
     if isinstance(data, BandDecomposition):
         if data.bands != bank.bands or data.taps != bank.taps:
             raise ValueError("decomposition was not made with the config's filter bank")
@@ -124,27 +115,17 @@ def repeated_holdout(
     if pair is not None:
         decomp = decomp.classes(pair[0], pair[1])
     n_classes = decomp.n_classes
-    labels = decomp.labels
     code = exhaustive_code(n_classes) if pair is None else PAIR_CODE
 
-    accuracies: list[float] = []
-    kappas: list[float] = []
-    confusions: list[np.ndarray] = []
-    for r in range(repetitions):
+    confusions = []
+    for r in range(config.repetitions):
         # The split reads only n_classes and class_indices, which a decomposition has too.
-        split = stratified_split(decomp, config.test_fraction, child_seed(seed, r, 0))
-        train_decomp = decomp.subset(split.train)
-        model = fit_ecoc(
-            train_decomp, labels[split.train], code,
-            n_pairs=config.csp_pairs, folds=config.cv_folds,
-            max_features_grid=config.et_max_features,
-            min_samples_split_grid=config.et_min_samples_split,
-            n_estimators_grid=config.et_n_estimators,
-            seed=child_seed(seed, r, 1), shrinkage=config.lda_shrinkage,
-        )
-        predicted = predict_from_bands(model, decomp.feature_covariances, split.test)
-        cm = confusion_matrix(labels[split.test], predicted, n_classes)
-        accuracies.append(accuracy(cm))
-        kappas.append(cohen_kappa(cm))
-        confusions.append(cm)
-    return RunReport(accuracies=accuracies, kappas=kappas, confusions=confusions)
+        split = stratified_split(decomp, config.test_fraction, child_seed(config.seed, r, 0))
+        model = fit_ecoc(decomp.subset(split.train), code, replace(config, seed=child_seed(config.seed, r, 1)))
+        predicted = predict_from_bands(model, decomp.feature_covariances[:, split.test])
+        confusions.append(confusion_matrix(decomp.labels[split.test], predicted, n_classes))
+    return RunReport(
+        accuracies=[accuracy(cm) for cm in confusions],
+        kappas=[cohen_kappa(cm) for cm in confusions],
+        confusions=confusions,
+    )

@@ -35,7 +35,6 @@ from fingerbci.config import PipelineConfig
 from fingerbci.ecoc import decode, fit_ecoc, hamming
 from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
 from fingerbci.rng import child_seed, stream
-from fingerbci.dsp import make_bank
 
 from timeseries_reference import class_covariance, fit_csp
 
@@ -319,13 +318,11 @@ def test_criterion_9_round_trips(tmp_path, mini_four_class):
         for name in ("manifest.json", "trials.bin"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-        bank = make_bank(8.0, 14.0, 2.0, taps=63)
-        decomp = decompose(mini_four_class, bank)
-        model = fit_ecoc(
-            decomp, mini_four_class.labels(), exhaustive_code(4),
-            n_pairs=1, folds=2, max_features_grid=[1], min_samples_split_grid=[2],
-            n_estimators_grid=[10], seed=6,
+        config = PipelineConfig(
+            band_start=8.0, band_stop=14.0, band_width=2.0, fir_taps=63, csp_pairs=1, cv_folds=2,
+            et_max_features=[1], et_min_samples_split=[2], et_n_estimators=[10], seed=6,
         )
+        model = fit_ecoc(decompose(mini_four_class, config.bank()), exhaustive_code(4), config)
         model_one = tmp_path / "model_one"
         model_two = tmp_path / "model_two"
         save_model(model, model_one)

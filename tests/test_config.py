@@ -1,0 +1,86 @@
+import json
+from dataclasses import FrozenInstanceError, replace
+
+import pytest
+
+from fingerbci import PipelineConfig, make_bank
+
+# Settings that construction refuses, each with a fragment of its message.
+REJECTED = {
+    "zero band width": ({"band_width": 0.0}, "band grid"),
+    "stop below start": ({"band_start": 20.0, "band_stop": 10.0}, "band grid"),
+    "band at zero": ({"band_start": 0.0}, "band grid"),
+    "width not dividing the range": ({"band_width": 3.0}, "band grid.*integer number of 3.0 Hz bands"),
+    "even taps": ({"fir_taps": 256}, "band grid.*taps"),
+    "too few taps": ({"fir_taps": 29}, "band grid.*taps"),
+    "fractional taps": ({"fir_taps": 63.5}, "band grid.*taps"),
+    "no CSP pairs": ({"csp_pairs": 0}, "csp_pairs"),
+    "negative shrinkage": ({"lda_shrinkage": -0.1}, "lda_shrinkage"),
+    "one fold": ({"cv_folds": 1}, "cv_folds"),
+    "empty max_features grid": ({"et_max_features": []}, "et_max_features"),
+    "empty min_samples_split grid": ({"et_min_samples_split": []}, "et_min_samples_split"),
+    "min_samples_split below 2": ({"et_min_samples_split": [1, 5]}, "et_min_samples_split"),
+    "empty n_estimators grid": ({"et_n_estimators": []}, "et_n_estimators"),
+    "no trees": ({"et_n_estimators": [0, 50]}, "et_n_estimators"),
+    "zero test fraction": ({"test_fraction": 0.0}, "test_fraction"),
+    "whole test fraction": ({"test_fraction": 1.0}, "test_fraction"),
+    "no repetitions": ({"repetitions": 0}, "repetitions"),
+    "negative seed": ({"seed": -1}, "seed"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_rejected_at_construction(case):
+    fields, message = REJECTED[case]
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**fields)
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_rejected_by_replace_and_from_dict(case):
+    fields, message = REJECTED[case]
+    with pytest.raises(ValueError, match=message):
+        replace(PipelineConfig(), **fields)
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig.from_dict({**PipelineConfig().to_dict(), **fields})
+
+
+def test_replace_rechecks_repetitions():
+    with pytest.raises(ValueError, match="repetitions"):
+        replace(PipelineConfig(), repetitions=0)
+
+
+def test_fields_cannot_be_set_past_the_checks():
+    with pytest.raises(FrozenInstanceError):
+        PipelineConfig().seed = -1
+
+
+@pytest.mark.parametrize("fields", [{}, {"band_start": 8.0, "band_stop": 14.0, "band_width": 2.0, "fir_taps": 63}])
+def test_bank_is_make_bank_of_the_fields(fields):
+    config = PipelineConfig(**fields)
+    assert config.bank() == make_bank(config.band_start, config.band_stop, config.band_width, config.fir_taps)
+
+
+def test_default_bank_has_seventeen_bands():
+    bank = PipelineConfig().bank()
+    assert bank.taps == 257
+    assert bank.bands[0] == (5.0, 7.0) and bank.bands[-1] == (37.0, 39.0) and len(bank.bands) == 17
+
+
+def test_dict_and_json_round_trip(tmp_path):
+    config = PipelineConfig(
+        band_start=8.0, band_stop=14.0, fir_taps=63, et_max_features=[1, 3], et_n_estimators=[10], seed=5
+    )
+    assert PipelineConfig.from_dict(config.to_dict()) == config
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(config.to_dict()))
+    assert PipelineConfig.from_json(path) == config
+
+
+def test_unknown_keys_rejected():
+    with pytest.raises(ValueError, match=r"unknown config keys: \['band_stopp', 'trees'\]"):
+        PipelineConfig.from_dict({"band_stopp": 39.0, "trees": 5, "seed": 1})
+
+
+def test_missing_keys_take_defaults():
+    assert PipelineConfig.from_dict({"seed": 3}) == PipelineConfig(seed=3)

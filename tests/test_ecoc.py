@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import failing_json_dump
-from fingerbci import decompose, exhaustive_code, fit_ecoc, load_model, make_bank, predict_ecoc, save_model
+from fingerbci import PipelineConfig, decompose, exhaustive_code, fit_ecoc, load_model, predict_ecoc, save_model
 from fingerbci.ecoc import (
     PAIR_CODE,
     CodeMatrix,
@@ -167,63 +167,58 @@ class TestFeatureGrid:
             resolve_feature_grid([], 4)
 
 
+# Three bands and tiny forests, sized for unit tests.
+SMALL = PipelineConfig(
+    band_start=8.0, band_stop=14.0, band_width=2.0, fir_taps=63, csp_pairs=1, cv_folds=2,
+    et_max_features=[1], et_min_samples_split=[2], et_n_estimators=[10],
+)
+
+
 @pytest.fixture(scope="module")
 def mini_decomp(request):
     dataset = request.getfixturevalue("mini_four_class")
-    bank = make_bank(8.0, 14.0, 2.0, taps=63)
-    return dataset, decompose(dataset, bank)
+    return dataset, decompose(dataset, SMALL.bank())
 
 
-def fit_small_ecoc(decomp, labels, seed=3):
-    return fit_ecoc(
-        decomp,
-        labels,
-        exhaustive_code(4),
-        n_pairs=1,
-        folds=2,
-        max_features_grid=[1],
-        min_samples_split_grid=[2],
-        n_estimators_grid=[10],
-        seed=seed,
-    )
+def fit_small_ecoc(decomp, seed=3):
+    return fit_ecoc(decomp, exhaustive_code(4), replace(SMALL, seed=seed))
 
 
 class TestFitEcoc:
     def test_seven_columns_with_bands(self, mini_decomp):
         dataset, decomp = mini_decomp
-        model = fit_small_ecoc(decomp, dataset.labels())
+        model = fit_small_ecoc(decomp)
         assert len(model.columns) == 7
         for column in model.columns:
             assert column.selected_bands
             assert len(column.csp_models) == len(column.selected_bands)
 
     def test_degenerate_code_rejected(self, mini_decomp):
-        dataset, decomp = mini_decomp
+        _, decomp = mini_decomp
         bits = exhaustive_code(4).bits.copy()
         bits[1] = [0, 0, 0, 1, 1, 1, 1]  # printed-table variant: column 4 all ones
         with pytest.raises(ValueError, match="one side"):
-            fit_ecoc(decomp, dataset.labels(), CodeMatrix(bits=bits), n_pairs=1, folds=2,
-                     max_features_grid=[1], min_samples_split_grid=[2], n_estimators_grid=[10])
+            fit_ecoc(decomp, CodeMatrix(bits=bits), SMALL)
 
     def test_deterministic(self, mini_decomp):
         dataset, decomp = mini_decomp
-        first = fit_small_ecoc(decomp, dataset.labels(), seed=9)
-        second = fit_small_ecoc(decomp, dataset.labels(), seed=9)
+        first = fit_small_ecoc(decomp, seed=9)
+        second = fit_small_ecoc(decomp, seed=9)
         predictions_first = predict_trials(first, dataset.trials[:6])
         predictions_second = predict_trials(second, dataset.trials[:6])
         assert np.array_equal(predictions_first, predictions_second)
         assert [c.selected_bands for c in first.columns] == [c.selected_bands for c in second.columns]
 
     def test_missing_class_rejected(self, mini_decomp):
-        dataset, decomp = mini_decomp
-        labels = dataset.labels()
+        _, decomp = mini_decomp
+        labels = decomp.labels.copy()
         labels[labels == 3] = 2
         with pytest.raises(ValueError, match="classes"):
-            fit_small_ecoc(decomp, labels)
+            fit_small_ecoc(replace(decomp, labels=labels))
 
     def test_single_trial_prediction_matches_batch(self, mini_decomp):
         dataset, decomp = mini_decomp
-        model = fit_small_ecoc(decomp, dataset.labels())
+        model = fit_small_ecoc(decomp)
         batch = predict_trials(model, dataset.trials[:4])
         singles = [predict_ecoc(model, t) for t in dataset.trials[:4]]
         assert list(batch) == singles
@@ -232,7 +227,7 @@ class TestFitEcoc:
         from fingerbci import Trial
 
         dataset, decomp = mini_decomp
-        model = fit_small_ecoc(decomp, dataset.labels())
+        model = fit_small_ecoc(decomp)
         bad = Trial(label=0, samples=np.zeros((7, 512), dtype=np.float32), sample_rate=128.0)
         with pytest.raises(ValueError, match="channels"):
             predict_ecoc(model, bad)
@@ -241,7 +236,7 @@ class TestFitEcoc:
         from fingerbci import Trial
 
         dataset, decomp = mini_decomp
-        model = fit_small_ecoc(decomp, dataset.labels())
+        model = fit_small_ecoc(decomp)
         names = list(dataset.channel_names)
         reversed_trials = [Trial(t.label, t.samples[::-1], t.sample_rate) for t in dataset.trials[:3]]
         for call in (
@@ -265,11 +260,11 @@ class TestFitEcoc:
         # Prediction must filter with the bank the model was trained on.
         dataset, decomp = mini_decomp
         assert decomp.taps == 63
-        assert fit_small_ecoc(decomp, dataset.labels()).taps == 63
+        assert fit_small_ecoc(decomp).taps == 63
 
     def test_mostly_correct_on_training_distribution(self, mini_decomp):
         dataset, decomp = mini_decomp
-        model = fit_small_ecoc(decomp, dataset.labels())
+        model = fit_small_ecoc(decomp)
         predictions = predict_trials(model, dataset.trials)
         assert np.mean(predictions == dataset.labels()) >= 0.8
 
@@ -279,12 +274,8 @@ def fit_small_pair(dataset, pair, seed):
     from fingerbci.trialstore import subset_classes
 
     pair_view = subset_classes(dataset, *pair)
-    decomp = decompose(pair_view, make_bank(8.0, 14.0, 2.0, taps=63))
-    model = fit_ecoc(
-        decomp, pair_view.labels(), PAIR_CODE,
-        n_pairs=1, folds=2, max_features_grid=[1], min_samples_split_grid=[2],
-        n_estimators_grid=[10], seed=seed,
-    )
+    decomp = decompose(pair_view, SMALL.bank())
+    model = fit_ecoc(decomp, PAIR_CODE, replace(SMALL, seed=seed))
     return pair_view, replace(model, classes=list(pair), class_names=list(dataset.class_names))
 
 
@@ -303,7 +294,7 @@ class TestPairModel:
 class TestModelBundle:
     def test_round_trip_predictions_and_bytes(self, mini_decomp, tmp_path):
         dataset, decomp = mini_decomp
-        model = fit_small_ecoc(decomp, dataset.labels())
+        model = fit_small_ecoc(decomp)
         first_dir = tmp_path / "one"
         second_dir = tmp_path / "two"
         save_model(model, first_dir)
@@ -325,11 +316,11 @@ class TestModelBundle:
 
     def test_failed_write_keeps_previous_bundle(self, mini_decomp, tmp_path, monkeypatch):
         dataset, decomp = mini_decomp
-        save_model(fit_small_ecoc(decomp, dataset.labels(), seed=3), tmp_path)
+        save_model(fit_small_ecoc(decomp, seed=3), tmp_path)
         before = (tmp_path / "model.json").read_bytes()
         monkeypatch.setattr(json, "dump", failing_json_dump)
         with pytest.raises(OSError, match="no space"):
-            save_model(fit_small_ecoc(decomp, dataset.labels(), seed=4), tmp_path)
+            save_model(fit_small_ecoc(decomp, seed=4), tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
         assert (tmp_path / "model.json").read_bytes() == before
 
@@ -349,6 +340,14 @@ def _filters_not_square(data):
 
 def _feature_dim_off_by_one(data):
     data["columns"][0]["forest"]["feature_dim"] += 1
+
+
+def _set_filter_entry(value):
+    return lambda data: data["columns"][0]["csp_models"][0]["filters"][0].__setitem__(0, value)
+
+
+def _forest(data):
+    return data["columns"][0]["forest"]
 
 
 def _first_node(data, leaf):
@@ -401,6 +400,24 @@ BUNDLE_EDITS = {
     "reversed band": (lambda d: d["bands"].__setitem__(0, d["bands"][0][::-1]), "'bands'"),
     "band at zero": (lambda d: d["bands"].__setitem__(0, [0.0, d["bands"][0][1]]), "'bands'"),
     "band beyond Nyquist": (lambda d: d["bands"].__setitem__(-1, [60.0, d["sample_rate"]]), "'bands'"),
+    "fractional taps": (lambda d: d.update(taps=63.9), "'taps'"),
+    "fractional n_pairs": (lambda d: d.update(n_pairs=1.5), "'n_pairs'"),
+    "fractional class": (lambda d: d["classes"].__setitem__(3, 3.7), "'classes'"),
+    "fractional code entry": (lambda d: d["code"][1].__setitem__(0, 0.5), "'code'"),
+    "fractional selected band": (lambda d: d["columns"][0]["selected_bands"].__setitem__(0, 0.5), "'selected_bands'"),
+    "fractional n_estimators": (lambda d: _forest(d)["params"].update(n_estimators=9.5), "'n_estimators'"),
+    "feature_dim a string": (lambda d: _forest(d).update(feature_dim=str(_forest(d)["feature_dim"])), "'feature_dim'"),
+    "NaN CSP filter entry": (_set_filter_entry(float("nan")), "'filters'"),
+    "CSP filter entry not a number": (_set_filter_entry("x"), "'filters'"),
+    "CSP eigenvalue not a number": (
+        lambda d: d["columns"][0]["csp_models"][0]["eigenvalues"].__setitem__(0, "x"), "'eigenvalues'"
+    ),
+    "CSP n_pairs differs from the model's": (lambda d: d["columns"][0]["csp_models"][0].update(n_pairs=2), "'n_pairs'"),
+    "empty forest": (lambda d: _forest(d).update(trees=[]), "'trees'"),
+    "tree missing": (lambda d: _forest(d)["trees"].pop(), "'trees'"),
+    "sample_rate not a number": (lambda d: d.update(sample_rate="x"), "'sample_rate'"),
+    "classes not a list": (lambda d: d.update(classes="x"), "'classes'"),
+    "channel name not a string": (lambda d: d["channel_names"].__setitem__(0, 5), "'channel_names'"),
 }
 
 
@@ -408,7 +425,7 @@ BUNDLE_EDITS = {
 def small_bundle(mini_decomp, tmp_path_factory):
     dataset, decomp = mini_decomp
     directory = tmp_path_factory.mktemp("bundle")
-    save_model(fit_small_ecoc(decomp, dataset.labels()), directory)
+    save_model(fit_small_ecoc(decomp), directory)
     return (directory / "model.json").read_text()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,29 +83,29 @@ class TestRunReport:
 
 class TestRepeatedHoldout:
     def test_binary_pair_runs_and_is_deterministic(self, mini_four_class, fast_config):
-        first = repeated_holdout(mini_four_class, fast_config, repetitions=2, seed=3, pair=(0, 1))
-        second = repeated_holdout(mini_four_class, fast_config, repetitions=2, seed=3, pair=(0, 1))
+        first = repeated_holdout(mini_four_class, replace(fast_config, repetitions=2, seed=3), pair=(0, 1))
+        second = repeated_holdout(mini_four_class, replace(fast_config, repetitions=2, seed=3), pair=(0, 1))
         assert first.accuracies == second.accuracies
         assert first.kappas == second.kappas
         assert all(cm.shape == (2, 2) for cm in first.confusions)
         assert all(cm.sum() == 4 for cm in first.confusions)  # 2 test trials per class
 
     def test_multiclass_shapes(self, mini_four_class, fast_config):
-        report = repeated_holdout(mini_four_class, fast_config, repetitions=1, seed=5)
+        report = repeated_holdout(mini_four_class, replace(fast_config, repetitions=1, seed=5))
         assert len(report.accuracies) == len(report.kappas) == 1
         assert report.confusions[0].shape == (4, 4)
         assert report.confusions[0].sum() == 8  # 2 test trials x 4 classes
         assert report.max >= report.mean
 
     def test_separable_pair_scores_high(self, mini_four_class, fast_config):
-        report = repeated_holdout(mini_four_class, fast_config, repetitions=2, seed=7, pair=(0, 2))
+        report = repeated_holdout(mini_four_class, replace(fast_config, repetitions=2, seed=7), pair=(0, 2))
         assert report.mean >= 0.75
 
     def test_decomposition_from_another_bank_rejected(self, mini_four_class, fast_config):
         decomp = decompose(mini_four_class, make_bank(8.0, 14.0, 2.0, taps=31))
         with pytest.raises(ValueError, match="filter bank"):
-            repeated_holdout(decomp, fast_config, repetitions=1, seed=1)
+            repeated_holdout(decomp, replace(fast_config, repetitions=1, seed=1))
 
     def test_invalid_repetitions(self, mini_four_class, fast_config):
         with pytest.raises(ValueError):
-            repeated_holdout(mini_four_class, fast_config, repetitions=0, seed=1)
+            repeated_holdout(mini_four_class, replace(fast_config, repetitions=0, seed=1))
