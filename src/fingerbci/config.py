@@ -42,6 +42,14 @@ class PipelineConfig:
         return make_bank(self.band_start, self.band_stop, self.band_width, self.fir_taps)
 
     def validate(self) -> None:
+        for name in ("csp_pairs", "cv_folds", "repetitions", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("et_max_features", "et_min_samples_split", "et_n_estimators"):
+            values = getattr(self, name)
+            if values is not None and not (type(values) is list and all(type(v) is int for v in values)):
+                raise ValueError(f"{name} must be a list of integers, got {values!r}")
         try:
             self.bank()
         except ValueError as exc:

@@ -13,6 +13,7 @@ maps to a dataset class.  A class-pair decoder is the one-column code
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -28,6 +29,9 @@ from .rng import child_seed
 from .trialstore import Trial, replacing
 
 MODEL_NAME = "model.json"
+# Bundle layout: 2 stores each tree as pre-order lists (see _tree_to_json).
+FORMAT_VERSION = 2
+TREE_FIELDS = ("attribute", "cut", "counts")
 
 # Centred covariance stacks by band index: a decomposition's
 # (n_bands, n_trials, C, C) array, or only the bands a model reads.
@@ -294,48 +298,59 @@ def _csp_to_json(model: CspModel) -> dict:
 
 def _csp_from_json(data: dict) -> CspModel:
     return CspModel(
-        filters=np.array(data["filters"]),
-        eigenvalues=np.array(data["eigenvalues"]),
+        filters=_array(data, "filters"),
+        eigenvalues=_array(data, "eigenvalues"),
         n_pairs=data["n_pairs"],
         band=tuple(data["band"]) if data["band"] is not None else None,
     )
 
 
-def _node_to_json(node: EtNode) -> dict:
-    if node.is_leaf:
-        return {"counts": list(node.counts)}
-    return {
-        "attribute": node.attribute,
-        "cut": node.cut,
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
-    }
+def _tree_to_json(tree: EtNode) -> dict:
+    """Pre-order lists: ``attribute`` of every node (-1 for a leaf), ``cut``
+    of every internal node and the two class ``counts`` of every leaf."""
+    attribute, cut, counts = [], [], []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            attribute.append(-1)
+            counts += node.counts
+        else:
+            attribute.append(node.attribute)
+            cut.append(node.cut)
+            stack += [node.right, node.left]
+    return {"attribute": attribute, "cut": cut, "counts": counts}
 
 
-def _node_from_json(data: dict) -> EtNode:
-    # Values are kept as read; load_model's checks name any that is malformed.
-    if "counts" in data:
-        counts = data["counts"]
-        return EtNode(counts=tuple(counts) if type(counts) is list else counts)
-    return EtNode(
-        attribute=data["attribute"],
-        cut=data["cut"],
-        left=_node_from_json(data["left"]),
-        right=_node_from_json(data["right"]),
-    )
+def _tree_from_json(data: dict) -> EtNode:
+    """Link the pre-order lists that :func:`_check_tree` accepted."""
+    cuts, counts = iter(data["cut"]), iter(data["counts"])
+    waiting: list[EtNode] = []  # internal nodes still missing a child
+    for attribute in data["attribute"]:
+        node = EtNode(attribute, next(cuts)) if attribute >= 0 else EtNode(counts=(next(counts), next(counts)))
+        if not waiting:
+            root = node
+        elif waiting[-1].left is None:
+            waiting[-1].left = node
+        else:
+            waiting.pop().right = node
+        if attribute >= 0:
+            waiting.append(node)
+    return root
 
 
 def _forest_to_json(forest: EtForest) -> dict:
     return {
         "params": asdict(forest.params),
         "feature_dim": forest.feature_dim,
-        "trees": [_node_to_json(t) for t in forest.trees],
+        "trees": [_tree_to_json(t) for t in forest.trees],
     }
 
 
 def _forest_from_json(data: dict) -> EtForest:
+    # Trees stay pre-order lists as read until load_model has checked them.
     return EtForest(
-        trees=[_node_from_json(t) for t in data["trees"]],
+        trees=[{name: tree[name] for name in TREE_FIELDS} for tree in _entries(data, "trees", dict)],
         params=EtParams(**{f.name: data["params"][f.name] for f in fields(EtParams)}),
         feature_dim=data["feature_dim"],
     )
@@ -352,9 +367,23 @@ def _column_to_json(column: ColumnModel) -> dict:
 def _column_from_json(data: dict) -> ColumnModel:
     return ColumnModel(
         selected_bands=data["selected_bands"],
-        csp_models=[_csp_from_json(c) for c in data["csp_models"]],
+        csp_models=[_csp_from_json(c) for c in _entries(data, "csp_models", dict)],
         forest=_forest_from_json(data["forest"]),
     )
+
+
+def _to_json(value, indent: str = "") -> str:
+    """JSON text with sorted keys, two-space indents and every list of
+    numbers on one line."""
+    inner = indent + "  "
+    if type(value) is dict and value:
+        items = [f"{json.dumps(key)}: {_to_json(v, inner)}" for key, v in sorted(value.items())]
+        brackets = "{}"
+    elif type(value) is list and not all(isinstance(v, (int, float)) for v in value):
+        items, brackets = [_to_json(v, inner) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 
 
 def save_model(model: EcocModel, path: str | Path) -> None:
@@ -362,6 +391,7 @@ def save_model(model: EcocModel, path: str | Path) -> None:
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
+        "format_version": FORMAT_VERSION,
         "code": model.code.bits.tolist(),
         "classes": list(model.classes),
         "columns": [_column_to_json(c) for c in model.columns],
@@ -373,8 +403,7 @@ def save_model(model: EcocModel, path: str | Path) -> None:
         "n_pairs": model.n_pairs,
     }
     with replacing(directory / MODEL_NAME, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_to_json(payload) + "\n")
 
 
 def _require(ok: bool, name: str, message: str) -> None:
@@ -390,14 +419,46 @@ def _is_list_of(values, kind: type) -> bool:
     return type(values) is list and all(type(v) is kind for v in values)
 
 
+def _entries(data: dict, name: str, kind: type) -> list:
+    """``data[name]`` as read, refused by name unless it is a list of ``kind``."""
+    values = data[name]
+    _require(_is_list_of(values, kind), name, f"must be a list of {kind.__name__}")
+    return values
+
+
+def _array(data: dict, name: str) -> np.ndarray:
+    try:
+        return np.array(data[name])
+    except ValueError as exc:  # rows of unequal length
+        raise ValueError(f"model bundle field {name!r}: {exc}") from None
+
+
 def _is_finite_floats(array: np.ndarray, shape: tuple[int, ...]) -> bool:
     return array.dtype == np.float64 and array.shape == shape and bool(np.isfinite(array).all())
+
+
+def _check_tree(tree: dict, j: int, feature_dim: int) -> None:
+    """Refuse pre-order lists that are not a binary tree reading ``feature_dim`` features."""
+    attribute, cut, counts = tree["attribute"], tree["cut"], tree["counts"]
+    _require(_is_list_of(attribute, int) and attribute and min(attribute) >= -1 and max(attribute) < feature_dim,
+             "attribute", f"column {j} has a tree whose attributes are not integers in [-1, {feature_dim})")
+    splits = np.array(attribute) >= 0
+    # Children still owed after each node: a pre-order binary tree owes none only after its last node.
+    owed = 1 + np.cumsum(np.where(splits, 1, -1))
+    _require((owed[:-1] > 0).all() and owed[-1] == 0, "attribute",
+             f"column {j} has a tree whose attributes are not a binary tree in pre-order")
+    internal = int(splits.sum())
+    _require(type(cut) is list and len(cut) == internal and all(_is_number(c) for c in cut)
+             and all(map(math.isfinite, cut)), "cut", f"column {j} has a tree without {internal} finite numeric cuts")
+    _require(_is_list_of(counts, int) and len(counts) == 2 * (len(attribute) - internal) and min(counts) >= 0,
+             "counts", f"column {j} has a tree without two non-negative integer counts per leaf")
 
 
 def _check_model(model: EcocModel) -> None:
     """Raise ``ValueError`` naming the first field that cannot serve predictions.
 
     Values are checked as read, so a wrong type is reported, not converted.
+    Trees are the pre-order lists of the bundle.
     """
     try:
         model.code.validate()
@@ -445,19 +506,8 @@ def _check_model(model: EcocModel) -> None:
             _require(type(value) is int, name, f"column {j} has a forest with {name} {value!r}, not an integer")
         _require(len(forest.trees) == forest.params.n_estimators >= 1, "trees",
                  f"column {j} has {len(forest.trees)} trees for n_estimators {forest.params.n_estimators}")
-        stack = list(forest.trees)
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                counts = node.counts
-                _require(type(counts) is tuple and len(counts) == 2 and all(type(c) is int and c >= 0 for c in counts),
-                         "counts", f"column {j} has a leaf with counts {counts}, not two non-negative integers")
-            else:
-                _require(type(node.attribute) is int and 0 <= node.attribute < expected_dim, "attribute",
-                         f"column {j} has a node reading attribute {node.attribute} of {expected_dim}")
-                _require(_is_number(node.cut) and np.isfinite(node.cut), "cut",
-                         f"column {j} has a node with cut {node.cut!r}")
-                stack += [node.left, node.right]
+        for tree in forest.trees:
+            _check_tree(tree, j, expected_dim)
 
 
 def load_model(path: str | Path) -> EcocModel:
@@ -468,18 +518,23 @@ def load_model(path: str | Path) -> EcocModel:
     with open(bundle, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
+        version = data["format_version"]
+        _require(type(version) is int and version == FORMAT_VERSION, "format_version",
+                 f"{version!r} is not {FORMAT_VERSION}; retrain the model")
         model = EcocModel(
-            code=CodeMatrix(bits=np.array(data["code"])),
+            code=CodeMatrix(bits=_array(data, "code")),
             classes=data["classes"],
-            columns=[_column_from_json(c) for c in data["columns"]],
+            columns=[_column_from_json(c) for c in _entries(data, "columns", dict)],
             class_names=data["class_names"],
             channel_names=data["channel_names"],
             sample_rate=data["sample_rate"],
-            bands=[tuple(b) for b in data["bands"]],
+            bands=[tuple(b) for b in _entries(data, "bands", list)],
             taps=data["taps"],
             n_pairs=data["n_pairs"],
         )
     except KeyError as exc:
         raise ValueError(f"model bundle {bundle} lacks field {exc}") from None
     _check_model(model)
+    for column in model.columns:
+        column.forest.trees = [_tree_from_json(tree) for tree in column.forest.trees]
     return model

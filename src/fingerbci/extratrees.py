@@ -1,22 +1,36 @@
 """Extremely randomized trees for binary classification.
 
 Every tree is grown unpruned on the full training set (no bootstrap).  At
-each node a handful of candidate attributes is drawn, one uniformly random
-cut per attribute, and the split with the highest Shannon information gain
-wins.  The forest predicts by majority vote over trees.  All tie-breaks
-are deterministic (lowest attribute index / smaller cut / class 0), so a
-fixed seed gives bit-identical forests and predictions.
+each node ``max_features`` candidate attributes are drawn without
+replacement among the non-constant ones, one uniformly random cut each, and
+the split with the highest Shannon information gain wins, ties to the lower
+attribute.  The forest predicts by majority vote over trees, a tie voting
+class 0.
+
+Draws are keyed by node, not by position in a random stream.  Tree ``t`` of
+a forest seeded ``s`` has root key ``mix(s, t)``; a node keyed ``k`` has
+children ``mix(k, 0)`` (left) and ``mix(k, 1)`` (right), ranks attribute
+``a`` by ``mix(k, 2 + 2a)`` and cuts it at the uniform of ``mix(k, 3 + 2a)``.
+A node's split thus depends only on its key and its samples: all trees grow
+together one level at a time, and the forest for a larger
+``min_samples_split`` is the forest for a smaller one with every node of
+fewer samples made a leaf.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .crossval import stratified_folds
 from .rng import child_seed, stream
+
+# (tree, sample) pairs times features gathered together while growing:
+# bounds the float64 and boolean temporaries of one batch near 2 MB each.
+BATCH_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -62,68 +76,139 @@ class EtForest:
     feature_dim: int
 
 
-@functools.lru_cache(maxsize=4096)  # pure in the two counts; nodes repeat them
-def _entropy(counts: tuple[int, int]) -> float:
-    total = counts[0] + counts[1]
-    h = 0.0
-    for c in counts:
-        if 0 < c < total:
-            p = c / total
-            h -= p * np.log2(p)
-    return h
+def mix(keys, values) -> np.ndarray:
+    """splitmix64 output ``values + 1`` of the generator started at ``keys``,
+    broadcast as ``uint64`` arrays of at least one dimension, whose
+    arithmetic wraps modulo 2**64 without overflow warnings."""
+    steps = np.array(values, dtype=np.uint64, ndmin=1) + 1
+    z = np.array(keys, dtype=np.uint64, ndmin=1) + np.uint64(0x9E3779B97F4A7C15) * steps
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
 
 
-def _draw_cut(rng: np.random.Generator, lo: float, hi: float) -> float:
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    cut = lo + (hi - lo) * u
-    if cut >= hi:  # float rounding; keep the right child non-empty
-        cut = np.nextafter(hi, lo)
-    return float(cut)
+def _uniform(keys: np.ndarray) -> np.ndarray:
+    # ((k >> 12) + 1/2) / 2**52 is exact in float64 and lies strictly inside (0, 1).
+    return ((keys >> 12).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def _grow(x: np.ndarray, y: np.ndarray, min_samples_split: int, max_features: int, rng: np.random.Generator) -> EtNode:
-    """Grow one tree from a stack of (node, sample indices).  Children are pushed
-    right then left: nodes split in pre-order, drawing as a recursive grower would."""
-    root = EtNode()
-    stack = [(root, np.arange(len(y)))]
-    while stack:
-        node, idx = stack.pop()
-        ys = y[idx]
-        n, ones = len(idx), int(ys.sum())
-        candidates = ()
-        if n >= min_samples_split and 0 < ones < n:
-            xs = x[idx]
-            lows, highs = xs.min(axis=0), xs.max(axis=0)
-            candidates = np.flatnonzero(lows < highs)
-        if len(candidates) == 0:
-            node.counts = (n - ones, ones)
+def _draw(keys: np.ndarray, lows: np.ndarray, highs: np.ndarray, max_features: np.ndarray):
+    """Candidate mask and cut of every (node, attribute): the
+    ``max_features`` non-constant attributes with the smallest rank keys
+    (ties to the lower attribute), each cut uniformly in ``[low, high)``."""
+    codes = 2 * np.arange(lows.shape[1], dtype=np.uint64)
+    order = np.argsort(mix(keys[:, np.newaxis], codes + 2), axis=1, kind="stable")
+    varying = np.take_along_axis(lows < highs, order, axis=1)
+    candidates = np.empty_like(varying)
+    np.put_along_axis(candidates, order, varying & (np.cumsum(varying, axis=1) <= max_features[:, np.newaxis]), axis=1)
+    cuts = lows + (highs - lows) * _uniform(mix(keys[:, np.newaxis], codes + 3))
+    cuts = np.where(cuts >= highs, np.nextafter(highs, lows), cuts)  # float rounding; keep the right child non-empty
+    return candidates, cuts
+
+
+class _Nodes(NamedTuple):
+    """Every node of a batch of trees, parents before children: the split
+    attribute (-1 for a leaf), its cut, the left child's index (the right
+    child follows it) and the class counts, internal nodes included."""
+
+    attribute: np.ndarray
+    cut: np.ndarray
+    left: np.ndarray
+    counts: np.ndarray  # (n_nodes, 2)
+    roots: np.ndarray  # node index of each tree's root
+
+
+def _grow_levels(x, y, masks, max_features, keys, min_samples_split, xlogx, first: int) -> _Nodes:
+    """Grow trees ``t`` on samples ``masks[t]`` one level at a time, into
+    nodes numbered from ``first``.
+
+    The (tree, sample) pairs stay grouped by node; each level takes every
+    node's counts, ranges, draws and split scores in one array pass.  A
+    split's score is ``-(n_left H(left) + n_right H(right))``, which orders
+    candidates as their information gain does, summed from ``xlogx[c] =
+    c log2 c`` of the integer counts.
+    """
+    roots = first + np.arange(len(keys))
+    pair_node, pair_sample = np.nonzero(masks)
+    pair_node, levels = roots[pair_node], []
+    while len(keys):
+        n_nodes = len(keys)
+        sizes = np.bincount(pair_node - first, minlength=n_nodes)
+        starts = np.cumsum(sizes) - sizes
+        ones = np.add.reduceat(y[pair_sample], starts)
+        xs = x[pair_sample]
+        lows, highs = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
+        split = (sizes >= min_samples_split) & (ones > 0) & (ones < sizes) & (lows < highs).any(axis=1)
+        attribute, cut, left = np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -1)
+        levels.append((attribute, cut, left, np.stack([sizes - ones, ones], axis=1)))
+        rows = np.flatnonzero(split)
+        if not len(rows):
+            break
+        keys, sizes, ones = keys[rows], sizes[rows], ones[rows]
+        candidates, cuts = _draw(keys, lows[rows], highs[rows], max_features[rows])
+        keep = split[pair_node - first]
+        xs, pair_sample = xs[keep], pair_sample[keep]
+        row = np.repeat(np.arange(len(rows)), sizes)
+        goes_left = xs <= cuts[row]
+        starts = np.cumsum(sizes) - sizes
+        n_left = np.add.reduceat(goes_left, starts, dtype=np.intp)
+        left_ones = np.add.reduceat(goes_left & (y[pair_sample] == 1)[:, np.newaxis], starts, dtype=np.intp)
+        n, k = sizes[:, np.newaxis], ones[:, np.newaxis]
+        score = (
+            xlogx[n_left - left_ones] + xlogx[left_ones] + xlogx[n - n_left - k + left_ones] + xlogx[k - left_ones]
+            - xlogx[n_left] - xlogx[n - n_left]
+        )
+        best = np.argmax(np.where(candidates, score, -np.inf), axis=1)  # ties to the lower attribute
+        first += n_nodes
+        attribute[rows], cut[rows] = best, cuts[np.arange(len(rows)), best]
+        left[rows] = first + 2 * np.arange(len(rows))
+        child = 2 * row + ~goes_left[np.arange(len(row)), best[row]]
+        order = np.argsort(child, kind="stable")
+        pair_node, pair_sample = first + child[order], pair_sample[order]
+        keys = mix(keys[:, np.newaxis], np.arange(2)).ravel()
+        max_features = np.repeat(max_features[rows], 2)
+    return _Nodes(*(np.concatenate(parts) for parts in zip(*levels)), roots)
+
+
+def _grow(x, y, masks, max_features, keys, min_samples_split) -> _Nodes:
+    """Grow tree ``t`` on the samples of ``masks[t]`` with ``max_features[t]``
+    from root key ``keys[t]``, in chunks of about ``BATCH_PAIRS`` pair
+    features; the nodes of later chunks follow those of earlier ones."""
+    xlogx = np.array([0.0] + [c * math.log2(c) for c in range(1, len(y) + 1)])
+    chunk = np.cumsum(masks.sum(axis=1)) * x.shape[1] // BATCH_PAIRS
+    bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(keys)]
+    parts, first = [], 0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        parts.append(_grow_levels(x, y, masks[a:b], max_features[a:b], keys[a:b], min_samples_split, xlogx, first))
+        first += len(parts[-1].attribute)
+    return _Nodes(*(np.concatenate(field) for field in zip(*parts)))
+
+
+def _root_keys(seed: int, n_trees: int) -> np.ndarray:
+    return mix(np.full(n_trees, seed, dtype=np.uint64), np.arange(n_trees))
+
+
+def _link(nodes: _Nodes, min_samples_split: int) -> list[EtNode]:
+    """The trees as linked nodes, with every node of fewer than
+    ``min_samples_split`` samples made a leaf; one pass, parents first."""
+    attribute = np.where(nodes.counts.sum(axis=1) < min_samples_split, -1, nodes.attribute).tolist()
+    cut, left, counts = nodes.cut.tolist(), nodes.left.tolist(), nodes.counts.tolist()
+    linked: list[EtNode | None] = [None] * len(attribute)
+    for root in nodes.roots.tolist():
+        linked[root] = EtNode()
+    for i, node in enumerate(linked):
+        if node is None:  # below a node made a leaf
             continue
-        drawn = rng.choice(candidates, size=min(max_features, len(candidates)), replace=False)
-        cuts = [_draw_cut(rng, lo, hi) for lo, hi in zip(lows[drawn].tolist(), highs[drawn].tolist())]
-        masks = xs[:, drawn] <= np.array(cuts)  # column j: left side of candidate j's split
-        parent_entropy = _entropy((n - ones, ones))
-        splits = []
-        for j, (attribute, cut, n_left, left_ones) in enumerate(
-            zip(drawn.tolist(), cuts, masks.sum(axis=0).tolist(), (ys @ masks).tolist())
-        ):
-            right_ones = ones - left_ones
-            gain = (
-                parent_entropy
-                - n_left / n * _entropy((n_left - left_ones, left_ones))
-                - (n - n_left) / n * _entropy((n - n_left - right_ones, right_ones))
-            )
-            splits.append((gain, -attribute, -cut, j))
-        j = max(splits)[3]  # the best gain; ties go to the lower attribute, then the smaller cut
-        node.attribute, node.cut = int(drawn[j]), cuts[j]
-        node.left, node.right = EtNode(), EtNode()
-        stack += [(node.right, idx[~masks[:, j]]), (node.left, idx[masks[:, j]])]
-    return root
+        if attribute[i] < 0:
+            node.counts = tuple(counts[i])
+        else:
+            node.attribute, node.cut = attribute[i], cut[i]
+            node.left = linked[left[i]] = EtNode()
+            node.right = linked[left[i] + 1] = EtNode()
+    return [linked[root] for root in nodes.roots.tolist()]
 
 
-def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
-    """Grow ``n_estimators`` trees, each on the full training set."""
+def _training_set(features, labels) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or len(x) != len(y):
@@ -134,12 +219,19 @@ def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
         raise ValueError("training labels must be 0 or 1")
     if len(np.unique(y)) < 2:
         raise ValueError("training labels contain a single class")
+    return x, y
+
+
+def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
+    """Grow ``n_estimators`` trees, each on the full training set."""
+    x, y = _training_set(features, labels)
     params.validate(x.shape[1])
-    trees = [
-        _grow(x, y, params.min_samples_split, params.max_features, stream(params.seed, t))
-        for t in range(params.n_estimators)
-    ]
-    return EtForest(trees=trees, params=params, feature_dim=x.shape[1])
+    n = params.n_estimators
+    nodes = _grow(
+        x, y, np.ones((n, len(y)), dtype=bool), np.full(n, params.max_features), _root_keys(params.seed, n),
+        params.min_samples_split,
+    )
+    return EtForest(trees=_link(nodes, params.min_samples_split), params=params, feature_dim=x.shape[1])
 
 
 def tree_predict(node: EtNode, x: np.ndarray | list[float]) -> int:
@@ -147,12 +239,6 @@ def tree_predict(node: EtNode, x: np.ndarray | list[float]) -> int:
     while not node.is_leaf:
         node = node.left if x[node.attribute] <= node.cut else node.right
     return 1 if node.counts[1] > node.counts[0] else 0
-
-
-def _tree_votes(trees: list[EtNode], x: np.ndarray) -> np.ndarray:
-    """``(n_trees, n_samples)`` class-1 votes, one row per tree."""
-    rows = x.tolist()
-    return np.array([[tree_predict(tree, row) for row in rows] for tree in trees], dtype=np.int64)
 
 
 def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:
@@ -163,9 +249,55 @@ def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:
         x = x[np.newaxis, :]
     if x.shape[1] != forest.feature_dim:
         raise ValueError(f"feature dimension {x.shape[1]} != trained dimension {forest.feature_dim}")
-    votes = _tree_votes(forest.trees, x).sum(axis=0)
+    rows = x.tolist()
+    votes = np.array([[tree_predict(tree, row) for row in rows] for tree in forest.trees], dtype=np.int64).sum(axis=0)
     labels = (votes * 2 > len(forest.trees)).astype(np.int64)
     return labels[0] if single else labels
+
+
+def _stops(nodes: _Nodes, x: np.ndarray, trees: np.ndarray, samples: np.ndarray, min_samples_split_grid) -> np.ndarray:
+    """``(len(grid), n_pairs)`` node where sample ``samples[i]`` stops in tree
+    ``trees[i]`` at each ``min_samples_split``: the first node on its path
+    that is a leaf or has fewer samples."""
+    leaf = nodes.attribute < 0
+    small = nodes.counts.sum(axis=1) < np.asarray(min_samples_split_grid)[:, np.newaxis]
+    stops = np.full((len(small), len(trees)), -1)
+    active, node = np.arange(len(trees)), nodes.roots[trees]
+    while len(active):
+        here = stops[:, active]
+        stops[:, active] = np.where((here < 0) & (leaf[node] | small[:, node]), node, here)
+        inner = ~leaf[node]
+        active, node = active[inner], node[inner]
+        node = nodes.left[node] + (x[samples[active], nodes.attribute[node]] > nodes.cut[node])
+    return stops
+
+
+def _fold_votes(x, y, fold_ids, folds: int, max_features_grid, min_samples_split_grid, n_trees: int, seed: int) -> dict:
+    """Class-1 votes of every fold forest on its held-out samples.
+
+    ``votes[mf, k]`` is ``(len(min_samples_split_grid), n_trees, held-out
+    samples of fold k)`` for ``max_features`` ``mf``.  The forest of
+    ``(max_features, k)`` is seeded ``child_seed(seed, 1, max_features, k)``
+    and grown on the other folds; all of them grow in one batch at the
+    smallest ``min_samples_split``, and a larger one stops each descent at
+    the first node with fewer samples.
+    """
+    forests = [(mf, k) for mf in max_features_grid for k in range(folds)]
+    nodes = _grow(
+        x, y,
+        np.repeat(np.stack([fold_ids != k for _, k in forests]), n_trees, axis=0),
+        np.repeat([mf for mf, _ in forests], n_trees),
+        np.concatenate([_root_keys(child_seed(seed, 1, mf, k), n_trees) for mf, k in forests]),
+        min(min_samples_split_grid),
+    )
+    held_out = [np.flatnonzero(fold_ids == k) for _, k in forests]
+    trees = np.concatenate([np.repeat(f * n_trees + np.arange(n_trees), len(h)) for f, h in enumerate(held_out)])
+    samples = np.concatenate([np.tile(h, n_trees) for h in held_out])
+    stops = _stops(nodes, x, trees, samples, min_samples_split_grid)
+    votes = nodes.counts[stops, 1] > nodes.counts[stops, 0]
+    ends = np.cumsum([n_trees * len(h) for h in held_out])
+    blocks = np.split(votes, ends[:-1], axis=1)
+    return {forest: v.reshape(len(min_samples_split_grid), n_trees, -1) for forest, v in zip(forests, blocks)}
 
 
 def tune(
@@ -180,18 +312,16 @@ def tune(
     """Pick the grid point with the best mean stratified-CV accuracy.
 
     One forest of ``max(n_estimators_grid)`` trees is grown per
-    ``(max_features, min_samples_split)`` and fold ``k``, seeded by
-    ``child_seed(seed, 1, max_features, min_samples_split, k)``.  Tree ``t``
-    draws from ``stream(forest_seed, t)``, so the first ``n`` trees are the
-    ``n``-tree forest of that seed and each ``n_estimators`` is scored on
-    that prefix.  Ties prefer the cheapest model: fewer trees, then fewer
-    attributes per split, then a larger minimum node size.  The returned
-    params carry ``seed`` so a subsequent :func:`fit` is reproducible.
+    ``max_features`` and fold (see :func:`_fold_votes`).  Each
+    ``min_samples_split`` is scored on that forest cut at nodes with fewer
+    samples, and each ``n_estimators`` on its first trees.  Ties prefer the
+    cheapest model: fewer trees, then fewer attributes per split, then a
+    larger minimum node size.  The returned params carry ``seed`` so a
+    subsequent :func:`fit` is reproducible.
     """
     if not max_features_grid or not min_samples_split_grid or not n_estimators_grid:
         raise ValueError("parameter grids must be non-empty")
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    x, y = _training_set(features, labels)
     grid = [
         EtParams(max_features=mf, min_samples_split=ms, n_estimators=ne, seed=seed)
         for mf in max_features_grid
@@ -204,18 +334,15 @@ def tune(
         return grid[0]
 
     fold_ids = stratified_folds(y, folds, stream(seed, 0))
-    n_max = max(n_estimators_grid)
+    votes = _fold_votes(x, y, fold_ids, folds, max_features_grid, min_samples_split_grid, max(n_estimators_grid), seed)
+    held_out = [y[fold_ids == k] for k in range(folds)]
     keys = []
     for mf in max_features_grid:
-        for ms in min_samples_split_grid:
-            accuracies = {ne: [] for ne in n_estimators_grid}
-            for k in range(folds):
-                test_mask = fold_ids == k
-                forest = fit(x[~test_mask], y[~test_mask], EtParams(mf, ms, n_max, seed=child_seed(seed, 1, mf, ms, k)))
-                # Row n - 1 holds the class-1 votes of the first n trees.
-                votes = np.cumsum(_tree_votes(forest.trees, x[test_mask]), axis=0)
-                for ne, fold_accuracies in accuracies.items():
-                    fold_accuracies.append(float(np.mean((votes[ne - 1] * 2 > ne) == y[test_mask])))
-            keys += [(np.mean(accuracies[ne]), -ne, -mf, ms) for ne in n_estimators_grid]
+        # Row n - 1 of a cumulative sum holds the class-1 votes of the first n trees.
+        prefix_votes = [np.cumsum(votes[mf, k], axis=1) for k in range(folds)]
+        for s, ms in enumerate(min_samples_split_grid):
+            for ne in n_estimators_grid:
+                accuracy = np.mean([float(np.mean((v[s, ne - 1] * 2 > ne) == h)) for v, h in zip(prefix_votes, held_out)])
+                keys.append((accuracy, -ne, -mf, ms))
     _, ne, mf, ms = max(keys)
     return EtParams(max_features=-mf, min_samples_split=ms, n_estimators=-ne, seed=seed)

@@ -1,63 +1,72 @@
 """Slow reference for extra-trees growth and tuning.
 
-:func:`grow` is the recursive grower the package once used: one numpy pass
-per candidate attribute, and a Python stack frame per tree level, so trees
-deeper than the recursion limit raise ``RecursionError``.  :func:`tune` is
-the grid search that fitted one forest per grid point and fold.  It keyed
-each fold forest's seed by the grid point's index, ``child_seed(seed, 1,
-index, fold)``; here the key is ``(max_features, min_samples_split,
-fold)``, the seed the prefix-scored :func:`fingerbci.extratrees.tune`
-gives the forest whose prefixes it scores.  :func:`predict` votes tree by
-tree and sample by sample.
+:func:`grow` grows one tree recursively, one node and one candidate
+attribute at a time, from the node-keyed draws the package uses: Python
+ints masked to 64 bits for splitmix64, and a Python stack frame per tree
+level, so trees deeper than the recursion limit raise ``RecursionError``.
+:func:`tune` fits one forest per grid point and fold, each fold forest
+seeded ``child_seed(seed, 1, max_features, fold)`` as
+:func:`fingerbci.extratrees.tune` seeds the forest it truncates and
+prefix-scores.  :func:`predict` votes tree by tree and sample by sample.
 """
+
+import math
 
 import numpy as np
 
 from fingerbci.crossval import stratified_folds
-from fingerbci.extratrees import EtForest, EtNode, EtParams, _draw_cut, _entropy, tree_predict
+from fingerbci.extratrees import EtForest, EtNode, EtParams, tree_predict
 from fingerbci.rng import child_seed, stream
 
+MASK = (1 << 64) - 1
 
-def grow(x: np.ndarray, y: np.ndarray, min_samples_split: int, max_features: int, rng: np.random.Generator) -> EtNode:
-    counts = (int(np.sum(y == 0)), int(np.sum(y == 1)))
-    if len(y) < min_samples_split or counts[0] == 0 or counts[1] == 0:
-        return EtNode(counts=counts)
-    lows = x.min(axis=0)
-    highs = x.max(axis=0)
-    candidates = np.flatnonzero(lows < highs)
-    if len(candidates) == 0:
-        return EtNode(counts=counts)
 
-    k = min(max_features, len(candidates))
-    drawn = rng.choice(candidates, size=k, replace=False)
-    parent_entropy = _entropy(counts)
-    best = None  # (gain, attribute, cut, mask)
-    for attribute in drawn:
-        attribute = int(attribute)
-        cut = _draw_cut(rng, float(lows[attribute]), float(highs[attribute]))
+def mix(key: int, value: int) -> int:
+    z = (key + 0x9E3779B97F4A7C15 * (value + 1)) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def uniform(key: int) -> float:
+    return ((key >> 12) + 0.5) * 2.0**-52
+
+
+def xlogx(count: int) -> float:
+    return count * math.log2(count) if count else 0.0
+
+
+def grow(x: np.ndarray, y: np.ndarray, key: int, max_features: int, min_samples_split: int) -> EtNode:
+    n, ones = len(y), int(y.sum())
+    lows, highs = x.min(axis=0).tolist(), x.max(axis=0).tolist()
+    varying = [a for a in range(x.shape[1]) if lows[a] < highs[a]]
+    if n < min_samples_split or ones in (0, n) or not varying:
+        return EtNode(counts=(n - ones, ones))
+
+    drawn = sorted(varying, key=lambda a: (mix(key, 2 + 2 * a), a))[:max_features]
+    best = None  # (score, attribute, cut, mask)
+    for attribute in sorted(drawn):
+        lo, hi = lows[attribute], highs[attribute]
+        cut = lo + (hi - lo) * uniform(mix(key, 3 + 2 * attribute))
+        if cut >= hi:
+            cut = float(np.nextafter(hi, lo))
         mask = x[:, attribute] <= cut
-        n_left = int(mask.sum())
-        left_ones = int(np.sum(y[mask]))
-        right_ones = counts[1] - left_ones
-        n = len(y)
-        gain = (
-            parent_entropy
-            - n_left / n * _entropy((n_left - left_ones, left_ones))
-            - (n - n_left) / n * _entropy((n - n_left - right_ones, right_ones))
+        n_left, left_ones = int(mask.sum()), int(y[mask].sum())
+        n_right, right_ones = n - n_left, ones - left_ones
+        # -(n_left H(left) + n_right H(right)): information gain times n, less the parent's n H.
+        score = (
+            xlogx(n_left - left_ones) + xlogx(left_ones) + xlogx(n_right - right_ones) + xlogx(right_ones)
+            - xlogx(n_left) - xlogx(n_right)
         )
-        if (
-            best is None
-            or gain > best[0]
-            or (gain == best[0] and (attribute < best[1] or (attribute == best[1] and cut < best[2])))
-        ):
-            best = (gain, attribute, cut, mask)
+        if best is None or score > best[0]:
+            best = (score, attribute, cut, mask)
 
     _, attribute, cut, mask = best
     return EtNode(
         attribute=attribute,
         cut=cut,
-        left=grow(x[mask], y[mask], min_samples_split, max_features, rng),
-        right=grow(x[~mask], y[~mask], min_samples_split, max_features, rng),
+        left=grow(x[mask], y[mask], mix(key, 0), max_features, min_samples_split),
+        right=grow(x[~mask], y[~mask], mix(key, 1), max_features, min_samples_split),
     )
 
 
@@ -66,7 +75,7 @@ def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
     y = np.asarray(labels, dtype=np.int64)
     params.validate(x.shape[1])
     trees = [
-        grow(x, y, params.min_samples_split, params.max_features, stream(params.seed, t))
+        grow(x, y, mix(params.seed, t), params.max_features, params.min_samples_split)
         for t in range(params.n_estimators)
     ]
     return EtForest(trees=trees, params=params, feature_dim=x.shape[1])
@@ -105,7 +114,7 @@ def tune(features, labels, max_features_grid, min_samples_split_grid, n_estimato
                 x[~test_mask],
                 y[~test_mask],
                 EtParams(params.max_features, params.min_samples_split, params.n_estimators,
-                         seed=child_seed(seed, 1, params.max_features, params.min_samples_split, k)),
+                         seed=child_seed(seed, 1, params.max_features, k)),
             )
             accuracies.append(float(np.mean(predict(forest, x[test_mask]) == y[test_mask])))
         key = (np.mean(accuracies), -params.n_estimators, -params.max_features, params.min_samples_split)

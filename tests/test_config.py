@@ -26,6 +26,14 @@ REJECTED = {
     "whole test fraction": ({"test_fraction": 1.0}, "test_fraction"),
     "no repetitions": ({"repetitions": 0}, "repetitions"),
     "negative seed": ({"seed": -1}, "seed"),
+    "fractional csp_pairs": ({"csp_pairs": 1.5}, "csp_pairs"),
+    "fractional cv_folds": ({"cv_folds": 2.5}, "cv_folds"),
+    "fractional repetitions": ({"repetitions": 2.5}, "repetitions"),
+    "fractional seed": ({"seed": 1.5}, "seed"),
+    "fractional n_estimators": ({"et_n_estimators": [10.5]}, "et_n_estimators"),
+    "fractional min_samples_split": ({"et_min_samples_split": [2.5]}, "et_min_samples_split"),
+    "fractional max_features": ({"et_max_features": [1, 2.5]}, "et_max_features"),
+    "grid not a list": ({"et_n_estimators": 10}, "et_n_estimators"),
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import failing_json_dump
-from fingerbci import PipelineConfig, decompose, exhaustive_code, fit_ecoc, load_model, predict_ecoc, save_model
+from fingerbci import PipelineConfig, decompose, ecoc, exhaustive_code, fit_ecoc, load_model, predict_ecoc, save_model
+from fingerbci.csp import CspModel
 from fingerbci.ecoc import (
     PAIR_CODE,
     CodeMatrix,
+    ColumnModel,
+    EcocModel,
     decode,
     hamming,
     predict_trials,
     resolve_feature_grid,
 )
+from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
 
 
 def brute_force_nearest(rows: np.ndarray, word) -> int:
@@ -318,7 +322,7 @@ class TestModelBundle:
         dataset, decomp = mini_decomp
         save_model(fit_small_ecoc(decomp, seed=3), tmp_path)
         before = (tmp_path / "model.json").read_bytes()
-        monkeypatch.setattr(json, "dump", failing_json_dump)
+        monkeypatch.setattr(ecoc, "_to_json", failing_to_json)
         with pytest.raises(OSError, match="no space"):
             save_model(fit_small_ecoc(decomp, seed=4), tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
@@ -327,6 +331,20 @@ class TestModelBundle:
     def test_missing_bundle_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path)
+
+
+def _depth(tree) -> int:
+    deepest, stack = 0, [(tree, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if not node.is_leaf:
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+    return deepest
+
+
+def failing_to_json(value):
+    raise OSError("no space left on device")
 
 
 def _band_out_of_range(data):
@@ -350,20 +368,28 @@ def _forest(data):
     return data["columns"][0]["forest"]
 
 
-def _first_node(data, leaf):
-    """First internal node (or leaf) of column 0's forest, in pre-order."""
-    stack = list(reversed(data["columns"][0]["forest"]["trees"]))
-    while stack:
-        node = stack.pop()
-        if ("counts" in node) == leaf:
-            return node
-        if "counts" not in node:
-            stack += [node["right"], node["left"]]
-    raise AssertionError("no such node")
+def _split_tree(data):
+    """The first tree of column 0 with an internal node."""
+    return next(t for t in _forest(data)["trees"] if max(t["attribute"]) >= 0)
 
 
-def _set_node(leaf, **fields):
-    return lambda data: _first_node(data, leaf).update(fields)
+def _set_tree(field, index, value):
+    """Set entry ``index`` of a tree list (for ``attribute``, of the
+    ``index``-th internal node)."""
+    def edit(data):
+        tree = _split_tree(data)
+        if field == "attribute":
+            index_of = [i for i, a in enumerate(tree["attribute"]) if a >= 0][index]
+            tree["attribute"][index_of] = value
+        else:
+            tree[field][index] = value
+    return edit
+
+
+def _drop_last_leaf(data):
+    tree = _split_tree(data)
+    tree["attribute"].pop()
+    del tree["counts"][-2:]
 
 
 # Hand edits of a valid 4-class bundle, each with the field its error must name.
@@ -380,18 +406,29 @@ BUNDLE_EDITS = {
     "channel dropped": (lambda d: d["channel_names"].pop(), "'filters'"),
     "feature_dim off by one": (_feature_dim_off_by_one, "'feature_dim'"),
     "classes field missing": (lambda d: d.pop("classes"), "lacks field 'classes'"),
-    "attribute beyond feature_dim": (_set_node(False, attribute=999), "'attribute'"),
-    "negative attribute": (_set_node(False, attribute=-1), "'attribute'"),
-    "fractional attribute": (_set_node(False, attribute=1.5), "'attribute'"),
-    "attribute not a number": (_set_node(False, attribute="1"), "'attribute'"),
-    "cut not a number": (_set_node(False, cut=float("nan")), "'cut'"),
-    "infinite cut": (_set_node(False, cut=float("inf")), "'cut'"),
-    "leaf with three counts": (_set_node(True, counts=[1, 2, 3]), "'counts'"),
-    "leaf with one count": (_set_node(True, counts=[4]), "'counts'"),
-    "negative count": (_set_node(True, counts=[-1, 3]), "'counts'"),
-    "fractional count": (_set_node(True, counts=[1.5, 3]), "'counts'"),
-    "cut not numeric": (_set_node(False, cut="x"), "'cut'"),
-    "counts not a list": (_set_node(True, counts=3), "'counts'"),
+    "attribute beyond feature_dim": (_set_tree("attribute", 0, 999), "'attribute'"),
+    "negative attribute": (_set_tree("attribute", 0, -2), "'attribute'"),
+    "internal node made a leaf": (_set_tree("attribute", 0, -1), "'attribute'"),
+    "fractional attribute": (_set_tree("attribute", 0, 1.5), "'attribute'"),
+    "attribute not a number": (_set_tree("attribute", 0, "1"), "'attribute'"),
+    "leaf dropped": (_drop_last_leaf, "'attribute'"),
+    "cut not a number": (_set_tree("cut", 0, float("nan")), "'cut'"),
+    "infinite cut": (_set_tree("cut", 0, float("inf")), "'cut'"),
+    "cut missing": (lambda d: _split_tree(d)["cut"].pop(), "'cut'"),
+    "tree lacks cut": (lambda d: _split_tree(d).pop("cut"), "lacks field 'cut'"),
+    "leaf with three counts": (lambda d: _split_tree(d)["counts"].insert(0, 1), "'counts'"),
+    "leaf with one count": (lambda d: _split_tree(d)["counts"].pop(0), "'counts'"),
+    "negative count": (_set_tree("counts", 0, -1), "'counts'"),
+    "fractional count": (_set_tree("counts", 0, 1.5), "'counts'"),
+    "cut not numeric": (_set_tree("cut", 0, "x"), "'cut'"),
+    "counts not a list": (lambda d: _split_tree(d).update(counts=3), "'counts'"),
+    "format_version missing": (lambda d: d.pop("format_version"), "lacks field 'format_version'"),
+    "format_version 1": (lambda d: d.update(format_version=1), "'format_version'"),
+    "code row one entry short": (lambda d: d["code"][1].pop(), "'code'"),
+    "CSP filters row one entry short": (lambda d: d["columns"][0]["csp_models"][0]["filters"][1].pop(), "'filters'"),
+    "trees not a list": (lambda d: _forest(d).update(trees=5), "'trees'"),
+    "columns not a list": (lambda d: d.update(columns=5), "'columns'"),
+    "band not a list": (lambda d: d["bands"].__setitem__(0, 5), "'bands'"),
     "even taps": (lambda d: d.update(taps=64), "'taps'"),
     "too few taps": (lambda d: d.update(taps=29), "'taps'"),
     "zero sample_rate": (lambda d: d.update(sample_rate=0.0), "'sample_rate'"),
@@ -433,6 +470,30 @@ class TestBundleChecks:
     def test_valid_bundle_loads(self, small_bundle, tmp_path):
         (tmp_path / "model.json").write_text(small_bundle)
         assert load_model(tmp_path).classes == [0, 1, 2, 3]
+
+    def test_bundle_writes_number_lists_on_one_line(self, small_bundle):
+        tree = json.loads(small_bundle)["columns"][0]["forest"]["trees"][0]
+        assert f'"attribute": {json.dumps(tree["attribute"])}' in small_bundle
+
+    def test_tree_deeper_than_recursion_limit_round_trips(self, tmp_path):
+        # The deep chain of the extra-trees tests, beside a constant second
+        # feature, deployed as a one-band class-pair model.
+        features = np.hstack([(2.0 ** np.arange(-1000, 1000))[:, np.newaxis], np.zeros((2000, 1))])
+        labels = np.zeros(len(features), dtype=np.int64)
+        labels[0] = 1
+        forest = et_fit(features, labels, EtParams(max_features=1, min_samples_split=2, n_estimators=1, seed=0))
+        assert _depth(forest.trees[0]) > sys.getrecursionlimit()
+        csp = CspModel(filters=np.eye(2), eigenvalues=np.array([0.6, 0.4]), n_pairs=1, band=(8.0, 10.0))
+        model = EcocModel(
+            code=PAIR_CODE, classes=[0, 1], columns=[ColumnModel(selected_bands=[0], csp_models=[csp], forest=forest)],
+            class_names=["rest", "thumb"], channel_names=["c3", "c4"], sample_rate=128.0, bands=[(8.0, 10.0)],
+            taps=63, n_pairs=1,
+        )
+        save_model(model, tmp_path / "first")
+        loaded = load_model(tmp_path / "first")
+        save_model(loaded, tmp_path / "second")
+        assert (tmp_path / "first" / "model.json").read_bytes() == (tmp_path / "second" / "model.json").read_bytes()
+        assert np.array_equal(et_predict(loaded.columns[0].forest, features), et_predict(forest, features))
 
     @pytest.mark.parametrize("edit", list(BUNDLE_EDITS))
     def test_corrupt_bundle_rejected_at_load(self, small_bundle, tmp_path, edit):

@@ -1,10 +1,17 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import extratrees_reference as reference
-from fingerbci.extratrees import EtNode, EtParams, fit, predict, tree_predict, tune
+from fingerbci import extratrees
+from fingerbci.crossval import stratified_folds
+from fingerbci.extratrees import (
+    EtNode, EtParams, _draw, _fold_votes, _grow, _link, _root_keys, fit, mix, predict, tree_predict, tune,
+)
+from fingerbci.rng import child_seed, stream
 
 
 def separable_clusters(rng, n=30, margin=20.0):
@@ -220,8 +227,47 @@ def random_problem(rng, i):
     return features, labels, params
 
 
+class TestNodeKeyedDraws:
+    def test_mix_equals_python_int_splitmix64(self):
+        rng = np.random.default_rng(50)
+        keys = rng.integers(0, 2**64, 200, dtype=np.uint64, endpoint=False)
+        values = rng.integers(0, 1000, 200)
+        assert mix(keys, values).tolist() == [reference.mix(int(k), int(v)) for k, v in zip(keys, values)]
+
+    @pytest.mark.parametrize("max_features", [1, 4, 9, 12])
+    def test_candidate_frequency_is_max_features_over_varying_attributes(self, max_features):
+        n_nodes, constant = 20000, [0, 5, 11]
+        lows, highs = np.zeros((n_nodes, 12)), np.ones((n_nodes, 12))
+        highs[:, constant] = 0.0
+        candidates, _ = _draw(mix(np.arange(n_nodes), 7), lows, highs, np.full(n_nodes, max_features))
+        drawn = min(max_features, 9)
+        assert (candidates.sum(axis=1) == drawn).all()
+        assert not candidates[:, constant].any()
+        p = drawn / 9
+        frequency = np.delete(candidates, constant, axis=1).mean(axis=0)
+        assert np.abs(frequency - p).max() <= 5 * np.sqrt(p * (1 - p) / n_nodes) + 1e-12
+
+    def test_cuts_uniform_between_low_and_high(self):
+        n_nodes = 5000
+        lows, highs = np.full((n_nodes, 2), -2.0), np.full((n_nodes, 2), 3.0)
+        _, cuts = _draw(mix(np.arange(n_nodes), 11), lows, highs, np.full(n_nodes, 2))
+        assert ((cuts >= -2.0) & (cuts < 3.0)).all()
+        for column in cuts.T:  # each attribute's cuts, and their independence of the other's
+            assert stats.kstest((column + 2.0) / 5.0, "uniform").pvalue > 1e-3
+        assert abs(stats.pearsonr(cuts[:, 0], cuts[:, 1]).statistic) < 0.05
+
+    def test_chunked_growth_equals_one_batch(self, monkeypatch):
+        features, labels, params = random_problem(np.random.default_rng(55), 1)
+        params = replace(params, n_estimators=12, min_samples_split=2)
+        whole = fit(features, labels, params)
+        monkeypatch.setattr(extratrees, "BATCH_PAIRS", 3 * features.shape[1])
+        chunked = fit(features, labels, params)
+        assert all(nodes_equal(a, b) for a, b in zip(whole.trees, chunked.trees))
+
+
 class TestReferenceEquivalence:
-    """The stack grower and prefix-scored tuning against the slow reference."""
+    """The level-synchronous grower and truncation-scored tuning against the
+    slow reference of the same node-keyed draws."""
 
     def test_forests_bit_identical_to_recursive_grower(self):
         rng = np.random.default_rng(30)
@@ -231,6 +277,36 @@ class TestReferenceEquivalence:
             assert all(nodes_equal(a, b) for a, b in zip(fast.trees, slow.trees)), f"problem {i}: {params}"
             probes = np.vstack([features, rng.standard_normal((10, features.shape[1]))])
             assert np.array_equal(predict(fast, probes), reference.predict(slow, probes)), f"problem {i}"
+
+    def test_truncated_forest_equals_forest_grown_at_that_m(self):
+        rng = np.random.default_rng(60)
+        for i in range(60):
+            features, labels, params = random_problem(rng, i)
+            n = params.n_estimators
+            nodes = _grow(features, labels, np.ones((n, len(labels)), dtype=bool), np.full(n, params.max_features),
+                          _root_keys(params.seed, n), 2)
+            for m in (2, 3, 5, 9, 60):
+                grown = fit(features, labels, replace(params, min_samples_split=m))
+                assert all(nodes_equal(a, b) for a, b in zip(_link(nodes, m), grown.trees)), f"problem {i}, m {m}"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tune_votes_equal_the_fitted_fold_forests(self, seed):
+        # At the smallest min_samples_split the votes are those of fit's
+        # forest; at a larger one, those of the forest fit at that value.
+        rng = np.random.default_rng(70 + seed)
+        features = rng.standard_normal((36, 5))
+        labels = (features[:, 0] + rng.standard_normal(36) > 0).astype(np.int64)
+        folds, max_features_grid, min_samples_split_grid, n_trees = 4, [1, 3, 5], [2, 4, 7], 6
+        fold_ids = stratified_folds(labels, folds, stream(seed, 0))
+        votes = _fold_votes(features, labels, fold_ids, folds, max_features_grid, min_samples_split_grid, n_trees, seed)
+        for mf in max_features_grid:
+            for k in range(folds):
+                test = fold_ids == k
+                for s, ms in enumerate(min_samples_split_grid):
+                    params = EtParams(mf, ms, n_trees, seed=child_seed(seed, 1, mf, k))
+                    forest = fit(features[~test], labels[~test], params)
+                    expected = [[tree_predict(tree, row) for row in features[test]] for tree in forest.trees]
+                    assert np.array_equal(votes[mf, k][s], expected), (mf, k, ms)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_prefix_tune_equals_brute_force(self, seed):
