@@ -8,7 +8,7 @@ and a repeated-holdout evaluation harness.
 
 from .bandselect import BandScore, SelectionResult, score_bands, select_bands
 from .config import PipelineConfig
-from .csp import CspModel, log_variance_features
+from .csp import log_variance_features
 from .dsp import (
     BandDecomposition,
     FilterBank,

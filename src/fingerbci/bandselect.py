@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossval import stratified_folds
-from .csp import fit_csp_stack, log_ratios
+from .csp import fit_csp_stack, kept_filters, log_ratios
 from .dsp import BandDecomposition
 from .rng import stream
 
@@ -61,8 +61,7 @@ def fit_folds(
     by_class = np.stack([train & (labels == 0), train & (labels == 1)], axis=2).astype(np.float64)
     counts = by_class.sum(axis=-1)
     means = np.einsum("bkcn,bnij->bkcij", by_class, csp_covariances) / counts[..., np.newaxis, np.newaxis]
-    filters, _ = fit_csp_stack(means[:, :, 0], means[:, :, 1], n_pairs)
-    kept = np.concatenate([filters[..., :n_pairs, :], filters[..., -n_pairs:, :]], axis=-2)
+    kept = kept_filters(fit_csp_stack(means[:, :, 0], means[:, :, 1], n_pairs)[0], n_pairs)
     # Projected variances w S w^T of every (set, trial, filter): one product per band.
     n_bands, n_sets, n_kept, n_channels = kept.shape
     flat = kept.reshape(n_bands, -1, n_channels)

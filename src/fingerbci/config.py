@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -46,6 +47,10 @@ class PipelineConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("band_start", "band_stop", "band_width", "lda_shrinkage", "test_fraction"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("et_max_features", "et_min_samples_split", "et_n_estimators"):
             values = getattr(self, name)
             if values is not None and not (type(values) is list and all(type(v) is int for v in values)):

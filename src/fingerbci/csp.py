@@ -10,32 +10,11 @@ filters, read from each trial's centred covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Ridge added to a composite covariance whose Cholesky factorisation fails,
 # scaled by trace/N; guards rank deficiency from short trimmed trials.
 RIDGE = 1e-8
-
-
-@dataclass
-class CspModel:
-    """Spatial filter matrix (rows = filters, eigenvalue descending)."""
-
-    filters: np.ndarray
-    eigenvalues: np.ndarray
-    n_pairs: int
-    band: tuple[float, float] | None = None
-
-    @property
-    def n_channels(self) -> int:
-        return self.filters.shape[1]
-
-    def selected_filters(self) -> np.ndarray:
-        """The first and last ``n_pairs`` filter rows (2 * n_pairs, channels)."""
-        m = self.n_pairs
-        return np.vstack([self.filters[:m], self.filters[-m:]])
 
 
 def fit_csp_stack(cov_a: np.ndarray, cov_b: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -61,6 +40,11 @@ def fit_csp_stack(cov_a: np.ndarray, cov_b: np.ndarray, n_pairs: int) -> tuple[n
     return np.where(peaks < 0.0, -filters, filters), eigenvalues
 
 
+def kept_filters(filters: np.ndarray, n_pairs: int) -> np.ndarray:
+    """The first and last ``n_pairs`` rows of ``(..., C, C)`` filters: ``(..., 2 * n_pairs, C)``."""
+    return np.concatenate([filters[..., :n_pairs, :], filters[..., -n_pairs:, :]], axis=-2)
+
+
 def _cholesky(composite: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(composite)
@@ -82,19 +66,19 @@ def _cholesky(composite: np.ndarray) -> np.ndarray:
     return factors
 
 
-def log_variance_features(covariances: np.ndarray, model: CspModel) -> np.ndarray:
+def log_variance_features(covariances: np.ndarray, filters: np.ndarray) -> np.ndarray:
     """Log variance-ratio features from centred spatial covariances.
 
     The variance of a trial projected through filter ``w`` is ``w S w^T``
     for its centred covariance ``S``, so the features are
-    ``log(diag(W S W^T) / sum(diag(W S W^T)))`` over the kept filters ``W``.
-    ``(..., C, C)`` covariances give ``(..., 2 * n_pairs)`` features; each
-    trial's row is computed on its own, so a batch equals its single trials.
+    ``log(diag(W S W^T) / sum(diag(W S W^T)))`` over the kept filters ``W``,
+    a ``(2 * n_pairs, C)`` array.  ``(..., C, C)`` covariances give
+    ``(..., 2 * n_pairs)`` features; each trial's row is computed on its
+    own, so a batch equals its single trials.
     """
     covariances = np.asarray(covariances, dtype=np.float64)
-    if covariances.shape[-1] != model.n_channels:
-        raise ValueError(f"trial has {covariances.shape[-1]} channels, model expects {model.n_channels}")
-    filters = model.selected_filters()
+    if covariances.shape[-1] != filters.shape[-1]:
+        raise ValueError(f"trial has {covariances.shape[-1]} channels, model expects {filters.shape[-1]}")
     return log_ratios(np.sum((filters @ covariances) * filters, axis=-1))
 
 

@@ -59,8 +59,7 @@ class BandDecomposition:
     ``Y Y^T / trace(Y Y^T)`` of trial ``i`` filtered into band ``b`` (what
     CSP class covariances average), and ``feature_covariances[b, i]`` its
     centred covariance ``(Y - mean)(Y - mean)^T / T`` (what the log-variance
-    features read).  ``n_samples[i]`` is the filtered length ``T`` of trial
-    ``i``.  Both stacks have shape ``(n_bands, n_trials, C, C)``.
+    features read).  Both stacks have shape ``(n_bands, n_trials, C, C)``.
     """
 
     bands: list[tuple[float, float]]
@@ -69,7 +68,6 @@ class BandDecomposition:
     channel_names: list[str]
     class_names: list[str]
     labels: np.ndarray
-    n_samples: np.ndarray = field(repr=False)
     csp_covariances: np.ndarray = field(repr=False)
     feature_covariances: np.ndarray = field(repr=False)
 
@@ -94,7 +92,6 @@ class BandDecomposition:
         return replace(
             self,
             labels=self.labels[indices],
-            n_samples=self.n_samples[indices],
             csp_covariances=self.csp_covariances[:, indices],
             feature_covariances=self.feature_covariances[:, indices],
         )
@@ -232,7 +229,7 @@ def _kernel_spectrum(low: float, high: float, sample_rate: float, taps: int, n_f
 
 def band_covariances(
     trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Filter each trial into each band and reduce it to its covariances.
 
     Zero-phase forward-backward filtering with ``taps - 1`` samples trimmed
@@ -245,7 +242,7 @@ def band_covariances(
     ``BATCH_SAMPLES`` samples, and each trial's result does not depend on
     which others share its batch.
 
-    Returns ``(csp_covariances, feature_covariances, n_samples)``.
+    Returns ``(csp_covariances, feature_covariances)``.
     """
     if not trials:
         raise ValueError("no trials to filter")
@@ -283,7 +280,7 @@ def band_covariances(
             feature_covariances[b, batch] = (
                 products / y.shape[-1] - means[:, :, np.newaxis] * means[:, np.newaxis, :]
             )
-    return csp_covariances, feature_covariances, lengths - 2 * (taps - 1)
+    return csp_covariances, feature_covariances
 
 
 def decompose(dataset: Dataset, bank: FilterBank) -> BandDecomposition:
@@ -292,7 +289,7 @@ def decompose(dataset: Dataset, bank: FilterBank) -> BandDecomposition:
     Trial order and labels are preserved; each trial loses
     ``2 * (taps - 1)`` samples to edge trimming.
     """
-    csp_covariances, feature_covariances, n_samples = band_covariances(
+    csp_covariances, feature_covariances = band_covariances(
         dataset.trials, dataset.sample_rate, bank.bands, bank.taps
     )
     return BandDecomposition(
@@ -302,7 +299,6 @@ def decompose(dataset: Dataset, bank: FilterBank) -> BandDecomposition:
         channel_names=list(dataset.channel_names),
         class_names=list(dataset.class_names),
         labels=dataset.labels(),
-        n_samples=n_samples,
         csp_covariances=csp_covariances,
         feature_covariances=feature_covariances,
     )

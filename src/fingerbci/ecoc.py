@@ -2,12 +2,13 @@
 
 Each column of the code matrix defines a binary problem: classes whose bit
 is 1 form the positive pool, the rest the negative pool.  A column model
-selects its own frequency bands, fits one CSP per selected band, and trains
-an extra-trees forest on the concatenated log-variance features.  A trial's
-predicted bits across columns form a codeword, decoded to the class whose
-row is nearest in Hamming distance (ties to the lowest row), and the row
-maps to a dataset class.  A class-pair decoder is the one-column code
-:data:`PAIR_CODE` with its two rows mapped to the pair's classes.
+selects its own frequency bands, keeps the first and last ``n_pairs`` CSP
+filters of each, and trains an extra-trees forest on the concatenated
+log-variance features.  A trial's predicted bits across columns form a
+codeword, decoded to the class whose row is nearest in Hamming distance
+(ties to the lowest row), and the row maps to a dataset class.  A
+class-pair decoder is the one-column code :data:`PAIR_CODE` with its two
+rows mapped to the pair's classes.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
 from .config import PipelineConfig
-from .csp import CspModel, fit_csp_stack, log_variance_features
+from .csp import fit_csp_stack, kept_filters, log_variance_features
 from .dsp import BandDecomposition, BankError, band_covariances, check_bank
 from .extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict, tune as et_tune
 from .rng import child_seed
 from .trialstore import Trial, replacing
 
 MODEL_NAME = "model.json"
-# Bundle layout: 2 stores each tree as pre-order lists (see _tree_to_json).
-FORMAT_VERSION = 2
+# Bundle layout 3: each column's kept CSP filters as one 3-D list, each tree as pre-order lists.
+FORMAT_VERSION = 3
 TREE_FIELDS = ("attribute", "cut", "counts")
 
 # Centred covariance stacks by band index: a decomposition's
@@ -114,22 +115,23 @@ def decode(code: CodeMatrix, codeword: np.ndarray) -> int:
     return int(np.argmin(distances))
 
 
-def _column_features(selected_bands: list[int], csp_models: list[CspModel], covariances: BandStacks) -> np.ndarray:
+def _column_features(selected_bands: list[int], filters: np.ndarray, covariances: BandStacks) -> np.ndarray:
     """Concatenated per-band CSP features of every trial in ``covariances``.
 
     ``covariances[b]`` is the ``(n_trials, C, C)`` stack of centred
     covariances in band ``b`` of the model's band list; only the selected
     bands are read.
     """
-    return np.hstack([log_variance_features(covariances[b], csp) for b, csp in zip(selected_bands, csp_models)])
+    return np.hstack([log_variance_features(covariances[b], f) for b, f in zip(selected_bands, filters)])
 
 
 @dataclass
 class ColumnModel:
-    """One trained binary task: its bands, per-band CSPs, and forest."""
+    """One trained binary task: its bands, the kept CSP filters of each,
+    ``(len(selected_bands), 2 * n_pairs, C)``, and its forest."""
 
     selected_bands: list[int]
-    csp_models: list[CspModel]
+    filters: np.ndarray
     forest: EtForest
 
 
@@ -157,12 +159,9 @@ def fit_column(decomp: BandDecomposition, binary_labels: np.ndarray, config: Pip
     selection = select_bands(scores)
 
     covs = decomp.csp_covariances[selection.selected]
-    filters, eigenvalues = fit_csp_stack(covs[:, y == 0].mean(axis=1), covs[:, y == 1].mean(axis=1), n_pairs)
-    csp_models = [
-        CspModel(filters=f, eigenvalues=e, n_pairs=n_pairs, band=decomp.bands[b])
-        for f, e, b in zip(filters, eigenvalues, selection.selected)
-    ]
-    features = _column_features(selection.selected, csp_models, decomp.feature_covariances)
+    filters, _ = fit_csp_stack(covs[:, y == 0].mean(axis=1), covs[:, y == 1].mean(axis=1), n_pairs)
+    filters = kept_filters(filters, n_pairs)
+    features = _column_features(selection.selected, filters, decomp.feature_covariances)
 
     params = et_tune(
         features,
@@ -174,7 +173,7 @@ def fit_column(decomp: BandDecomposition, binary_labels: np.ndarray, config: Pip
         seed=child_seed(seed, 1),
     )
     forest = et_fit(features, y, replace(params, seed=child_seed(seed, 2)))
-    return ColumnModel(selected_bands=list(selection.selected), csp_models=csp_models, forest=forest)
+    return ColumnModel(selected_bands=list(selection.selected), filters=filters, forest=forest)
 
 
 @dataclass
@@ -191,7 +190,6 @@ class EcocModel:
     sample_rate: float
     bands: list[tuple[float, float]]
     taps: int
-    n_pairs: int
 
 
 def fit_ecoc(decomp: BandDecomposition, code: CodeMatrix, config: PipelineConfig) -> EcocModel:
@@ -225,7 +223,6 @@ def fit_ecoc(decomp: BandDecomposition, code: CodeMatrix, config: PipelineConfig
         sample_rate=decomp.sample_rate,
         bands=list(decomp.bands),
         taps=decomp.taps,
-        n_pairs=config.csp_pairs,
     )
 
 
@@ -244,7 +241,7 @@ def _needed_covariances(
         if trial.n_channels != len(model.channel_names):
             raise ValueError(f"trial has {trial.n_channels} channels, model expects {len(model.channel_names)}")
     needed = sorted({b for column in model.columns for b in column.selected_bands})
-    _, feature_covariances, _ = band_covariances(
+    _, feature_covariances = band_covariances(
         trials, model.sample_rate, [model.bands[b] for b in needed], model.taps
     )
     return dict(zip(needed, feature_covariances))
@@ -253,7 +250,7 @@ def _needed_covariances(
 def predict_from_bands(model: EcocModel, covariances: BandStacks) -> np.ndarray:
     """Decode class indices from centred band covariances aligned with the model's bands."""
     bits = np.stack([
-        et_predict(c.forest, _column_features(c.selected_bands, c.csp_models, covariances)) for c in model.columns
+        et_predict(c.forest, _column_features(c.selected_bands, c.filters, covariances)) for c in model.columns
     ], axis=1)
     rows = [decode(model.code, word) for word in bits]
     return np.asarray(model.classes, dtype=np.int64)[rows]
@@ -285,24 +282,6 @@ def predict_ecoc(
 
 
 # --- model bundle serialization -------------------------------------------
-
-
-def _csp_to_json(model: CspModel) -> dict:
-    return {
-        "band": list(model.band) if model.band is not None else None,
-        "filters": model.filters.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "n_pairs": model.n_pairs,
-    }
-
-
-def _csp_from_json(data: dict) -> CspModel:
-    return CspModel(
-        filters=_array(data, "filters"),
-        eigenvalues=_array(data, "eigenvalues"),
-        n_pairs=data["n_pairs"],
-        band=tuple(data["band"]) if data["band"] is not None else None,
-    )
 
 
 def _tree_to_json(tree: EtNode) -> dict:
@@ -339,36 +318,30 @@ def _tree_from_json(data: dict) -> EtNode:
     return root
 
 
-def _forest_to_json(forest: EtForest) -> dict:
-    return {
-        "params": asdict(forest.params),
-        "feature_dim": forest.feature_dim,
-        "trees": [_tree_to_json(t) for t in forest.trees],
-    }
-
-
-def _forest_from_json(data: dict) -> EtForest:
-    # Trees stay pre-order lists as read until load_model has checked them.
-    return EtForest(
-        trees=[{name: tree[name] for name in TREE_FIELDS} for tree in _entries(data, "trees", dict)],
-        params=EtParams(**{f.name: data["params"][f.name] for f in fields(EtParams)}),
-        feature_dim=data["feature_dim"],
-    )
-
-
 def _column_to_json(column: ColumnModel) -> dict:
+    forest = column.forest
     return {
         "selected_bands": list(column.selected_bands),
-        "csp_models": [_csp_to_json(c) for c in column.csp_models],
-        "forest": _forest_to_json(column.forest),
+        "filters": column.filters.tolist(),
+        "forest": {
+            "params": asdict(forest.params),
+            "feature_dim": forest.feature_dim,
+            "trees": [_tree_to_json(t) for t in forest.trees],
+        },
     }
 
 
 def _column_from_json(data: dict) -> ColumnModel:
+    # Trees stay pre-order lists as read until load_model has checked them.
+    forest = _object(data, "forest")
     return ColumnModel(
         selected_bands=data["selected_bands"],
-        csp_models=[_csp_from_json(c) for c in _entries(data, "csp_models", dict)],
-        forest=_forest_from_json(data["forest"]),
+        filters=_array(data, "filters"),
+        forest=EtForest(
+            trees=[{name: tree[name] for name in TREE_FIELDS} for tree in _entries(forest, "trees", dict)],
+            params=EtParams(**{f.name: _object(forest, "params")[f.name] for f in fields(EtParams)}),
+            feature_dim=forest["feature_dim"],
+        ),
     )
 
 
@@ -400,7 +373,6 @@ def save_model(model: EcocModel, path: str | Path) -> None:
         "sample_rate": model.sample_rate,
         "bands": [list(b) for b in model.bands],
         "taps": model.taps,
-        "n_pairs": model.n_pairs,
     }
     with replacing(directory / MODEL_NAME, "w") as fh:
         fh.write(_to_json(payload) + "\n")
@@ -426,15 +398,18 @@ def _entries(data: dict, name: str, kind: type) -> list:
     return values
 
 
+def _object(data: dict, name: str) -> dict:
+    """``data[name]`` as read, refused by name unless it is a JSON object."""
+    value = data[name]
+    _require(type(value) is dict, name, "must be an object")
+    return value
+
+
 def _array(data: dict, name: str) -> np.ndarray:
     try:
         return np.array(data[name])
     except ValueError as exc:  # rows of unequal length
         raise ValueError(f"model bundle field {name!r}: {exc}") from None
-
-
-def _is_finite_floats(array: np.ndarray, shape: tuple[int, ...]) -> bool:
-    return array.dtype == np.float64 and array.shape == shape and bool(np.isfinite(array).all())
 
 
 def _check_tree(tree: dict, j: int, feature_dim: int) -> None:
@@ -467,8 +442,6 @@ def _check_model(model: EcocModel) -> None:
     for name in ("class_names", "channel_names"):
         _require(_is_list_of(getattr(model, name), str), name, "must be a list of strings")
     _require(_is_number(model.sample_rate), "sample_rate", f"{model.sample_rate!r} is not a number")
-    _require(type(model.n_pairs) is int and model.n_pairs >= 1, "n_pairs",
-             f"{model.n_pairs!r} is not a positive integer")
     for band in model.bands:
         _require(len(band) == 2 and all(_is_number(f) for f in band), "bands", f"{list(band)} is not a (low, high) pair")
     try:
@@ -488,18 +461,14 @@ def _check_model(model: EcocModel) -> None:
         bands = column.selected_bands
         _require(_is_list_of(bands, int) and all(0 <= b < len(model.bands) for b in bands), "selected_bands",
                  f"column {j} selects {bands} of {len(model.bands)} bands")
-        _require(len(column.csp_models) == len(bands), "csp_models",
-                 f"column {j} has {len(column.csp_models)} for {len(bands)} selected bands")
-        for csp in column.csp_models:
-            _require(_is_finite_floats(csp.filters, (n_channels, n_channels)), "filters",
-                     f"column {j} has a {csp.filters.shape} {csp.filters.dtype} CSP filter matrix "
-                     f"for {n_channels} channels")
-            _require(_is_finite_floats(csp.eigenvalues, (n_channels,)), "eigenvalues",
-                     f"column {j} has {csp.eigenvalues.tolist()} as CSP eigenvalues for {n_channels} channels")
-            _require(type(csp.n_pairs) is int and csp.n_pairs == model.n_pairs, "n_pairs",
-                     f"column {j} has a CSP model with {csp.n_pairs!r} pairs, the model {model.n_pairs}")
+        filters = column.filters
+        kept = filters.shape[1] if filters.ndim == 3 else 0
+        _require(kept >= 2 and kept % 2 == 0 and filters.dtype == np.float64
+                 and filters.shape == (len(bands), kept, n_channels) and bool(np.isfinite(filters).all()), "filters",
+                 f"column {j} has {filters.dtype} CSP filters of shape {filters.shape}, not finite floats "
+                 f"of shape ({len(bands)}, 2m, {n_channels}) with m >= 1")
         forest = column.forest
-        expected_dim = 2 * model.n_pairs * len(bands)
+        expected_dim = kept * len(bands)
         _require(type(forest.feature_dim) is int and forest.feature_dim == expected_dim, "feature_dim",
                  f"column {j} reads {forest.feature_dim!r} features, its bands give {expected_dim}")
         for name, value in asdict(forest.params).items():
@@ -515,14 +484,21 @@ def load_model(path: str | Path) -> EcocModel:
     bundle = Path(path) / MODEL_NAME
     if not bundle.is_file():
         raise FileNotFoundError(f"missing {bundle}")
-    with open(bundle, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(bundle, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ValueError(f"model bundle {bundle} is not JSON text: {exc}") from None
+    if type(data) is not dict:
+        raise ValueError(f"model bundle {bundle} is not a JSON object")
     try:
         version = data["format_version"]
         _require(type(version) is int and version == FORMAT_VERSION, "format_version",
                  f"{version!r} is not {FORMAT_VERSION}; retrain the model")
+        bits = _array(data, "code")
+        _require(bits.ndim == 2, "code", "must be a list of rows")
         model = EcocModel(
-            code=CodeMatrix(bits=_array(data, "code")),
+            code=CodeMatrix(bits=bits),
             classes=data["classes"],
             columns=[_column_from_json(c) for c in _entries(data, "columns", dict)],
             class_names=data["class_names"],
@@ -530,7 +506,6 @@ def load_model(path: str | Path) -> EcocModel:
             sample_rate=data["sample_rate"],
             bands=[tuple(b) for b in _entries(data, "bands", list)],
             taps=data["taps"],
-            n_pairs=data["n_pairs"],
         )
     except KeyError as exc:
         raise ValueError(f"model bundle {bundle} lacks field {exc}") from None

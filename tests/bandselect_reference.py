@@ -15,7 +15,7 @@ import scipy.linalg
 
 from fingerbci.bandselect import DEFAULT_SHRINKAGE, BandScore
 from fingerbci.crossval import stratified_folds
-from fingerbci.csp import RIDGE, CspModel, log_variance_features
+from fingerbci.csp import RIDGE, log_variance_features
 from fingerbci.rng import stream
 
 
@@ -63,8 +63,8 @@ def lda_predict(model: LdaModel, features: np.ndarray) -> np.ndarray:
     return (features @ model.weights + model.bias > 0.0).astype(np.int64)
 
 
-def fit_csp_from_covariances(cov_a: np.ndarray, cov_b: np.ndarray, n_pairs: int) -> CspModel:
-    """CSP of one covariance pair through scipy's generalised eigensolver."""
+def fit_csp_from_covariances(cov_a: np.ndarray, cov_b: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSP ``(filters, eigenvalues)`` of one covariance pair through scipy's generalised eigensolver."""
     n = cov_a.shape[0]
     if 2 * n_pairs > n:
         raise ValueError(f"cannot keep 2 x {n_pairs} filters from {n} channels")
@@ -84,16 +84,18 @@ def fit_csp_from_covariances(cov_a: np.ndarray, cov_b: np.ndarray, n_pairs: int)
     signs = np.sign(filters[np.arange(n), peaks])
     signs[signs == 0] = 1.0
     filters = filters * signs[:, np.newaxis]
-    return CspModel(filters=filters, eigenvalues=eigenvalues, n_pairs=n_pairs)
+    return filters, eigenvalues
 
 
 def fit_fold_model(csp_covariances, feature_covariances, labels, train_mask, n_pairs, shrinkage):
-    """CSP and discriminant of one band fitted on one training fold."""
+    """Kept CSP filters (first and last ``n_pairs`` rows) and discriminant of
+    one band fitted on one training fold."""
     cov_a = csp_covariances[train_mask & (labels == 0)].mean(axis=0)
     cov_b = csp_covariances[train_mask & (labels == 1)].mean(axis=0)
-    csp = fit_csp_from_covariances(cov_a, cov_b, n_pairs)
-    lda = lda_fit(log_variance_features(feature_covariances[train_mask], csp), labels[train_mask], shrinkage)
-    return csp, lda
+    filters, _ = fit_csp_from_covariances(cov_a, cov_b, n_pairs)
+    kept = np.vstack([filters[:n_pairs], filters[-n_pairs:]])
+    lda = lda_fit(log_variance_features(feature_covariances[train_mask], kept), labels[train_mask], shrinkage)
+    return kept, lda
 
 
 def cv_band_score(csp_covariances, feature_covariances, labels, n_pairs, folds, rng, shrinkage) -> float:
@@ -102,8 +104,8 @@ def cv_band_score(csp_covariances, feature_covariances, labels, n_pairs, folds, 
     accuracies = []
     for k in range(folds):
         test_mask = fold_ids == k
-        csp, lda = fit_fold_model(csp_covariances, feature_covariances, labels, ~test_mask, n_pairs, shrinkage)
-        predictions = lda_predict(lda, log_variance_features(feature_covariances[test_mask], csp))
+        kept, lda = fit_fold_model(csp_covariances, feature_covariances, labels, ~test_mask, n_pairs, shrinkage)
+        predictions = lda_predict(lda, log_variance_features(feature_covariances[test_mask], kept))
         accuracies.append(float(np.mean(predictions == labels[test_mask])))
     return float(np.mean(accuracies))
 

@@ -171,21 +171,21 @@ def test_criterion_3_csp_diagonalization():
         dataset = generate(config)
         class_a = [t for t in dataset.trials if t.label == 0]
         class_b = [t for t in dataset.trials if t.label == 1]
-        model = fit_csp(class_a, class_b, n_pairs=2)
+        filters, _ = fit_csp(class_a, class_b, n_pairs=2)
         cov_a = class_covariance(class_a)
         cov_b = class_covariance(class_b)
-        identity_residual = model.filters @ (cov_a + cov_b) @ model.filters.T - np.eye(8)
+        identity_residual = filters @ (cov_a + cov_b) @ filters.T - np.eye(8)
         assert np.linalg.norm(identity_residual) <= 1e-6
-        rotated = model.filters @ cov_a @ model.filters.T
+        rotated = filters @ cov_a @ filters.T
         off_diagonal = rotated - np.diag(np.diag(rotated))
         assert np.linalg.norm(off_diagonal) <= 1e-6
 
         # 2x2 closed form: variance ratios 2:1 and 1:2 on exact float values.
         two_a = [Trial(label=0, samples=np.array([[1.0, 1, 1, 1], [1, -1, 0, 0]]), sample_rate=100.0)]
         two_b = [Trial(label=1, samples=np.array([[1.0, -1, 0, 0], [1, 1, 1, 1]]), sample_rate=100.0)]
-        closed = fit_csp(two_a, two_b, n_pairs=1)
-        assert abs(closed.eigenvalues[0] - 2 / 3) < 1e-9
-        assert abs(closed.eigenvalues[1] - 1 / 3) < 1e-9
+        _, eigenvalues = fit_csp(two_a, two_b, n_pairs=1)
+        assert abs(eigenvalues[0] - 2 / 3) < 1e-9
+        assert abs(eigenvalues[1] - 1 / 3) < 1e-9
 
 
 def test_criterion_4_extra_trees_properties():

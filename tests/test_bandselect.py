@@ -235,11 +235,11 @@ def wishart(rng, shape, n_channels, dof):
 
 
 def covariance_decomposition(csp_covariances, feature_covariances, labels):
-    n_bands, n_trials, n_channels = feature_covariances.shape[:3]
+    n_bands, _, n_channels = feature_covariances.shape[:3]
     return BandDecomposition(
         bands=[(8.0 + 2 * b, 10.0 + 2 * b) for b in range(n_bands)], taps=63, sample_rate=128.0,
         channel_names=[f"ch{c}" for c in range(n_channels)], class_names=["a", "b"],
-        labels=np.asarray(labels), n_samples=np.full(n_trials, 200),
+        labels=np.asarray(labels),
         csp_covariances=csp_covariances, feature_covariances=feature_covariances,
     )
 

@@ -34,6 +34,18 @@ REJECTED = {
     "fractional min_samples_split": ({"et_min_samples_split": [2.5]}, "et_min_samples_split"),
     "fractional max_features": ({"et_max_features": [1, 2.5]}, "et_max_features"),
     "grid not a list": ({"et_n_estimators": 10}, "et_n_estimators"),
+    "NaN shrinkage": ({"lda_shrinkage": float("nan")}, "lda_shrinkage must be a finite number"),
+    "infinite shrinkage": ({"lda_shrinkage": float("inf")}, "lda_shrinkage must be a finite number"),
+    "shrinkage a string": ({"lda_shrinkage": "0.1"}, "lda_shrinkage must be a finite number"),
+    "shrinkage null": ({"lda_shrinkage": None}, "lda_shrinkage must be a finite number"),
+    "test fraction a string": ({"test_fraction": "0.2"}, "test_fraction must be a finite number"),
+    "test fraction null": ({"test_fraction": None}, "test_fraction must be a finite number"),
+    "band start a string": ({"band_start": "5"}, "band_start must be a finite number"),
+    "band start true": ({"band_start": True}, "band_start must be a finite number"),
+    "band stop null": ({"band_stop": None}, "band_stop must be a finite number"),
+    "infinite band stop": ({"band_stop": float("inf")}, "band_stop must be a finite number"),
+    "band width a string": ({"band_width": "2"}, "band_width must be a finite number"),
+    "NaN band width": ({"band_width": float("nan")}, "band_width must be a finite number"),
 }
 
 

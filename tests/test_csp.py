@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fingerbci import SynthConfig, Trial, generate
-from fingerbci.csp import CspModel, fit_csp_stack, log_variance_features
+from fingerbci.csp import fit_csp_stack, log_variance_features
 
 from timeseries_reference import (
     centred_covariance,
@@ -88,51 +88,51 @@ class TestFitCsp:
         # Variance ratios 2:1 / 1:2 on exactly representable values.
         class_a = [make_trial([[1, 1, 1, 1], [1, -1, 0, 0]])]
         class_b = [make_trial([[1, -1, 0, 0], [1, 1, 1, 1]])]
-        model = fit_csp(class_a, class_b, n_pairs=1)
-        assert abs(model.eigenvalues[0] - 2 / 3) < 1e-9
-        assert abs(model.eigenvalues[1] - 1 / 3) < 1e-9
+        filters, eigenvalues = fit_csp(class_a, class_b, n_pairs=1)
+        assert abs(eigenvalues[0] - 2 / 3) < 1e-9
+        assert abs(eigenvalues[1] - 1 / 3) < 1e-9
         # Filters align with the coordinate axes up to sign/scale.
-        for row, axis in zip(model.filters, np.eye(2)):
+        for row, axis in zip(filters, np.eye(2)):
             direction = np.abs(row) / np.linalg.norm(row)
             assert np.allclose(direction, axis, atol=1e-9)
 
     def test_identical_classes_half_eigenvalues(self):
         rng = np.random.default_rng(2)
         trials = [make_trial(rng.standard_normal((4, 64))) for _ in range(8)]
-        model = fit_csp(trials, trials, n_pairs=1)
-        assert np.allclose(model.eigenvalues, 0.5, atol=1e-10)
+        _, eigenvalues = fit_csp(trials, trials, n_pairs=1)
+        assert np.allclose(eigenvalues, 0.5, atol=1e-10)
 
     def test_composite_diagonalization_residual(self, planted_two_class):
         class_a, class_b = planted_two_class
         cov_a = class_covariance(class_a)
         cov_b = class_covariance(class_b)
-        model = fit_csp(class_a, class_b, n_pairs=2)
-        identity_residual = model.filters @ (cov_a + cov_b) @ model.filters.T - np.eye(8)
+        filters, _ = fit_csp(class_a, class_b, n_pairs=2)
+        identity_residual = filters @ (cov_a + cov_b) @ filters.T - np.eye(8)
         assert np.linalg.norm(identity_residual) <= 1e-8
 
     def test_simultaneous_diagonalization(self, planted_two_class):
         class_a, class_b = planted_two_class
         cov_a = class_covariance(class_a)
         cov_b = class_covariance(class_b)
-        model = fit_csp(class_a, class_b, n_pairs=2)
+        filters, _ = fit_csp(class_a, class_b, n_pairs=2)
         for cov in (cov_a, cov_b):
-            rotated = model.filters @ cov @ model.filters.T
+            rotated = filters @ cov @ filters.T
             off_diagonal = rotated - np.diag(np.diag(rotated))
             assert np.linalg.norm(off_diagonal) <= 1e-6
 
     def test_eigenvalue_pairing(self, planted_two_class):
         class_a, class_b = planted_two_class
-        model_ab = fit_csp(class_a, class_b, n_pairs=2)
-        model_ba = fit_csp(class_b, class_a, n_pairs=2)
-        paired = model_ab.eigenvalues + model_ba.eigenvalues[::-1]
+        _, eigenvalues_ab = fit_csp(class_a, class_b, n_pairs=2)
+        _, eigenvalues_ba = fit_csp(class_b, class_a, n_pairs=2)
+        paired = eigenvalues_ab + eigenvalues_ba[::-1]
         assert np.allclose(paired, 1.0, atol=1e-8)
 
     def test_trial_permutation_invariance(self, planted_two_class):
         class_a, class_b = planted_two_class
-        model = fit_csp(class_a, class_b, n_pairs=2)
-        permuted = fit_csp(class_a[::-1], class_b[::-1], n_pairs=2)
-        assert np.allclose(model.eigenvalues, permuted.eigenvalues, atol=1e-12)
-        assert np.allclose(model.filters, permuted.filters, atol=1e-9)
+        filters, eigenvalues = fit_csp(class_a, class_b, n_pairs=2)
+        permuted_filters, permuted_eigenvalues = fit_csp(class_a[::-1], class_b[::-1], n_pairs=2)
+        assert np.allclose(eigenvalues, permuted_eigenvalues, atol=1e-12)
+        assert np.allclose(filters, permuted_filters, atol=1e-9)
 
     def test_too_many_pairs(self):
         class_a = [make_trial([[1, 1], [1, -1]])]
@@ -141,12 +141,12 @@ class TestFitCsp:
 
 
 class TestFeatures:
-    def identity_model(self, n_pairs=1):
-        return CspModel(filters=np.eye(2), eigenvalues=np.array([0.75, 0.25]), n_pairs=n_pairs)
+    # The kept rows of a two-channel CSP with one pair: both filters.
+    identity = np.eye(2)
 
     def test_known_variance_ratio(self):
         trial = make_trial([[3, -3, 3, -3], [1, -1, 1, -1]])  # variances 9 and 1
-        features = extract_features(trial, self.identity_model())
+        features = extract_features(trial, self.identity)
         assert np.allclose(features, [np.log(0.9), np.log(0.1)], atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -154,41 +154,39 @@ class TestFeatures:
     def test_scale_invariance(self, scale, seed):
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal((2, 32))
-        base = extract_features(make_trial(samples), self.identity_model())
-        scaled = extract_features(make_trial(samples * np.float32(scale)), self.identity_model())
+        base = extract_features(make_trial(samples), self.identity)
+        scaled = extract_features(make_trial(samples * np.float32(scale)), self.identity)
         assert np.allclose(base, scaled, atol=1e-6)
 
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(3)
         trial = make_trial(rng.standard_normal((2, 40)))
-        model = self.identity_model()
-        flipped = CspModel(filters=model.filters * np.array([[-1.0], [1.0]]), eigenvalues=model.eigenvalues, n_pairs=1)
-        assert np.allclose(extract_features(trial, model), extract_features(trial, flipped), atol=1e-12)
+        flipped = self.identity * np.array([[-1.0], [1.0]])
+        assert np.allclose(extract_features(trial, self.identity), extract_features(trial, flipped), atol=1e-12)
 
     def test_features_sum_exp_to_one(self):
         rng = np.random.default_rng(4)
         trial = make_trial(rng.standard_normal((2, 64)))
-        features = extract_features(trial, self.identity_model())
+        features = extract_features(trial, self.identity)
         assert abs(np.exp(features).sum() - 1.0) < 1e-9
 
     def test_zero_variance_rejected(self):
         trial = make_trial(np.zeros((2, 16)))
         with pytest.raises(ValueError, match="zero total variance"):
-            extract_features(trial, self.identity_model())
+            extract_features(trial, self.identity)
 
     def test_channel_mismatch_rejected(self):
         trial = make_trial(np.random.default_rng(5).standard_normal((3, 16)))
         with pytest.raises(ValueError, match="channels"):
-            extract_features(trial, self.identity_model())
+            extract_features(trial, self.identity)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
         trials = [make_trial(rng.standard_normal((2, 32))) for _ in range(5)]
-        model = self.identity_model()
-        batch = log_variance_features(np.stack([centred_covariance(t) for t in trials]), model)
-        singles = np.array([extract_features(t, model) for t in trials])
+        batch = log_variance_features(np.stack([centred_covariance(t) for t in trials]), self.identity)
+        singles = np.array([extract_features(t, self.identity) for t in trials])
         assert np.allclose(batch, singles, atol=1e-12)
-        assert np.allclose(variance_features(trials, model), singles, atol=1e-12)
+        assert np.allclose(variance_features(trials, self.identity), singles, atol=1e-12)
 
 
 class TestFitCspStack:
@@ -210,14 +208,14 @@ class TestFitCspStack:
         pairs = np.array(pairs)
         filters, eigenvalues = fit_csp_stack(pairs[:, 0], pairs[:, 1], n_pairs=2)
         for i, (cov_a, cov_b) in enumerate(pairs):
-            expected = fit_csp_from_covariances(cov_a, cov_b, n_pairs=2)
-            np.testing.assert_allclose(eigenvalues[i], expected.eigenvalues, rtol=0, atol=1e-12)
+            expected, expected_eigenvalues = fit_csp_from_covariances(cov_a, cov_b, n_pairs=2)
+            np.testing.assert_allclose(eigenvalues[i], expected_eigenvalues, rtol=0, atol=1e-12)
             # Eigenvectors of the ridge slices' repeated zero eigenvalue are
             # any basis of the idle channels; their norms 1 / sqrt(ridge) are not.
             np.testing.assert_allclose(
-                np.sort(np.linalg.norm(filters[i], axis=1)), np.sort(np.linalg.norm(expected.filters, axis=1)),
+                np.sort(np.linalg.norm(filters[i], axis=1)), np.sort(np.linalg.norm(expected, axis=1)),
                 rtol=1e-9,
             )
             if i % 2 == 0:
-                scale = np.abs(expected.filters).max()
-                np.testing.assert_allclose(filters[i], expected.filters, rtol=0, atol=1e-10 * scale)
+                scale = np.abs(expected).max()
+                np.testing.assert_allclose(filters[i], expected, rtol=0, atol=1e-10 * scale)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fingerbci import PipelineConfig, decompose, ecoc, exhaustive_code, fit_ecoc, load_model, predict_ecoc, save_model
-from fingerbci.csp import CspModel
+from fingerbci.csp import fit_csp_stack
 from fingerbci.ecoc import (
     PAIR_CODE,
     CodeMatrix,
@@ -195,7 +195,21 @@ class TestFitEcoc:
         assert len(model.columns) == 7
         for column in model.columns:
             assert column.selected_bands
-            assert len(column.csp_models) == len(column.selected_bands)
+            assert column.filters.shape == (len(column.selected_bands), 2 * SMALL.csp_pairs, len(dataset.channel_names))
+
+    def test_column_keeps_first_and_last_csp_rows(self, mini_decomp):
+        # One pair of four channels: rows 0 and 3 of each band's CSP, fitted
+        # on the same class means as the column.
+        _, decomp = mini_decomp
+        m = SMALL.csp_pairs
+        model = fit_small_ecoc(decomp)
+        for j, column in enumerate(model.columns):
+            y = model.code.bits[decomp.labels, j]
+            covs = decomp.csp_covariances[column.selected_bands]
+            full, _ = fit_csp_stack(covs[:, y == 0].mean(axis=1), covs[:, y == 1].mean(axis=1), m)
+            assert column.filters.dtype == np.float64
+            assert np.array_equal(column.filters[:, :m], full[:, :m])
+            assert np.array_equal(column.filters[:, m:], full[:, -m:])
 
     def test_degenerate_code_rejected(self, mini_decomp):
         _, decomp = mini_decomp
@@ -305,8 +319,11 @@ class TestModelBundle:
         loaded = load_model(first_dir)
         save_model(loaded, second_dir)
         assert (first_dir / "model.json").read_bytes() == (second_dir / "model.json").read_bytes()
-        probes = dataset.trials[:5]
-        assert np.array_equal(predict_trials(model, probes), predict_trials(loaded, probes))
+        for column, read in zip(model.columns, loaded.columns):
+            assert read.filters.dtype == np.float64 and np.array_equal(read.filters, column.filters)
+        assert np.array_equal(predict_trials(model, dataset.trials), predict_trials(loaded, dataset.trials))
+        singles = dataset.trials[:5]
+        assert [predict_ecoc(loaded, t) for t in singles] == [predict_ecoc(model, t) for t in singles]
 
     def test_binary_round_trip(self, mini_decomp, tmp_path):
         dataset, _ = mini_decomp
@@ -351,9 +368,31 @@ def _band_out_of_range(data):
     data["columns"][0]["selected_bands"][0] = len(data["bands"])
 
 
-def _filters_not_square(data):
-    csp = data["columns"][0]["csp_models"][0]
-    csp["filters"] = csp["filters"][:-1]
+def _filters(data):
+    """Column 0's kept CSP filters: one block of 2m rows per selected band."""
+    return data["columns"][0]["filters"]
+
+
+def _edit_blocks(change):
+    """Apply ``change`` to every band's block of kept filter rows in column 0."""
+    return lambda data: _filters(data).__setitem__(slice(None), [change(block) for block in _filters(data)])
+
+
+def _as_format_2(data):
+    """The previous layout: a whole CSP per selected band, and ``n_pairs``."""
+    for column in data["columns"]:
+        column["csp_models"] = [
+            {"band": data["bands"][b], "filters": block, "eigenvalues": [0.5] * len(block[0]), "n_pairs": 1}
+            for b, block in zip(column["selected_bands"], column.pop("filters"))
+        ]
+    data.update(format_version=2, n_pairs=1)
+
+
+class TextEdit:
+    """A bundle edit made on the JSON text, for what parsed fields cannot express."""
+
+    def __init__(self, change):
+        self.change = change
 
 
 def _feature_dim_off_by_one(data):
@@ -361,7 +400,7 @@ def _feature_dim_off_by_one(data):
 
 
 def _set_filter_entry(value):
-    return lambda data: data["columns"][0]["csp_models"][0]["filters"][0].__setitem__(0, value)
+    return lambda data: _filters(data)[0][0].__setitem__(0, value)
 
 
 def _forest(data):
@@ -401,8 +440,8 @@ BUNDLE_EDITS = {
     "shortened class_names": (lambda d: d["class_names"].pop(), "'classes'"),
     "column missing": (lambda d: d["columns"].pop(), "'columns'"),
     "selected band out of range": (_band_out_of_range, "'selected_bands'"),
-    "CSP model missing": (lambda d: d["columns"][0]["csp_models"].pop(), "'csp_models'"),
-    "CSP filters not C x C": (_filters_not_square, "'filters'"),
+    "CSP model missing": (lambda d: _filters(d).pop(), "'filters'"),
+    "CSP filters not C x C": (_edit_blocks(lambda block: [row[:-1] for row in block]), "'filters'"),
     "channel dropped": (lambda d: d["channel_names"].pop(), "'filters'"),
     "feature_dim off by one": (_feature_dim_off_by_one, "'feature_dim'"),
     "classes field missing": (lambda d: d.pop("classes"), "lacks field 'classes'"),
@@ -425,7 +464,15 @@ BUNDLE_EDITS = {
     "format_version missing": (lambda d: d.pop("format_version"), "lacks field 'format_version'"),
     "format_version 1": (lambda d: d.update(format_version=1), "'format_version'"),
     "code row one entry short": (lambda d: d["code"][1].pop(), "'code'"),
-    "CSP filters row one entry short": (lambda d: d["columns"][0]["csp_models"][0]["filters"][1].pop(), "'filters'"),
+    "CSP filters row one entry short": (lambda d: _filters(d)[0][1].pop(), "'filters'"),
+    "band's filter block one row short": (lambda d: _filters(d)[0].pop(), "'filters'"),
+    "odd number of kept filter rows": (_edit_blocks(lambda block: block[:-1]), "'filters'"),
+    "no kept filter rows": (_edit_blocks(lambda block: []), "'filters'"),
+    "kept filters beyond feature_dim": (_edit_blocks(lambda block: block + block), "'feature_dim'"),
+    "filters not a list": (lambda d: d["columns"][0].update(filters=5), "'filters'"),
+    "integer CSP filters": (_edit_blocks(lambda block: [[round(v) for v in row] for row in block]), "'filters'"),
+    "infinite CSP filter entry": (_set_filter_entry(float("inf")), "'filters'"),
+    "column lacks filters": (lambda d: d["columns"][0].pop("filters"), "lacks field 'filters'"),
     "trees not a list": (lambda d: _forest(d).update(trees=5), "'trees'"),
     "columns not a list": (lambda d: d.update(columns=5), "'columns'"),
     "band not a list": (lambda d: d["bands"].__setitem__(0, 5), "'bands'"),
@@ -438,7 +485,6 @@ BUNDLE_EDITS = {
     "band at zero": (lambda d: d["bands"].__setitem__(0, [0.0, d["bands"][0][1]]), "'bands'"),
     "band beyond Nyquist": (lambda d: d["bands"].__setitem__(-1, [60.0, d["sample_rate"]]), "'bands'"),
     "fractional taps": (lambda d: d.update(taps=63.9), "'taps'"),
-    "fractional n_pairs": (lambda d: d.update(n_pairs=1.5), "'n_pairs'"),
     "fractional class": (lambda d: d["classes"].__setitem__(3, 3.7), "'classes'"),
     "fractional code entry": (lambda d: d["code"][1].__setitem__(0, 0.5), "'code'"),
     "fractional selected band": (lambda d: d["columns"][0]["selected_bands"].__setitem__(0, 0.5), "'selected_bands'"),
@@ -446,15 +492,18 @@ BUNDLE_EDITS = {
     "feature_dim a string": (lambda d: _forest(d).update(feature_dim=str(_forest(d)["feature_dim"])), "'feature_dim'"),
     "NaN CSP filter entry": (_set_filter_entry(float("nan")), "'filters'"),
     "CSP filter entry not a number": (_set_filter_entry("x"), "'filters'"),
-    "CSP eigenvalue not a number": (
-        lambda d: d["columns"][0]["csp_models"][0]["eigenvalues"].__setitem__(0, "x"), "'eigenvalues'"
-    ),
-    "CSP n_pairs differs from the model's": (lambda d: d["columns"][0]["csp_models"][0].update(n_pairs=2), "'n_pairs'"),
     "empty forest": (lambda d: _forest(d).update(trees=[]), "'trees'"),
     "tree missing": (lambda d: _forest(d)["trees"].pop(), "'trees'"),
     "sample_rate not a number": (lambda d: d.update(sample_rate="x"), "'sample_rate'"),
     "classes not a list": (lambda d: d.update(classes="x"), "'classes'"),
     "channel name not a string": (lambda d: d["channel_names"].__setitem__(0, 5), "'channel_names'"),
+    "format 2 bundle": (_as_format_2, "'format_version': 2 is not 3; retrain the model"),
+    "code not a list of rows": (lambda d: d.update(code="x"), "'code'"),
+    "forest not an object": (lambda d: d["columns"][0].update(forest=5), "'forest'"),
+    "params not an object": (lambda d: _forest(d).update(params=5), "'params'"),
+    "top level a list": (TextEdit(lambda text: f"[{text}]"), "model.json is not a JSON object"),
+    "unparsable JSON": (TextEdit(lambda text: text[: len(text) // 2]), "model.json is not JSON text"),
+    "not UTF-8 text": (TextEdit(lambda text: "\udcff" + text), "model.json is not JSON text"),
 }
 
 
@@ -483,11 +532,10 @@ class TestBundleChecks:
         labels[0] = 1
         forest = et_fit(features, labels, EtParams(max_features=1, min_samples_split=2, n_estimators=1, seed=0))
         assert _depth(forest.trees[0]) > sys.getrecursionlimit()
-        csp = CspModel(filters=np.eye(2), eigenvalues=np.array([0.6, 0.4]), n_pairs=1, band=(8.0, 10.0))
+        column = ColumnModel(selected_bands=[0], filters=np.eye(2)[np.newaxis], forest=forest)
         model = EcocModel(
-            code=PAIR_CODE, classes=[0, 1], columns=[ColumnModel(selected_bands=[0], csp_models=[csp], forest=forest)],
-            class_names=["rest", "thumb"], channel_names=["c3", "c4"], sample_rate=128.0, bands=[(8.0, 10.0)],
-            taps=63, n_pairs=1,
+            code=PAIR_CODE, classes=[0, 1], columns=[column], class_names=["rest", "thumb"],
+            channel_names=["c3", "c4"], sample_rate=128.0, bands=[(8.0, 10.0)], taps=63,
         )
         save_model(model, tmp_path / "first")
         loaded = load_model(tmp_path / "first")
@@ -495,11 +543,36 @@ class TestBundleChecks:
         assert (tmp_path / "first" / "model.json").read_bytes() == (tmp_path / "second" / "model.json").read_bytes()
         assert np.array_equal(et_predict(loaded.columns[0].forest, features), et_predict(forest, features))
 
+    def test_any_field_of_another_type_fails_with_value_error(self, small_bundle, tmp_path):
+        # Every field along the first and last entry of each list, replaced
+        # by each JSON type: load_model refuses it with a ValueError or loads.
+        def paths(value, path=()):
+            yield path
+            keys = list(value) if type(value) is dict else [0, -1] if type(value) is list and value else []
+            for key in keys:
+                yield from paths(value[key], path + (key,))
+
+        for path in list(paths(json.loads(small_bundle)))[1:]:
+            for wrong in (5, 1.5, "x", None, [], {}):
+                data = json.loads(small_bundle)
+                parent = data
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = wrong
+                (tmp_path / "model.json").write_text(json.dumps(data))
+                try:
+                    load_model(tmp_path)
+                except ValueError:
+                    pass
+
     @pytest.mark.parametrize("edit", list(BUNDLE_EDITS))
     def test_corrupt_bundle_rejected_at_load(self, small_bundle, tmp_path, edit):
         change, field = BUNDLE_EDITS[edit]
-        data = json.loads(small_bundle)
-        change(data)
-        (tmp_path / "model.json").write_text(json.dumps(data))
+        if isinstance(change, TextEdit):
+            (tmp_path / "model.json").write_text(change.change(small_bundle), errors="surrogateescape")
+        else:
+            data = json.loads(small_bundle)
+            change(data)
+            (tmp_path / "model.json").write_text(json.dumps(data))
         with pytest.raises(ValueError, match=field):
             load_model(tmp_path)

@@ -7,12 +7,12 @@ pipeline once did: filter every trial into every band with
 :func:`trial_covariance`, the centred covariance, and the variance of each
 CSP projection over time.  :func:`fit_csp` and :func:`extract_features` fit
 and apply CSP to time-series trials through the pipeline's own solver and
-features.
+features; features take the kept filter rows, a ``(2 * n_pairs, C)`` array.
 """
 
 import numpy as np
 
-from fingerbci import CspModel, Trial, apply_filter, design_bandpass, log_variance_features
+from fingerbci import Trial, apply_filter, design_bandpass, log_variance_features
 from fingerbci.csp import fit_csp_stack
 
 
@@ -35,15 +35,14 @@ def class_covariance(trials: list[Trial]) -> np.ndarray:
     return np.mean([trial_covariance(trial) for trial in trials], axis=0)
 
 
-def fit_csp(class_a: list[Trial], class_b: list[Trial], n_pairs: int, band=None) -> CspModel:
-    """CSP filters contrasting two sets of trials (rows by eigenvalue descending)."""
-    filters, eigenvalues = fit_csp_stack(class_covariance(class_a), class_covariance(class_b), n_pairs)
-    return CspModel(filters=filters, eigenvalues=eigenvalues, n_pairs=n_pairs, band=band)
+def fit_csp(class_a: list[Trial], class_b: list[Trial], n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSP ``(filters, eigenvalues)`` contrasting two sets of trials (rows by eigenvalue descending)."""
+    return fit_csp_stack(class_covariance(class_a), class_covariance(class_b), n_pairs)
 
 
-def extract_features(trial: Trial, model: CspModel) -> np.ndarray:
-    """Log variance-ratio features of one trial (length 2 * n_pairs)."""
-    return log_variance_features(centred_covariance(trial), model)
+def extract_features(trial: Trial, filters: np.ndarray) -> np.ndarray:
+    """Log variance-ratio features of one trial through the kept ``filters`` (length 2 * n_pairs)."""
+    return log_variance_features(centred_covariance(trial), filters)
 
 
 def filter_bank(trials: list[Trial], bands, taps: int) -> list[list[Trial]]:
@@ -69,10 +68,10 @@ def band_covariances(trials: list[Trial], bands, taps: int) -> tuple[np.ndarray,
     return csp, feature
 
 
-def variance_features(trials: list[Trial], model) -> np.ndarray:
-    """Log variance ratios of the CSP projections over time, (n_trials, 2 * n_pairs)."""
+def variance_features(trials: list[Trial], filters: np.ndarray) -> np.ndarray:
+    """Log variance ratios of the projections through the kept ``filters`` over time, (n_trials, 2 * n_pairs)."""
     rows = []
     for trial in trials:
-        variances = (model.selected_filters() @ trial.samples.astype(np.float64)).var(axis=-1)
+        variances = (filters @ trial.samples.astype(np.float64)).var(axis=-1)
         rows.append(np.log(np.maximum(variances / variances.sum(), np.finfo(np.float64).tiny)))
     return np.array(rows)
