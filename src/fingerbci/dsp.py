@@ -8,7 +8,9 @@ power estimates downstream are not biased by edge effects.
 :func:`apply_filter` runs one filter over one trial's time series.  The
 filter bank (:func:`band_covariances`, :func:`decompose`) computes the same
 output in one valid-mode convolution per band and keeps only the spatial
-covariances that everything downstream reads.
+covariances that training reads.  Serving (:func:`projected_variances`)
+keeps only the centred variances of given spatial projections, and with
+fewer projections than channels filters only the projections.
 """
 
 from __future__ import annotations
@@ -227,22 +229,19 @@ def _kernel_spectrum(low: float, high: float, sample_rate: float, taps: int, n_f
     return spectrum
 
 
-def band_covariances(
-    trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Filter each trial into each band and reduce it to its covariances.
+def _band_signals(trials, sample_rate, bands, taps, projections=None):
+    """Yield ``(b, batch, y)``: the trials of ``batch`` filtered into band ``b``.
 
     Zero-phase forward-backward filtering with ``taps - 1`` samples trimmed
     at each end is a valid-mode convolution with the kernel's
     autocorrelation ``h * h[::-1]`` (length ``2 * taps - 1``).  So each
-    trial takes one rfft; each band multiplies it by that kernel's spectrum,
-    inverts, keeps the valid part and reduces it straight to the two
-    covariances of :class:`BandDecomposition` before the next band starts.
-    Trials of equal length go through in batches of about
-    ``BATCH_SAMPLES`` samples, and each trial's result does not depend on
-    which others share its batch.
-
-    Returns ``(csp_covariances, feature_covariances)``.
+    trial takes one rfft, and each band multiplies it by that kernel's
+    spectrum, inverts and keeps the valid part ``y``, ``(len(batch), C, T)``.
+    Trials of equal length go through in batches of about ``BATCH_SAMPLES``
+    samples, and each trial's ``y`` does not depend on its batch.  A
+    ``(k, C)`` spatial projection ``projections[b]`` commutes with the
+    filter: with ``k < C`` it multiplies the spectra, so only ``k`` rows are
+    inverted, and otherwise the filtered channels; ``y`` then has ``k`` rows.
     """
     if not trials:
         raise ValueError("no trials to filter")
@@ -258,29 +257,63 @@ def band_covariances(
         same_length = np.flatnonzero(lengths == length)
         step = max(1, BATCH_SAMPLES // (n_channels * int(length)))
         batches += [same_length[i : i + step] for i in range(0, len(same_length), step)]
-    shape = (len(bands), len(trials), n_channels, n_channels)
-    csp_covariances, feature_covariances = np.empty(shape), np.empty(shape)
     for batch in batches:
         length = int(lengths[batch[0]])
         n_fft = scipy.fft.next_fast_len(length, real=True)
         samples = np.stack([trials[i].samples for i in batch]).astype(np.float64)
         spectra = scipy.fft.rfft(samples, n_fft, axis=-1)
         for b, (low, high) in enumerate(bands):
+            rows = None if projections is None else projections[b]
+            spectrum = spectra
+            if rows is not None and len(rows) < n_channels:
+                # Projected before the filter, as one real product over (re, im) pairs.
+                spectrum, rows = (rows @ spectra.view(np.float64)).view(np.complex128), None
             # Output k of a circular convolution of n_fft >= length points
             # wraps nothing for k >= 2 * (taps - 1): the valid part.
-            y = scipy.fft.irfft(spectra * _kernel_spectrum(low, high, sample_rate, taps, n_fft), n_fft, axis=-1)
+            y = scipy.fft.irfft(spectrum * _kernel_spectrum(low, high, sample_rate, taps, n_fft), n_fft, axis=-1)
             y = y[..., 2 * (taps - 1) : length]
-            products = y @ y.swapaxes(-1, -2)
-            traces = np.trace(products, axis1=-2, axis2=-1)
-            if np.any(traces <= 0.0):
-                index = int(batch[np.argmax(traces <= 0.0)])
-                raise ValueError(f"trial {index} is all zero in band {bands[b]}: it has no covariance")
-            means = y.mean(axis=-1)
-            csp_covariances[b, batch] = products / traces[:, np.newaxis, np.newaxis]
-            feature_covariances[b, batch] = (
-                products / y.shape[-1] - means[:, :, np.newaxis] * means[:, np.newaxis, :]
-            )
+            yield b, batch, (y if rows is None else rows @ y)
+
+
+def _refuse_silent(totals: np.ndarray, batch: np.ndarray, band: tuple[float, float]) -> None:
+    if np.any(totals <= 0.0):
+        raise ValueError(f"trial {int(batch[np.argmax(totals <= 0.0)])} is all zero in band {band}")
+
+
+def band_covariances(
+    trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Filter each trial into each band (see :func:`_band_signals`) and
+    reduce it straight to the two covariances of :class:`BandDecomposition`.
+
+    Returns ``(csp_covariances, feature_covariances)``.
+    """
+    shape = (len(bands), len(trials), trials[0].n_channels, trials[0].n_channels) if trials else ()
+    csp_covariances, feature_covariances = np.empty(shape), np.empty(shape)
+    for b, batch, y in _band_signals(trials, sample_rate, bands, taps):
+        products = y @ y.swapaxes(-1, -2)
+        traces = np.trace(products, axis1=-2, axis2=-1)
+        _refuse_silent(traces, batch, bands[b])
+        means = y.mean(axis=-1)
+        csp_covariances[b, batch] = products / traces[:, np.newaxis, np.newaxis]
+        feature_covariances[b, batch] = products / y.shape[-1] - means[:, :, np.newaxis] * means[:, np.newaxis, :]
     return csp_covariances, feature_covariances
+
+
+def projected_variances(
+    trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int, projections: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Centred variances of each trial filtered into each band ``b`` and
+    projected through the ``(k_b, C)`` rows ``projections[b]``, one
+    ``(n_trials, k_b)`` array per band: ``diag(W S W^T)`` of the centred
+    covariances ``S`` of :func:`band_covariances`, up to rounding.
+    """
+    variances = [np.empty((len(trials), len(rows))) for rows in projections]
+    for b, batch, y in _band_signals(trials, sample_rate, bands, taps, projections):
+        variance = np.einsum("...t,...t->...", y, y) / y.shape[-1] - y.mean(axis=-1) ** 2
+        _refuse_silent(variance.sum(axis=-1), batch, bands[b])
+        variances[b][batch] = variance
+    return variances
 
 
 def decompose(dataset: Dataset, bank: FilterBank) -> BandDecomposition:

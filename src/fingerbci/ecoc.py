@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -23,8 +22,8 @@ import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
 from .config import PipelineConfig
-from .csp import fit_csp_stack, kept_filters, log_variance_features
-from .dsp import BandDecomposition, BankError, band_covariances, check_bank
+from .csp import fit_csp_stack, kept_filters, log_ratios, log_variance_features
+from .dsp import BandDecomposition, BankError, check_bank, projected_variances
 from .extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict, tune as et_tune
 from .rng import child_seed
 from .trialstore import Trial, replacing
@@ -33,10 +32,6 @@ MODEL_NAME = "model.json"
 # Bundle layout 3: each column's kept CSP filters as one 3-D list, each tree as pre-order lists.
 FORMAT_VERSION = 3
 TREE_FIELDS = ("attribute", "cut", "counts")
-
-# Centred covariance stacks by band index: a decomposition's
-# (n_bands, n_trials, C, C) array, or only the bands a model reads.
-BandStacks = Mapping[int, np.ndarray] | np.ndarray
 
 
 @dataclass
@@ -115,7 +110,7 @@ def decode(code: CodeMatrix, codeword: np.ndarray) -> int:
     return int(np.argmin(distances))
 
 
-def _column_features(selected_bands: list[int], filters: np.ndarray, covariances: BandStacks) -> np.ndarray:
+def _column_features(selected_bands: list[int], filters: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     """Concatenated per-band CSP features of every trial in ``covariances``.
 
     ``covariances[b]`` is the ``(n_trials, C, C)`` stack of centred
@@ -226,10 +221,14 @@ def fit_ecoc(decomp: BandDecomposition, code: CodeMatrix, config: PipelineConfig
     )
 
 
-def _needed_covariances(
-    model: EcocModel, trials: list[Trial], channel_names: list[str] | None
-) -> dict[int, np.ndarray]:
-    # Runs the training filter bank over the bands the model reads, no others.
+def _trial_features(model: EcocModel, trials: list[Trial], channel_names: list[str] | None) -> list[np.ndarray]:
+    """Each column's features of raw trials, filtering only the CSP projections read.
+
+    Every needed band is filtered once, through the kept filters of every
+    (column, band) that reads it, stacked in column order; each column's
+    share of the projected variances then gives its log ratios.  Equal up
+    to rounding to :func:`_column_features` of the trials' decomposition.
+    """
     names = model.channel_names if channel_names is None else list(channel_names)
     rate = next((t.sample_rate for t in trials if t.sample_rate != model.sample_rate), model.sample_rate)
     if names != model.channel_names or rate != model.sample_rate:
@@ -240,20 +239,38 @@ def _needed_covariances(
     for trial in trials:
         if trial.n_channels != len(model.channel_names):
             raise ValueError(f"trial has {trial.n_channels} channels, model expects {len(model.channel_names)}")
-    needed = sorted({b for column in model.columns for b in column.selected_bands})
-    _, feature_covariances = band_covariances(
-        trials, model.sample_rate, [model.bands[b] for b in needed], model.taps
-    )
-    return dict(zip(needed, feature_covariances))
+    rows: dict[int, list[np.ndarray]] = {}
+    for column in model.columns:
+        for band, kept in zip(column.selected_bands, column.filters):
+            rows.setdefault(band, []).append(kept)
+    needed = sorted(rows)
+    variances = np.hstack(projected_variances(
+        trials, model.sample_rate, [model.bands[b] for b in needed], model.taps, [np.vstack(rows[b]) for b in needed]
+    ))
+    # Where the next block of each band's rows sits in ``variances``, taking
+    # the blocks in the order they were stacked above.
+    offset = dict(zip(needed, np.cumsum([0] + [sum(map(len, rows[b])) for b in needed[:-1]])))
+    features = []
+    for column in model.columns:
+        index = []
+        for band, kept in zip(column.selected_bands, column.filters):
+            index.append(np.arange(offset[band], offset[band] + len(kept)))
+            offset[band] += len(kept)
+        features.append(log_ratios(variances[:, index]).reshape(len(trials), -1))
+    return features
 
 
-def predict_from_bands(model: EcocModel, covariances: BandStacks) -> np.ndarray:
-    """Decode class indices from centred band covariances aligned with the model's bands."""
-    bits = np.stack([
-        et_predict(c.forest, _column_features(c.selected_bands, c.filters, covariances)) for c in model.columns
-    ], axis=1)
+def _vote(model: EcocModel, features: list[np.ndarray]) -> np.ndarray:
+    # Each column's forest votes a bit; each codeword decodes to a class index.
+    bits = np.stack([et_predict(c.forest, f) for c, f in zip(model.columns, features)], axis=1)
     rows = [decode(model.code, word) for word in bits]
     return np.asarray(model.classes, dtype=np.int64)[rows]
+
+
+def predict_from_bands(model: EcocModel, covariances: np.ndarray) -> np.ndarray:
+    """Decode class indices from a ``(n_bands, n_trials, C, C)`` stack of
+    centred band covariances aligned with the model's bands."""
+    return _vote(model, [_column_features(c.selected_bands, c.filters, covariances) for c in model.columns])
 
 
 def predict_trials(
@@ -268,7 +285,7 @@ def predict_trials(
     equal the model's in names and order. Every trial's sample rate must
     equal the model's.
     """
-    return predict_from_bands(model, _needed_covariances(model, trials, channel_names))
+    return _vote(model, _trial_features(model, trials, channel_names))
 
 
 def predict_ecoc(

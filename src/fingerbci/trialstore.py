@@ -161,8 +161,9 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
-    Raises ``FileNotFoundError`` for missing files and ``ValueError`` when
-    the manifest and the binary disagree on dimensions or payloads overlap.
+    Raises ``FileNotFoundError`` for missing files and ``ValueError`` naming
+    the field of a manifest value of the wrong type or range, or when the
+    manifest and the binary disagree on dimensions or payloads overlap.
     """
     directory = Path(path)
     manifest_path = directory / MANIFEST_NAME
@@ -174,20 +175,26 @@ def load_dataset(path: str | Path) -> Dataset:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 or not JSON
             raise ValueError(f"corrupt manifest: {exc}") from exc
-    for key in ("sample_rate", "channel_names", "class_names", "trials"):
-        if key not in manifest:
-            raise ValueError(f"manifest missing key {key!r}")
-    channel_names = [str(c) for c in manifest["channel_names"]]
+    if type(manifest) is not dict:
+        raise ValueError("corrupt manifest: not a JSON object")
+    sample_rate = float(_field(manifest, "sample_rate", lambda v: type(v) in (int, float) and math.isfinite(v) and v > 0,
+                               "a positive finite number"))
+    channel_names = _field(manifest, "channel_names", _is_list_of_strings, "a list of strings")
+    class_names = _field(manifest, "class_names", _is_list_of_strings, "a list of strings")
+    records = _field(manifest, "trials", lambda v: type(v) is list and all(type(r) is dict for r in v),
+                     "a list of objects")
     n_channels = len(channel_names)
     raw = trials_path.read_bytes()
 
     trials = []
     expected_offset = 0
-    for i, record in enumerate(manifest["trials"]):
-        n_samples = int(record["n_samples"])
-        offset = int(record["offset_bytes"])
+    for i, record in enumerate(records):
+        label, n_samples, offset = (
+            _field(record, name, lambda v: type(v) is int and v >= least, f"an integer >= {least}", f" of trial {i}")
+            for name, least in (("label", 0), ("n_samples", 1), ("offset_bytes", 0))
+        )
         if offset != expected_offset:
             raise ValueError(f"trial {i} offset {offset} does not match packed layout ({expected_offset})")
         count = n_channels * n_samples
@@ -198,23 +205,25 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"({offset + nbytes} > {len(raw)} bytes)"
             )
         samples = np.frombuffer(raw, dtype=_SAMPLE_DTYPE, count=count, offset=offset)
-        trials.append(
-            Trial(
-                label=int(record["label"]),
-                samples=samples.reshape(n_channels, n_samples).copy(),
-                sample_rate=float(manifest["sample_rate"]),
-            )
-        )
+        trials.append(Trial(label=label, samples=samples.reshape(n_channels, n_samples).copy(), sample_rate=sample_rate))
         expected_offset = offset + nbytes
     if expected_offset != len(raw):
         raise ValueError(f"{TRIALS_NAME} has {len(raw)} bytes, manifest accounts for {expected_offset}")
 
-    return Dataset(
-        sample_rate=float(manifest["sample_rate"]),
-        channel_names=channel_names,
-        class_names=[str(c) for c in manifest["class_names"]],
-        trials=trials,
-    )
+    return Dataset(sample_rate=sample_rate, channel_names=channel_names, class_names=class_names, trials=trials)
+
+
+def _field(data: dict, name: str, valid, need: str, where: str = ""):
+    """``data[name]`` as read, refused by field name unless ``valid`` accepts it."""
+    if name not in data:
+        raise ValueError(f"manifest lacks field {name!r}{where}")
+    if not valid(data[name]):
+        raise ValueError(f"manifest field {name!r}{where}: {data[name]!r} is not {need}")
+    return data[name]
+
+
+def _is_list_of_strings(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
 
 
 def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> SplitIndices:

@@ -280,3 +280,65 @@ class TestFilterBankEquivalence:
         assert np.array_equal(view.labels, direct.labels)
         assert np.array_equal(view.csp_covariances, direct.csp_covariances)
         assert np.array_equal(view.feature_covariances, direct.feature_covariances)
+
+
+class TestProjectedVariances:
+    """``projected_variances`` against ``diag(W S W^T)`` of the covariance bank.
+
+    Both read the same filtered band signal, so they differ only in the
+    order of roundings; 1e-9 relative is far above that and far below any
+    real difference.
+    """
+
+    bank = make_bank(8.0, 14.0, 2.0, taps=63)
+
+    @staticmethod
+    def projections(rng, n_channels, rows_per_band):
+        return [rng.standard_normal((k, n_channels)) for k in rows_per_band]
+
+    @pytest.mark.parametrize("rows_per_band", [(1, 2, 3), (4, 5, 9), (2, 4, 8)], ids=["fewer", "more", "mixed"])
+    def test_equals_covariance_diagonals(self, rows_per_band):
+        # Four channels: (1, 2, 3) rows all project the spectra, (4, 5, 9)
+        # all project the filtered channels, and (2, 4, 8) does both.
+        rng = np.random.default_rng(12)
+        dataset = unequal_dataset(rng, n_channels=4)
+        projections = self.projections(rng, 4, rows_per_band)
+        variances = dsp.projected_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, projections)
+        _, feature = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
+        for b, rows in enumerate(projections):
+            expected = np.einsum("kc,ncd,kd->nk", rows, feature[b], rows)
+            assert variances[b].shape == (len(dataset.trials), len(rows))
+            np.testing.assert_allclose(variances[b], expected, rtol=1e-9, atol=0)
+
+    def test_single_trial_equals_batch_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        dataset = random_dataset(rng, trials_per_class=4, n_channels=4, n_samples=512)
+        projections = self.projections(rng, 4, (2, 4, 6))
+        batch = dsp.projected_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, projections)
+        for i, trial in enumerate(dataset.trials):
+            single = dsp.projected_variances([trial], 100.0, self.bank.bands, self.bank.taps, projections)
+            for b in range(len(projections)):
+                assert np.array_equal(single[b][0], batch[b][i])
+
+    def test_batch_size_changes_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        dataset = random_dataset(rng, trials_per_class=4, n_channels=4, n_samples=512)
+        projections = self.projections(rng, 4, (2, 4, 6))
+        whole = dsp.projected_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, projections)
+        monkeypatch.setattr(dsp, "BATCH_SAMPLES", 3 * 4 * 512)  # three trials per batch
+        split = dsp.projected_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, projections)
+        for joined, parts in zip(whole, split):
+            assert np.array_equal(joined, parts)
+
+    @pytest.mark.parametrize("rows", [2, 6])
+    def test_all_zero_trial_named_with_its_band(self, rows):
+        # Both reductions refuse the same trial in the same band, whichever
+        # side of the filter the projection is applied on.
+        dataset = random_dataset(np.random.default_rng(15), n_channels=4, n_samples=512)
+        trials = dataset.trials[:2] + [Trial(label=0, samples=np.zeros((4, 512)), sample_rate=100.0)]
+        projections = self.projections(np.random.default_rng(16), 4, (rows,) * 3)
+        message = r"trial 2 is all zero in band \(8.0, 10.0\)"
+        with pytest.raises(ValueError, match=message):
+            band_covariances(trials, 100.0, self.bank.bands, self.bank.taps)
+        with pytest.raises(ValueError, match=message):
+            dsp.projected_variances(trials, 100.0, self.bank.bands, self.bank.taps, projections)

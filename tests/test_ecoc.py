@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -8,7 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingerbci import PipelineConfig, decompose, ecoc, exhaustive_code, fit_ecoc, load_model, predict_ecoc, save_model
+from fingerbci import (
+    Dataset,
+    FilterBank,
+    PipelineConfig,
+    Trial,
+    decompose,
+    ecoc,
+    exhaustive_code,
+    fit_ecoc,
+    load_model,
+    make_bank,
+    predict_ecoc,
+    save_model,
+)
 from fingerbci.csp import fit_csp_stack
 from fingerbci.ecoc import (
     PAIR_CODE,
@@ -287,6 +301,28 @@ class TestFitEcoc:
         assert np.mean(predictions == dataset.labels()) >= 0.8
 
 
+    def test_unequal_lengths_batch_equals_single_trials(self, mini_decomp):
+        dataset, decomp = mini_decomp
+        model = fit_small_ecoc(decomp)
+        lengths = [256, 200, 256, 230, 200, 256, 230, 190]
+        trials = [Trial(t.label, t.samples[:, :n], t.sample_rate) for t, n in zip(dataset.trials[::4], lengths)]
+        assert list(predict_trials(model, trials)) == [predict_ecoc(model, t) for t in trials]
+        batch = ecoc._trial_features(model, trials, None)
+        for i, trial in enumerate(trials):
+            for column, single in zip(batch, ecoc._trial_features(model, [trial], None)):
+                assert np.array_equal(single[0], column[i])
+
+    def test_all_zero_trial_named_with_its_band(self, mini_decomp):
+        dataset, decomp = mini_decomp
+        model = fit_small_ecoc(decomp)
+        zero = Trial(label=0, samples=np.zeros((4, 256)), sample_rate=128.0)
+        first = model.bands[min(b for column in model.columns for b in column.selected_bands)]
+        with pytest.raises(ValueError, match=re.escape(f"trial 0 is all zero in band {first}")):
+            predict_ecoc(model, zero)
+        with pytest.raises(ValueError, match=re.escape(f"trial 2 is all zero in band {first}")):
+            predict_trials(model, dataset.trials[:2] + [zero])
+
+
 def fit_small_pair(dataset, pair, seed):
     """The class-pair decoder that ``train --classes`` builds: PAIR_CODE on the pair view."""
     from fingerbci.trialstore import subset_classes
@@ -307,6 +343,52 @@ class TestPairModel:
         assert set(np.unique(predictions)) <= {0, 2}
         truth = np.where(pair_view.labels() == 1, 2, 0)
         assert np.mean(predictions == truth) >= 0.9
+
+
+def serving_model(rng, n_channels, taps, columns):
+    """A model whose columns read ``columns``, ``(selected_bands, n_pairs)``
+    each, through random kept filters; serving features never read forests."""
+    bank = make_bank(8.0, 20.0, 2.0, taps=taps)
+    return EcocModel(
+        code=PAIR_CODE, classes=[0, 1], class_names=["a", "b"], channel_names=[f"ch{c}" for c in range(n_channels)],
+        sample_rate=128.0, bands=bank.bands, taps=taps,
+        columns=[ColumnModel(selected_bands=bands, filters=rng.standard_normal((len(bands), 2 * m, n_channels)),
+                             forest=None) for bands, m in columns],
+    )
+
+
+class TestServingFeatures:
+    """Serving features against the decomposition's, ``_column_features``
+    over ``decompose`` of the same trials.  Both read the same band signal
+    and differ only in rounding order; they must agree to 1e-9."""
+
+    # Six channels, rows per band: band 0 two (projects the spectra), band 2
+    # 2 + 4 + 2 = 8 from three columns and band 1 six (both filter every
+    # channel, then project), band 3 two, band 5 four.
+    SHARED = [([0, 2], 1), ([2], 2), ([2, 3, 5], 1), ([1], 3), ([5], 1)]
+
+    @pytest.mark.parametrize("taps, n_channels, columns", [
+        (63, 6, SHARED),
+        (101, 6, SHARED),
+        (63, 3, [([4, 1], 1), ([4], 1)]),  # every band reads at least C rows
+        (31, 8, [([0, 1, 2, 3, 4, 5], 2)]),  # every band reads fewer than C rows
+    ])
+    def test_equal_to_decomposition_features(self, taps, n_channels, columns):
+        rng = np.random.default_rng(taps + n_channels)
+        model = serving_model(rng, n_channels, taps, columns)
+        trials = [Trial(label=i % 2, samples=rng.standard_normal((n_channels, n)), sample_rate=128.0)
+                  for i, n in enumerate([400, 400, 330, 400, 330, 512])]
+        dataset = Dataset(sample_rate=128.0, channel_names=model.channel_names, class_names=model.class_names,
+                          trials=trials)
+        decomp = decompose(dataset, FilterBank(bands=model.bands, taps=taps))
+        served = ecoc._trial_features(model, trials, None)
+        for column, features in zip(model.columns, served):
+            expected = ecoc._column_features(column.selected_bands, column.filters, decomp.feature_covariances)
+            assert features.shape == expected.shape
+            np.testing.assert_allclose(features, expected, rtol=0, atol=1e-9)
+        for i, trial in enumerate(trials):
+            for features, single in zip(served, ecoc._trial_features(model, [trial], None)):
+                assert np.array_equal(single[0], features[i])
 
 
 class TestModelBundle:

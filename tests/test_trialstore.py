@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -185,6 +186,92 @@ class TestFormat:
         with pytest.raises(ValueError, match="non-finite"):
             load_dataset(tmp_path)
 
+
+
+def _set(path, value):
+    """An edit that puts ``value`` at ``path`` of the manifest."""
+    def change(manifest):
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return change
+
+
+def _drop(path):
+    """An edit that deletes ``path`` of the manifest."""
+    def change(manifest):
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    return change
+
+
+# Each edit of a saved two-class manifest and the field its error must name.
+MANIFEST_EDITS = {
+    "fractional label": (_set(("trials", 0, "label"), 0.7), "'label' of trial 0"),
+    "boolean label": (_set(("trials", 1, "label"), True), "'label' of trial 1"),
+    "fractional n_samples": (_set(("trials", 0, "n_samples"), 1.5), "'n_samples' of trial 0"),
+    "negative n_samples": (_set(("trials", 1, "n_samples"), -1), "'n_samples' of trial 1"),
+    "string offset": (_set(("trials", 1, "offset_bytes"), "16"), "'offset_bytes' of trial 1"),
+    "missing label": (_drop(("trials", 0, "label")), "'label' of trial 0"),
+    "null n_samples": (_set(("trials", 0, "n_samples"), None), "'n_samples' of trial 0"),
+    "record not an object": (_set(("trials", 1), [0, 2, 16]), "'trials'"),
+    "trials not a list": (_set(("trials",), {"label": 0}), "'trials'"),
+    "channel_names a string": (_set(("channel_names",), "ab"), "'channel_names'"),
+    "channel name a number": (_set(("channel_names", 0), 3), "'channel_names'"),
+    "class_names a string": (_set(("class_names",), "xy"), "'class_names'"),
+    "string sample_rate": (_set(("sample_rate",), "100"), "'sample_rate'"),
+    "zero sample_rate": (_set(("sample_rate",), 0), "'sample_rate'"),
+    "infinite sample_rate": (_set(("sample_rate",), float("inf")), "'sample_rate'"),
+    "missing sample_rate": (_drop(("sample_rate",)), "'sample_rate'"),
+    "missing trials": (_drop(("trials",)), "'trials'"),
+}
+
+
+class TestManifestChecks:
+    """``load_dataset`` checks manifest values as read and names the field it refuses."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        save_dataset(two_class_dataset(), tmp_path)
+        return json.loads((tmp_path / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("edit", list(MANIFEST_EDITS))
+    def test_malformed_field_refused_by_name(self, saved, tmp_path, edit):
+        change, field = MANIFEST_EDITS[edit]
+        change(saved)
+        (tmp_path / "manifest.json").write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=re.escape(field)):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("text", [b"[]", b'{"sample_rate": \xff}'], ids=["list", "not UTF-8"])
+    def test_manifest_text_refused_as_corrupt(self, tmp_path, text):
+        save_dataset(two_class_dataset(), tmp_path)
+        (tmp_path / "manifest.json").write_bytes(text)
+        with pytest.raises(ValueError, match="corrupt manifest"):
+            load_dataset(tmp_path)
+
+    def test_any_field_of_another_type_fails_with_value_error(self, saved, tmp_path):
+        # Every field along the first and last entry of each list, replaced
+        # by each JSON type or deleted: load_dataset refuses it with a
+        # ValueError or loads.
+        def paths(value, path=()):
+            yield path
+            keys = list(value) if type(value) is dict else [0, -1] if type(value) is list and value else []
+            for key in keys:
+                yield from paths(value[key], path + (key,))
+
+        for path in list(paths(saved))[1:]:
+            for change in [_set(path, wrong) for wrong in (5, 1.5, -1, True, "x", None, [], {})] + [_drop(path)]:
+                manifest = json.loads(json.dumps(saved))
+                change(manifest)
+                (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+                try:
+                    load_dataset(tmp_path)
+                except ValueError:
+                    pass
 
 class TestStratifiedSplit:
     def test_exact_counts_10_per_class(self):
