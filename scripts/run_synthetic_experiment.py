@@ -23,9 +23,9 @@ from fingerbci import (
     generate,
     repeated_holdout,
     save_dataset,
-    score_bands,
     select_bands,
 )
+from fingerbci.bandselect import score_bands_for_labels
 from fingerbci.rng import child_seed
 
 CLASS_NAMES = ["rest", "thumb", "index", "middle"]
@@ -75,9 +75,9 @@ def main() -> None:
     decomp = decompose(dataset, config.bank())
 
     print("scoring the 17-band grid for rest vs thumb")
-    scores = score_bands(
-        decomp, 0, 1, n_pairs=config.csp_pairs, folds=config.cv_folds, seed=config.seed,
-        shrinkage=config.lda_shrinkage,
+    pair = decomp.classes(0, 1)
+    scores = score_bands_for_labels(
+        pair, pair.labels, config.csp_pairs, config.cv_folds, config.seed, config.lda_shrinkage
     )
     selection = select_bands(scores)
     print(f"  threshold {selection.threshold:.3f}")

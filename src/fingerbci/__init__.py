@@ -6,7 +6,7 @@ exhaustive-code ECOC multiclass decoding, plus a synthetic EEG generator
 and a repeated-holdout evaluation harness.
 """
 
-from .bandselect import BandScore, SelectionResult, score_bands, select_bands
+from .bandselect import BandScore, SelectionResult, select_bands
 from .config import PipelineConfig
 from .csp import log_variance_features
 from .dsp import (
@@ -16,7 +16,6 @@ from .dsp import (
     apply_filter,
     band_covariances,
     decompose,
-    default_bank,
     design_bandpass,
     make_bank,
 )
@@ -27,7 +26,6 @@ from .ecoc import (
     decode,
     exhaustive_code,
     fit_ecoc,
-    hamming,
     load_model,
     predict_ecoc,
     predict_trials,

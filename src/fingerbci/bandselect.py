@@ -113,20 +113,6 @@ def score_bands_for_labels(
     return [BandScore(band=band, score=float(score)) for band, score in zip(decomp.bands, accuracies.mean(axis=-1))]
 
 
-def score_bands(
-    decomp: BandDecomposition,
-    class_a: int,
-    class_b: int,
-    n_pairs: int = 2,
-    folds: int = 5,
-    seed: int = 0,
-    shrinkage: float = DEFAULT_SHRINKAGE,
-) -> list[BandScore]:
-    """Score every band for the binary problem ``class_a`` vs ``class_b``."""
-    pair = decomp.classes(class_a, class_b)
-    return score_bands_for_labels(pair, pair.labels, n_pairs, folds, seed, shrinkage)
-
-
 def select_bands(scores: list[BandScore]) -> SelectionResult:
     """Keep bands scoring at least ``max - sample_std`` (never empty)."""
     if not scores:

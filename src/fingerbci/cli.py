@@ -13,7 +13,7 @@ from .config import PipelineConfig
 from .dsp import decompose
 from .ecoc import PAIR_CODE, exhaustive_code, fit_ecoc, load_model, predict_trials, save_model
 from .evaluation import repeated_holdout
-from .bandselect import score_bands, select_bands
+from .bandselect import score_bands_for_labels, select_bands
 from .synthgen import SynthConfig, generate
 from .trialstore import load_dataset, save_dataset, subset_classes
 
@@ -64,11 +64,9 @@ def cmd_score_bands(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config, args.seed)
     dataset = load_dataset(args.dataset)
     class_a, class_b = _parse_classes(args.classes, dataset.class_names)
-    decomp = decompose(dataset, config.bank())
-    scores = score_bands(
-        decomp, class_a, class_b,
-        n_pairs=config.csp_pairs, folds=config.cv_folds,
-        seed=config.seed, shrinkage=config.lda_shrinkage,
+    pair = decompose(dataset, config.bank()).classes(class_a, class_b)
+    scores = score_bands_for_labels(
+        pair, pair.labels, config.csp_pairs, config.cv_folds, config.seed, config.lda_shrinkage
     )
     selection = select_bands(scores)
     out = Path(args.out)
@@ -116,15 +114,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_row(name: str, report) -> dict:
-    return {
-        "pair": name,
-        "accuracy_mean": report.mean,
-        "accuracy_sd": report.sd,
-        "accuracy_max": report.max,
-    }
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config, args.seed)
     dataset = load_dataset(args.dataset)
@@ -133,7 +122,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     names = dataset.class_names
 
     payload: dict = {"config": config.to_dict(), "class_names": names}
-    binary_rows = {"rest_vs_finger": [], "pairwise": []}
     # One pass through the filter bank serves the multiclass run and every pair run.
     decomp = decompose(dataset, config.bank())
     if dataset.n_classes >= 3:
@@ -148,22 +136,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pairs_rest = [(0, 1)]
         pairs_other = []
 
-    payload["rest_vs_finger"] = {}
-    payload["pairwise"] = {}
     for section, pairs in (("rest_vs_finger", pairs_rest), ("pairwise", pairs_other)):
-        for a, b in pairs:
-            label = f"{names[a]} vs {names[b]}"
-            report = repeated_holdout(decomp, config, pair=(a, b))
-            payload[section][label] = report.summary()
-            binary_rows[section].append(_report_row(label, report))
+        payload[section] = {
+            f"{names[a]} vs {names[b]}": repeated_holdout(decomp, config, pair=(a, b)).summary() for a, b in pairs
+        }
 
     _write_json(payload, out_dir / "report.json")
-    for section, filename in (("rest_vs_finger", "rest_vs_finger.csv"), ("pairwise", "pairwise.csv")):
-        with open(out_dir / filename, "w", newline="", encoding="utf-8") as fh:
+    columns = ["accuracy_mean", "accuracy_sd", "accuracy_max"]
+    for section in ("rest_vs_finger", "pairwise"):
+        with open(out_dir / f"{section}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["pair", "accuracy_mean", "accuracy_sd", "accuracy_max"])
-            for row in binary_rows[section]:
-                writer.writerow([row["pair"], row["accuracy_mean"], row["accuracy_sd"], row["accuracy_max"]])
+            writer.writerow(["pair", *columns])
+            writer.writerows([pair, *(summary[c] for c in columns)] for pair, summary in payload[section].items())
     with open(out_dir / "kappa.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["repetition", "kappa"])

@@ -85,9 +85,6 @@ class BandDecomposition:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def class_indices(self, label: int) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.labels == label)]
-
     def subset(self, indices: list[int]) -> "BandDecomposition":
         """The given trials, in the given order."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -210,13 +207,6 @@ def make_bank(start: float, stop: float, width: float, taps: int = DEFAULT_TAPS)
         raise ValueError(f"({start}, {stop}) is not an integer number of {width} Hz bands")
     bands = [(start + i * width, start + (i + 1) * width) for i in range(n_bands)]
     return FilterBank(bands=bands, taps=taps)
-
-
-def default_bank(sample_rate: float) -> FilterBank:
-    """The standard 17-band bank: 2 Hz bands from (5, 7) up to (37, 39)."""
-    if sample_rate <= 80.0:
-        raise ValueError(f"sample rate {sample_rate} too low for the 5-39 Hz bank")
-    return make_bank(5.0, 39.0, 2.0)
 
 
 @functools.lru_cache(maxsize=64)

@@ -92,22 +92,14 @@ def exhaustive_code(n_classes: int) -> CodeMatrix:
 PAIR_CODE = CodeMatrix(bits=[[0], [1]])
 
 
-def hamming(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of differing positions between two equal-length bit vectors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.sum(a != b))
-
-
-def decode(code: CodeMatrix, codeword: np.ndarray) -> int:
-    """Class whose row is nearest to the codeword; ties -> lowest index."""
-    codeword = np.asarray(codeword)
-    if codeword.shape != (code.n_columns,):
-        raise ValueError(f"codeword length {codeword.shape} != {code.n_columns} columns")
-    distances = np.sum(code.bits != codeword[np.newaxis, :], axis=1)
-    return int(np.argmin(distances))
+def decode(code: CodeMatrix, codewords: np.ndarray) -> int | np.ndarray:
+    """Row nearest in Hamming distance to each codeword of a ``(..., q)``
+    array, ties to the lowest index; an ``int`` for a single codeword."""
+    codewords = np.asarray(codewords)
+    if codewords.ndim == 0 or codewords.shape[-1] != code.n_columns:
+        raise ValueError(f"codewords of shape {codewords.shape} do not have {code.n_columns} columns")
+    rows = np.argmin(np.sum(code.bits != codewords[..., np.newaxis, :], axis=-1), axis=-1)
+    return int(rows) if codewords.ndim == 1 else rows
 
 
 def _column_features(selected_bands: list[int], filters: np.ndarray, covariances: np.ndarray) -> np.ndarray:
@@ -263,8 +255,7 @@ def _trial_features(model: EcocModel, trials: list[Trial], channel_names: list[s
 def _vote(model: EcocModel, features: list[np.ndarray]) -> np.ndarray:
     # Each column's forest votes a bit; each codeword decodes to a class index.
     bits = np.stack([et_predict(c.forest, f) for c, f in zip(model.columns, features)], axis=1)
-    rows = [decode(model.code, word) for word in bits]
-    return np.asarray(model.classes, dtype=np.int64)[rows]
+    return np.asarray(model.classes, dtype=np.int64)[decode(model.code, bits)]
 
 
 def predict_from_bands(model: EcocModel, covariances: np.ndarray) -> np.ndarray:

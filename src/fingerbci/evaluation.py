@@ -119,8 +119,7 @@ def repeated_holdout(
 
     confusions = []
     for r in range(config.repetitions):
-        # The split reads only n_classes and class_indices, which a decomposition has too.
-        split = stratified_split(decomp, config.test_fraction, child_seed(config.seed, r, 0))
+        split = stratified_split(decomp.labels, config.test_fraction, child_seed(config.seed, r, 0))
         model = fit_ecoc(decomp.subset(split.train), code, replace(config, seed=child_seed(config.seed, r, 1)))
         predicted = predict_from_bands(model, decomp.feature_covariances[:, split.test])
         confusions.append(confusion_matrix(decomp.labels[split.test], predicted, n_classes))

@@ -242,17 +242,13 @@ def tree_predict(node: EtNode, x: np.ndarray | list[float]) -> int:
 
 
 def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:
-    """Majority vote over trees; a tied forest votes class 0."""
+    """Majority vote over trees for each row of ``features``; a tied forest votes class 0."""
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[np.newaxis, :]
-    if x.shape[1] != forest.feature_dim:
-        raise ValueError(f"feature dimension {x.shape[1]} != trained dimension {forest.feature_dim}")
+    if x.ndim != 2 or x.shape[1] != forest.feature_dim:
+        raise ValueError(f"features of shape {x.shape} are not rows of the trained dimension {forest.feature_dim}")
     rows = x.tolist()
     votes = np.array([[tree_predict(tree, row) for row in rows] for tree in forest.trees], dtype=np.int64).sum(axis=0)
-    labels = (votes * 2 > len(forest.trees)).astype(np.int64)
-    return labels[0] if single else labels
+    return (votes * 2 > len(forest.trees)).astype(np.int64)
 
 
 def _stops(nodes: _Nodes, x: np.ndarray, trees: np.ndarray, samples: np.ndarray, min_samples_split_grid) -> np.ndarray:

@@ -51,8 +51,9 @@ class Trial:
             raise ValueError("trial must have at least one channel and one sample")
         if not np.isfinite(self.samples).all():
             raise ValueError("trial samples contain non-finite values")
-        if self.label < 0:
-            raise ValueError("trial label must be non-negative")
+        if isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer)) or self.label < 0:
+            raise ValueError(f"trial field 'label': {self.label!r} is not an integer >= 0")
+        self.label = int(self.label)  # a numpy integer would not serialise to the manifest
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
@@ -105,9 +106,6 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return np.array([t.label for t in self.trials], dtype=np.int64)
-
-    def class_indices(self, label: int) -> list[int]:
-        return [i for i, t in enumerate(self.trials) if t.label == label]
 
 
 @dataclass
@@ -226,28 +224,30 @@ def _is_list_of_strings(value) -> bool:
     return type(value) is list and all(type(v) is str for v in value)
 
 
-def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> SplitIndices:
-    """Seeded stratified holdout split.
+def stratified_split(labels: np.ndarray, test_fraction: float, seed: int) -> SplitIndices:
+    """Seeded stratified holdout split of the trials with these labels.
 
-    Per class, the test count is round-half-up(class_count * test_fraction)
-    with a minimum of one trial, and at least one trial must remain for
-    training.  Identical inputs give identical splits.
+    Per class present, in increasing label order, the test count is
+    round-half-up(class_count * test_fraction) with a minimum of one trial,
+    and at least one trial must remain for training.  Identical inputs give
+    identical splits.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
+    labels = np.asarray(labels)
     rng = stream(seed)
     train: list[int] = []
     test: list[int] = []
-    for label in range(dataset.n_classes):
-        indices = dataset.class_indices(label)
+    for label in np.unique(labels):
+        indices = np.flatnonzero(labels == label)
         if len(indices) < 2:
             raise ValueError(f"class {label} needs at least 2 trials to split, has {len(indices)}")
         n_test = max(1, math.floor(len(indices) * test_fraction + 0.5))
         if n_test >= len(indices):
             raise ValueError(f"class {label}: {len(indices)} trials leave no training trial at fraction {test_fraction}")
         order = rng.permutation(len(indices))
-        test.extend(indices[j] for j in order[:n_test])
-        train.extend(indices[j] for j in order[n_test:])
+        test.extend(indices[order[:n_test]].tolist())
+        train.extend(indices[order[n_test:]].tolist())
     return SplitIndices(train=sorted(train), test=sorted(test))
 
 

@@ -18,21 +18,20 @@ from fingerbci import (
     SynthConfig,
     Trial,
     decompose,
-    default_bank,
     design_bandpass,
     exhaustive_code,
     generate,
     load_dataset,
     load_model,
+    make_bank,
     repeated_holdout,
     save_dataset,
     save_model,
-    score_bands,
     select_bands,
 )
-from fingerbci.bandselect import BandScore
+from fingerbci.bandselect import BandScore, score_bands_for_labels
 from fingerbci.config import PipelineConfig
-from fingerbci.ecoc import decode, fit_ecoc, hamming
+from fingerbci.ecoc import decode, fit_ecoc
 from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
 from fingerbci.rng import child_seed, stream
 
@@ -49,11 +48,16 @@ def criterion(number, description):
     print(f"\n[criterion {number}] PASS - {description}")
 
 
+def hamming(a, b):
+    """Independent distance oracle: differing positions of two equal-length bit vectors."""
+    return sum(1 for x, y in zip(a, b, strict=True) if x != y)
+
+
 def brute_force_nearest(rows, word):
     """Independent decode oracle: linear scan, lowest index wins ties."""
     best_index, best_distance = None, None
     for i, row in enumerate(rows):
-        distance = sum(1 for a, b in zip(row, word) if a != b)
+        distance = hamming(row, word)
         if best_distance is None or distance < best_distance:
             best_index, best_distance = i, distance
     return best_index
@@ -239,14 +243,14 @@ def test_criterion_5_threshold_rule():
 def test_criterion_6_band_selection_oracle():
     start = time.perf_counter()
     with criterion(6, "planted 9-11 Hz source tops the 17-band scores for >= 9 of 10 seeds"):
-        bank = default_bank(512.0)
+        bank = make_bank(5.0, 39.0, 2.0)
         band_index = bank.bands.index((9.0, 11.0))
         hits = 0
         for master_seed in range(10):
             dataset = generate(oracle_config(master_seed))
-            decomp = decompose(dataset, bank)
-            scores = score_bands(
-                decomp, 0, 1, n_pairs=2, folds=5, seed=child_seed(master_seed, 2)
+            pair = decompose(dataset, bank).classes(0, 1)
+            scores = score_bands_for_labels(
+                pair, pair.labels, n_pairs=2, folds=5, seed=child_seed(master_seed, 2)
             )
             values = [s.score for s in scores]
             selection = select_bands(scores)

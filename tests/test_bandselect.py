@@ -7,10 +7,8 @@ from fingerbci import (
     SynthConfig,
     generate,
     decompose,
-    default_bank,
     exhaustive_code,
     make_bank,
-    score_bands,
     select_bands,
 )
 from fingerbci.bandselect import BandScore, fit_folds, score_bands_for_labels
@@ -144,27 +142,27 @@ def scored_decomposition():
 
 class TestScoreBands:
     def test_planted_band_scores_high(self, scored_decomposition):
-        scores = score_bands(scored_decomposition, 0, 1, n_pairs=2, folds=5, seed=3)
+        scores = score_bands_for_labels(scored_decomposition, scored_decomposition.labels, n_pairs=2, folds=5, seed=3)
         by_band = {s.band: s.score for s in scores}
         assert by_band[(8.0, 10.0)] >= 0.9 or by_band[(10.0, 12.0)] >= 0.9
 
     def test_noise_band_scores_chance(self, scored_decomposition):
-        scores = score_bands(scored_decomposition, 0, 1, n_pairs=2, folds=5, seed=3)
+        scores = score_bands_for_labels(scored_decomposition, scored_decomposition.labels, n_pairs=2, folds=5, seed=3)
         by_band = {s.band: s.score for s in scores}
         assert 0.35 <= by_band[(22.0, 24.0)] <= 0.65
 
     def test_deterministic(self, scored_decomposition):
-        first = score_bands(scored_decomposition, 0, 1, seed=11)
-        second = score_bands(scored_decomposition, 0, 1, seed=11)
+        first = score_bands_for_labels(scored_decomposition, scored_decomposition.labels, seed=11)
+        second = score_bands_for_labels(scored_decomposition, scored_decomposition.labels, seed=11)
         assert [s.score for s in first] == [s.score for s in second]
 
     def test_missing_class_rejected(self, scored_decomposition):
         with pytest.raises(ValueError, match="present"):
-            score_bands(scored_decomposition, 0, 5)
+            scored_decomposition.classes(0, 5)
 
     def test_insufficient_trials_for_folds(self, scored_decomposition):
         with pytest.raises(ValueError, match="fewer than"):
-            score_bands(scored_decomposition, 0, 1, folds=50)
+            score_bands_for_labels(scored_decomposition, scored_decomposition.labels, folds=50)
 
     def test_fold_fit_ignores_heldout_trials(self, scored_decomposition):
         # Leakage guard: corrupting the held-out fold must not move the fitted models.
@@ -326,7 +324,7 @@ class TestStackedEquivalence:
         assert stacked == expected
 
     def test_oracle_pairs_and_columns(self):
-        decomp = decompose(generate(oracle_like(0, 40, 8, 4.0, 3.0)), default_bank(512.0))
+        decomp = decompose(generate(oracle_like(0, 40, 8, 4.0, 3.0)), make_bank(5.0, 39.0, 2.0))
         pair = decomp.classes(0, 1)
         problems = [(pair.labels, child_seed(0, 2))] + ecoc_columns(decomp, 1)[:2]
         for labels, seed in problems:
@@ -336,7 +334,7 @@ class TestStackedEquivalence:
 
     def test_holdout_round_columns(self):
         # The benchmark's holdout round geometry: 4 x 10 two-second trials, 8 channels.
-        decomp = decompose(generate(oracle_like(3, 10, 8, 4.0, 2.0)), default_bank(512.0))
+        decomp = decompose(generate(oracle_like(3, 10, 8, 4.0, 2.0)), make_bank(5.0, 39.0, 2.0))
         for labels, seed in ecoc_columns(decomp, 7):
             stacked, expected = stacked_and_reference(decomp, labels, seed=seed)
             assert stacked == expected
@@ -348,7 +346,7 @@ class TestStackedEquivalence:
             assert [s.score for s in score_bands_for_labels(decomp, labels)] == expected
 
     def test_thirty_two_channels(self):
-        decomp = decompose(generate(oracle_like(4, 8, 32, 0.1, 2.0)), default_bank(512.0))
+        decomp = decompose(generate(oracle_like(4, 8, 32, 0.1, 2.0)), make_bank(5.0, 39.0, 2.0))
         for labels, seed in ecoc_columns(decomp, 2)[:3]:
             stacked, expected = stacked_and_reference(decomp, labels, seed=seed)
             assert stacked == expected

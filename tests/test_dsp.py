@@ -9,7 +9,6 @@ from fingerbci import (
     apply_filter,
     band_covariances,
     decompose,
-    default_bank,
     design_bandpass,
     log_variance_features,
     make_bank,
@@ -125,7 +124,7 @@ class TestApplyFilter:
 
 class TestBanks:
     def test_default_bank_is_seventeen_two_hz_bands(self):
-        bank = default_bank(512.0)
+        bank = make_bank(5.0, 39.0, 2.0)
         assert len(bank.bands) == 17
         assert bank.bands[0] == (5.0, 7.0)
         assert bank.bands[-1] == (37.0, 39.0)
@@ -133,10 +132,6 @@ class TestBanks:
             assert high - low == pytest.approx(2.0)
         for (_, high), (low, _) in zip(bank.bands, bank.bands[1:]):
             assert low == high
-
-    def test_default_bank_rate_too_low(self):
-        with pytest.raises(ValueError):
-            default_bank(80.0)
 
     def test_make_bank_misaligned(self):
         with pytest.raises(ValueError):
@@ -163,7 +158,7 @@ class TestDecompose:
         from fingerbci import Dataset
 
         dataset = Dataset(sample_rate=512.0, channel_names=["c"], class_names=["a", "b"], trials=trials)
-        decomp = decompose(dataset, default_bank(512.0))
+        decomp = decompose(dataset, make_bank(5.0, 39.0, 2.0))
         assert decomp.n_bands == 17
         for stack in (decomp.csp_covariances, decomp.feature_covariances):
             assert len(stack) == 17

@@ -30,18 +30,22 @@ from fingerbci.ecoc import (
     ColumnModel,
     EcocModel,
     decode,
-    hamming,
     predict_trials,
     resolve_feature_grid,
 )
 from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
 
 
+def hamming(a, b) -> int:
+    """Independent oracle: number of differing positions of two equal-length bit vectors."""
+    return sum(1 for x, y in zip(a, b, strict=True) if x != y)
+
+
 def brute_force_nearest(rows: np.ndarray, word) -> int:
     """Independent oracle: linear scan with lowest-index tie-break."""
     best_index, best_distance = None, None
     for i, row in enumerate(rows):
-        distance = sum(1 for a, b in zip(row, word) if a != b)
+        distance = hamming(row, word)
         if best_distance is None or distance < best_distance:
             best_index, best_distance = i, distance
     return best_index
@@ -113,6 +117,8 @@ class TestExhaustiveCode:
 
 
 class TestHamming:
+    """The distance oracle the code and decode tests below rely on."""
+
     def test_identical_is_zero(self):
         word = np.array([1, 0, 1, 1])
         assert hamming(word, word) == 0
@@ -125,10 +131,6 @@ class TestHamming:
     def test_symmetry(self, a, data):
         b = data.draw(st.lists(st.integers(0, 1), min_size=len(a), max_size=len(a)))
         assert hamming(np.array(a), np.array(b)) == hamming(np.array(b), np.array(a))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            hamming(np.array([1, 0]), np.array([1, 0, 1]))
 
 
 class TestDecode:
@@ -170,6 +172,25 @@ class TestDecode:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             decode(exhaustive_code(3), np.array([1, 0]))
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_batch_equals_rows_and_brute_force(self, p):
+        code = exhaustive_code(p)
+        words = np.array(list(itertools.product((0, 1), repeat=code.n_columns)))
+        rows = decode(code, words)
+        assert rows.shape == (len(words),)
+        assert rows.tolist() == [decode(code, word) for word in words]
+        assert rows.tolist() == [brute_force_nearest(code.bits, word) for word in words]
+        # Any leading shape decodes the same words.
+        assert np.array_equal(decode(code, words.reshape(2, -1, code.n_columns)), rows.reshape(2, -1))
+
+    def test_empty_batch_decodes_to_no_rows(self):
+        assert decode(exhaustive_code(4), np.zeros((0, 7), dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(), (5, 6), (5, 8), (2, 3, 1), (7, 0)])
+    def test_batch_wrong_last_dimension_rejected(self, shape):
+        with pytest.raises(ValueError, match="7 columns"):
+            decode(exhaustive_code(4), np.zeros(shape, dtype=np.int64))
 
 
 class TestFeatureGrid:

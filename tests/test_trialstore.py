@@ -37,6 +37,21 @@ class TestTrialValidation:
         with pytest.raises(ValueError):
             make_trial([[1.0]], label=-1)
 
+    def test_float_label_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"'label': 0\.7 is not an integer"):
+            make_trial([[1.0]], label=0.7)
+
+    def test_bool_label_rejected_by_name(self):
+        for label in (True, np.bool_(False)):
+            with pytest.raises(ValueError, match="'label': .* is not an integer"):
+                make_trial([[1.0]], label=label)
+
+    def test_numpy_integer_labels_save_and_load(self, tmp_path):
+        trials = [make_trial([[1.0, 2.0]], label=np.int64(c)) for c in range(2)]
+        dataset = Dataset(sample_rate=100.0, channel_names=["a"], class_names=["x", "y"], trials=trials)
+        save_dataset(dataset, tmp_path)
+        assert load_dataset(tmp_path).labels().tolist() == [0, 1]
+
     def test_samples_stored_float32(self):
         trial = make_trial([[1.0, 2.0]])
         assert trial.samples.dtype == np.float32
@@ -277,22 +292,22 @@ class TestStratifiedSplit:
     def test_exact_counts_10_per_class(self):
         dataset = random_dataset(np.random.default_rng(1), n_classes=4, trials_per_class=10)
         for seed in (0, 1, 2):
-            split = stratified_split(dataset, 0.2, seed)
+            split = stratified_split(dataset.labels(), 0.2, seed)
             labels = dataset.labels()
             for c in range(4):
                 assert sum(1 for i in split.test if labels[i] == c) == 2
 
     def test_five_per_class_fraction_point_two(self):
         dataset = random_dataset(np.random.default_rng(2), n_classes=4, trials_per_class=5)
-        split = stratified_split(dataset, 0.2, seed=3)
+        split = stratified_split(dataset.labels(), 0.2, seed=3)
         labels = dataset.labels()
         for c in range(4):
             assert sum(1 for i in split.test if labels[i] == c) == 1
 
     def test_deterministic(self):
         dataset = random_dataset(np.random.default_rng(3), trials_per_class=10)
-        first = stratified_split(dataset, 0.2, seed=11)
-        second = stratified_split(dataset, 0.2, seed=11)
+        first = stratified_split(dataset.labels(), 0.2, seed=11)
+        second = stratified_split(dataset.labels(), 0.2, seed=11)
         assert first.train == second.train and first.test == second.test
 
     @settings(max_examples=30, deadline=None)
@@ -303,7 +318,7 @@ class TestStratifiedSplit:
     )
     def test_partition_property(self, seed, trials_per_class, fraction):
         dataset = random_dataset(np.random.default_rng(0), n_classes=3, trials_per_class=trials_per_class)
-        split = stratified_split(dataset, fraction, seed)
+        split = stratified_split(dataset.labels(), fraction, seed)
         assert not set(split.train) & set(split.test)
         assert sorted(split.train + split.test) == list(range(len(dataset.trials)))
         labels = dataset.labels()
@@ -315,18 +330,26 @@ class TestStratifiedSplit:
     def test_too_few_trials(self):
         dataset = random_dataset(np.random.default_rng(4), trials_per_class=1, n_classes=2)
         with pytest.raises(ValueError, match="at least 2 trials"):
-            stratified_split(dataset, 0.2, seed=0)
+            stratified_split(dataset.labels(), 0.2, seed=0)
 
     def test_no_training_trial_left(self):
         dataset = random_dataset(np.random.default_rng(5), trials_per_class=2)
         with pytest.raises(ValueError, match="no training trial"):
-            stratified_split(dataset, 0.9, seed=0)
+            stratified_split(dataset.labels(), 0.9, seed=0)
+
+    def test_splits_the_classes_present(self):
+        # Labels need not run from 0: each label present is split on its own.
+        labels = np.array([3, 5, 3, 5, 3, 5, 3, 5])
+        split = stratified_split(labels, 0.5, seed=2)
+        assert sorted(split.train + split.test) == list(range(8))
+        assert sorted(labels[split.test].tolist()) == [3, 3, 5, 5]
+        assert all(type(i) is int for i in split.train + split.test)
 
     def test_invalid_fraction(self):
         dataset = random_dataset(np.random.default_rng(6))
         for fraction in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
-                stratified_split(dataset, fraction, seed=0)
+                stratified_split(dataset.labels(), fraction, seed=0)
 
 
 class TestSubsets:
