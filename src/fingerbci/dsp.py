@@ -8,9 +8,10 @@ power estimates downstream are not biased by edge effects.
 :func:`apply_filter` runs one filter over one trial's time series.  The
 filter bank (:func:`band_covariances`, :func:`decompose`) computes the same
 output in one valid-mode convolution per band and keeps only the spatial
-covariances that training reads.  Serving (:func:`projected_variances`)
-keeps only the centred variances of given spatial projections, and with
-fewer projections than channels filters only the projections.
+covariances that training reads.  Serving (:func:`row_variances`) keeps
+only the centred variances of given spatial rows, each in its own band,
+and filters all bands in one pass: one product, one kernel multiply and
+one irfft over the rows or the channels, whichever are fewer.
 """
 
 from __future__ import annotations
@@ -219,19 +220,22 @@ def _kernel_spectrum(low: float, high: float, sample_rate: float, taps: int, n_f
     return spectrum
 
 
-def _band_signals(trials, sample_rate, bands, taps, projections=None):
-    """Yield ``(b, batch, y)``: the trials of ``batch`` filtered into band ``b``.
+@functools.lru_cache(maxsize=16)
+def _kernel_spectra(bands: tuple, sample_rate: float, taps: int, n_fft: int) -> np.ndarray:
+    # The spectra of :func:`_kernel_spectrum` of every band, stacked.
+    spectra = np.stack([_kernel_spectrum(low, high, sample_rate, taps, n_fft) for low, high in bands])
+    spectra.flags.writeable = False
+    return spectra
 
-    Zero-phase forward-backward filtering with ``taps - 1`` samples trimmed
-    at each end is a valid-mode convolution with the kernel's
-    autocorrelation ``h * h[::-1]`` (length ``2 * taps - 1``).  So each
-    trial takes one rfft, and each band multiplies it by that kernel's
-    spectrum, inverts and keeps the valid part ``y``, ``(len(batch), C, T)``.
+
+def _spectra(trials, sample_rate, taps, n_signals=0):
+    """Yield ``(batch, length, n_fft, spectra)``: the ``n_fft``-point rfft of
+    the trials of ``batch``, each ``length`` samples long, ``(len(batch), C,
+    n_fft // 2 + 1)``.
+
     Trials of equal length go through in batches of about ``BATCH_SAMPLES``
-    samples, and each trial's ``y`` does not depend on its batch.  A
-    ``(k, C)`` spatial projection ``projections[b]`` commutes with the
-    filter: with ``k < C`` it multiplies the spectra, so only ``k`` rows are
-    inverted, and otherwise the filtered channels; ``y`` then has ``k`` rows.
+    samples of the ``max(C, n_signals)`` signals that the caller filters per
+    trial, and each trial's spectrum does not depend on its batch.
     """
     if not trials:
         raise ValueError("no trials to filter")
@@ -245,64 +249,93 @@ def _band_signals(trials, sample_rate, bands, taps, projections=None):
     batches = []
     for length in np.unique(lengths):
         same_length = np.flatnonzero(lengths == length)
-        step = max(1, BATCH_SAMPLES // (n_channels * int(length)))
+        step = max(1, BATCH_SAMPLES // (max(n_channels, n_signals) * int(length)))
         batches += [same_length[i : i + step] for i in range(0, len(same_length), step)]
     for batch in batches:
         length = int(lengths[batch[0]])
         n_fft = scipy.fft.next_fast_len(length, real=True)
         samples = np.stack([trials[i].samples for i in batch]).astype(np.float64)
-        spectra = scipy.fft.rfft(samples, n_fft, axis=-1)
-        for b, (low, high) in enumerate(bands):
-            rows = None if projections is None else projections[b]
-            spectrum = spectra
-            if rows is not None and len(rows) < n_channels:
-                # Projected before the filter, as one real product over (re, im) pairs.
-                spectrum, rows = (rows @ spectra.view(np.float64)).view(np.complex128), None
-            # Output k of a circular convolution of n_fft >= length points
-            # wraps nothing for k >= 2 * (taps - 1): the valid part.
-            y = scipy.fft.irfft(spectrum * _kernel_spectrum(low, high, sample_rate, taps, n_fft), n_fft, axis=-1)
-            y = y[..., 2 * (taps - 1) : length]
-            yield b, batch, (y if rows is None else rows @ y)
+        yield batch, length, n_fft, scipy.fft.rfft(samples, n_fft, axis=-1)
 
 
-def _refuse_silent(totals: np.ndarray, batch: np.ndarray, band: tuple[float, float]) -> None:
-    if np.any(totals <= 0.0):
-        raise ValueError(f"trial {int(batch[np.argmax(totals <= 0.0)])} is all zero in band {band}")
+def _valid(spectra: np.ndarray, kernels: np.ndarray, taps: int, length: int, n_fft: int) -> np.ndarray:
+    # Output k of a circular convolution of n_fft >= length points wraps
+    # nothing for k >= 2 * (taps - 1): the valid part.
+    return scipy.fft.irfft(spectra * kernels, n_fft, axis=-1)[..., 2 * (taps - 1) : length]
+
+
+def _refuse_silent(totals: np.ndarray, batch: np.ndarray, bands) -> None:
+    # ``totals[i, b]``: trial ``batch[i]``'s total variance in ``bands[b]``;
+    # names the first band with a silent trial, and its first such trial.
+    silent = totals <= 0.0
+    if np.any(silent):
+        b = int(np.argmax(silent.any(axis=0)))
+        raise ValueError(f"trial {int(batch[np.argmax(silent[:, b])])} is all zero in band {bands[b]}")
 
 
 def band_covariances(
     trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Filter each trial into each band (see :func:`_band_signals`) and
-    reduce it straight to the two covariances of :class:`BandDecomposition`.
+    """Filter each trial into each band and reduce it straight to the two
+    covariances of :class:`BandDecomposition`.
+
+    Zero-phase forward-backward filtering with ``taps - 1`` samples trimmed
+    at each end is a valid-mode convolution with the kernel's
+    autocorrelation ``h * h[::-1]`` (length ``2 * taps - 1``).  So each
+    trial takes one rfft, and each band multiplies it by that kernel's
+    spectrum, inverts and keeps the valid part.
 
     Returns ``(csp_covariances, feature_covariances)``.
     """
     shape = (len(bands), len(trials), trials[0].n_channels, trials[0].n_channels) if trials else ()
     csp_covariances, feature_covariances = np.empty(shape), np.empty(shape)
-    for b, batch, y in _band_signals(trials, sample_rate, bands, taps):
-        products = y @ y.swapaxes(-1, -2)
-        traces = np.trace(products, axis1=-2, axis2=-1)
-        _refuse_silent(traces, batch, bands[b])
-        means = y.mean(axis=-1)
-        csp_covariances[b, batch] = products / traces[:, np.newaxis, np.newaxis]
-        feature_covariances[b, batch] = products / y.shape[-1] - means[:, :, np.newaxis] * means[:, np.newaxis, :]
+    for batch, length, n_fft, spectra in _spectra(trials, sample_rate, taps):
+        for b, (low, high) in enumerate(bands):
+            y = _valid(spectra, _kernel_spectrum(low, high, sample_rate, taps, n_fft), taps, length, n_fft)
+            products = y @ y.swapaxes(-1, -2)
+            traces = np.trace(products, axis1=-2, axis2=-1)
+            _refuse_silent(traces[:, np.newaxis], batch, [(low, high)])
+            means = y.mean(axis=-1)
+            csp_covariances[b, batch] = products / traces[:, np.newaxis, np.newaxis]
+            feature_covariances[b, batch] = products / y.shape[-1] - means[:, :, np.newaxis] * means[:, np.newaxis, :]
     return csp_covariances, feature_covariances
 
 
-def projected_variances(
-    trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int, projections: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Centred variances of each trial filtered into each band ``b`` and
-    projected through the ``(k_b, C)`` rows ``projections[b]``, one
-    ``(n_trials, k_b)`` array per band: ``diag(W S W^T)`` of the centred
-    covariances ``S`` of :func:`band_covariances`, up to rounding.
+def row_variances(
+    trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int,
+    rows: np.ndarray, row_bands: np.ndarray,
+) -> np.ndarray:
+    """``(n_trials, R)`` centred variances of each trial filtered into band
+    ``bands[row_bands[r]]`` and projected through ``rows[r]``, a ``(R, C)``
+    stack of spatial rows: ``diag(W S W^T)`` of the centred covariances ``S``
+    of :func:`band_covariances`, up to rounding.
+
+    A spatial projection commutes with the filter, so all bands take one
+    product, one kernel multiply, one irfft and one reduction, on whichever
+    signals are fewer.  With fewer rows than ``len(bands) * C``, each row
+    projects the trial's spectrum and gives its variance; otherwise every
+    band filters the ``C`` channels, and each row reads its variance from
+    its band's centred covariance.  A trial whose rows of one band have no
+    variance in total is refused by name.
     """
-    variances = [np.empty((len(trials), len(rows))) for rows in projections]
-    for b, batch, y in _band_signals(trials, sample_rate, bands, taps, projections):
-        variance = np.einsum("...t,...t->...", y, y) / y.shape[-1] - y.mean(axis=-1) ** 2
-        _refuse_silent(variance.sum(axis=-1), batch, bands[b])
-        variances[b][batch] = variance
+    row_bands = np.asarray(row_bands, dtype=np.intp)
+    in_band = (row_bands[:, np.newaxis] == np.arange(len(bands))).astype(np.float64)
+    project = len(rows) < len(bands) * rows.shape[1]
+    n_signals = len(rows) if project else len(bands) * rows.shape[1]
+    variances = np.empty((len(trials), len(rows)))
+    for batch, length, n_fft, spectra in _spectra(trials, sample_rate, taps, n_signals):
+        kernels = _kernel_spectra(tuple(map(tuple, bands)), sample_rate, taps, n_fft)
+        if project:
+            # Projected as one real product over (re, im) pairs.
+            y = _valid((rows @ spectra.view(np.float64)).view(np.complex128), kernels[row_bands], taps, length, n_fft)
+            variance = np.einsum("...t,...t->...", y, y) / y.shape[-1] - y.mean(axis=-1) ** 2
+        else:
+            y = _valid(spectra[:, np.newaxis], kernels[:, np.newaxis], taps, length, n_fft)
+            means = y.mean(axis=-1)
+            covariances = y @ y.swapaxes(-1, -2) / y.shape[-1] - means[..., :, np.newaxis] * means[..., np.newaxis, :]
+            variance = np.einsum("rc,nrcd,rd->nr", rows, covariances[:, row_bands], rows)
+        _refuse_silent(variance @ in_band, batch, bands)
+        variances[batch] = variance
     return variances
 
 

@@ -13,6 +13,7 @@ rows mapped to the pair's classes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -23,8 +24,8 @@ import numpy as np
 from .bandselect import score_bands_for_labels, select_bands
 from .config import PipelineConfig
 from .csp import fit_csp_stack, kept_filters, log_ratios, log_variance_features
-from .dsp import BandDecomposition, BankError, check_bank, projected_variances
-from .extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict, tune as et_tune
+from .dsp import BandDecomposition, BankError, check_bank, row_variances
+from .extratrees import EtForest, EtNode, EtParams, NodeTable, fit as et_fit, majority, node_table, tune as et_tune
 from .rng import child_seed
 from .trialstore import Trial, replacing
 
@@ -167,7 +168,12 @@ def fit_column(decomp: BandDecomposition, binary_labels: np.ndarray, config: Pip
 class EcocModel:
     """Trained decoder: code matrix, one model per column, and ``classes``,
     the dataset class index of each code row: ``range(p)`` for the exhaustive
-    code, ``[a, b]`` for :data:`PAIR_CODE` fitted on the view of pair (a, b)."""
+    code, ``[a, b]`` for :data:`PAIR_CODE` fitted on the view of pair (a, b).
+
+    Serving derives the stacked filter rows and the node table of all
+    columns on the first prediction and keeps them, so a model is not edited
+    after its first prediction: ``dataclasses.replace`` builds a new one.
+    """
 
     code: CodeMatrix
     classes: list[int]
@@ -177,6 +183,27 @@ class EcocModel:
     sample_rate: float
     bands: list[tuple[float, float]]
     taps: int
+
+    @functools.cached_property
+    def _rows(self) -> tuple[list[tuple[float, float]], np.ndarray, np.ndarray, list[np.ndarray]]:
+        """``(bands, rows, row_bands, blocks)``: every column's kept filter
+        rows stacked column after column, ``(R, C)``, each read in band
+        ``bands[row_bands[r]]`` of the bands the model reads; row ``r`` gives
+        feature ``r`` of the columns' features side by side.  ``blocks``
+        holds, per block size ``k``, the ``(n_blocks, k)`` rows of every
+        (column, band) block of that size."""
+        filters = [f for column in self.columns for f in column.filters]
+        bands = [b for column in self.columns for b in column.selected_bands]
+        needed, row_bands = np.unique(bands, return_inverse=True)
+        sizes = np.array([len(f) for f in filters])
+        starts = np.cumsum(sizes) - sizes
+        blocks = [starts[sizes == k, np.newaxis] + np.arange(k) for k in np.unique(sizes)]
+        return [self.bands[b] for b in needed], np.vstack(filters), np.repeat(row_bands, sizes), blocks
+
+    @functools.cached_property
+    def _trees(self) -> NodeTable:
+        """The node table of every column's forest, column after column."""
+        return node_table([column.forest for column in self.columns])
 
 
 def fit_ecoc(decomp: BandDecomposition, code: CodeMatrix, config: PipelineConfig) -> EcocModel:
@@ -213,12 +240,13 @@ def fit_ecoc(decomp: BandDecomposition, code: CodeMatrix, config: PipelineConfig
     )
 
 
-def _trial_features(model: EcocModel, trials: list[Trial], channel_names: list[str] | None) -> list[np.ndarray]:
-    """Each column's features of raw trials, filtering only the CSP projections read.
+def _trial_features(model: EcocModel, trials: list[Trial], channel_names: list[str] | None) -> np.ndarray:
+    """Every column's features of raw trials, side by side, ``(n_trials,
+    sum of feature_dim)``, filtering only the CSP projections read.
 
-    Every needed band is filtered once, through the kept filters of every
-    (column, band) that reads it, stacked in column order; each column's
-    share of the projected variances then gives its log ratios.  Equal up
+    :func:`~fingerbci.dsp.row_variances` gives the variance of every kept
+    filter row of the model (see :attr:`EcocModel._rows`), and one gather per
+    block size takes the log ratios of each (column, band) block.  Equal up
     to rounding to :func:`_column_features` of the trials' decomposition.
     """
     names = model.channel_names if channel_names is None else list(channel_names)
@@ -231,37 +259,29 @@ def _trial_features(model: EcocModel, trials: list[Trial], channel_names: list[s
     for trial in trials:
         if trial.n_channels != len(model.channel_names):
             raise ValueError(f"trial has {trial.n_channels} channels, model expects {len(model.channel_names)}")
-    rows: dict[int, list[np.ndarray]] = {}
-    for column in model.columns:
-        for band, kept in zip(column.selected_bands, column.filters):
-            rows.setdefault(band, []).append(kept)
-    needed = sorted(rows)
-    variances = np.hstack(projected_variances(
-        trials, model.sample_rate, [model.bands[b] for b in needed], model.taps, [np.vstack(rows[b]) for b in needed]
-    ))
-    # Where the next block of each band's rows sits in ``variances``, taking
-    # the blocks in the order they were stacked above.
-    offset = dict(zip(needed, np.cumsum([0] + [sum(map(len, rows[b])) for b in needed[:-1]])))
-    features = []
-    for column in model.columns:
-        index = []
-        for band, kept in zip(column.selected_bands, column.filters):
-            index.append(np.arange(offset[band], offset[band] + len(kept)))
-            offset[band] += len(kept)
-        features.append(log_ratios(variances[:, index]).reshape(len(trials), -1))
+    bands, rows, row_bands, blocks = model._rows
+    variances = row_variances(trials, model.sample_rate, bands, model.taps, rows, row_bands)
+    features = np.empty_like(variances)
+    for block in blocks:
+        features[:, block] = log_ratios(variances[:, block])
     return features
 
 
-def _vote(model: EcocModel, features: list[np.ndarray]) -> np.ndarray:
-    # Each column's forest votes a bit; each codeword decodes to a class index.
-    bits = np.stack([et_predict(c.forest, f) for c, f in zip(model.columns, features)], axis=1)
+def _vote(model: EcocModel, features: np.ndarray) -> np.ndarray:
+    """Class index of each row of every column's features side by side.
+
+    All trees of all columns descend together through the model's node
+    table (see :attr:`EcocModel._trees`), each column's forest votes a bit
+    by majority, and each codeword decodes to a class index.
+    """
+    bits = majority(model._trees, features)
     return np.asarray(model.classes, dtype=np.int64)[decode(model.code, bits)]
 
 
 def predict_from_bands(model: EcocModel, covariances: np.ndarray) -> np.ndarray:
     """Decode class indices from a ``(n_bands, n_trials, C, C)`` stack of
     centred band covariances aligned with the model's bands."""
-    return _vote(model, [_column_features(c.selected_bands, c.filters, covariances) for c in model.columns])
+    return _vote(model, np.hstack([_column_features(c.selected_bands, c.filters, covariances) for c in model.columns]))
 
 
 def predict_trials(

@@ -28,8 +28,9 @@ import numpy as np
 from .crossval import stratified_folds
 from .rng import child_seed, stream
 
-# (tree, sample) pairs times features gathered together while growing:
-# bounds the float64 and boolean temporaries of one batch near 2 MB each.
+# (tree, sample) pairs times features gathered together while growing, and
+# (row, node) pairs compared together while voting: bounds the float64,
+# integer and boolean temporaries of one batch near 2 MB each.
 BATCH_PAIRS = 1 << 18
 
 
@@ -234,11 +235,83 @@ def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
     return EtForest(trees=_link(nodes, params.min_samples_split), params=params, feature_dim=x.shape[1])
 
 
-def tree_predict(node: EtNode, x: np.ndarray | list[float]) -> int:
-    """Single tree vote for one sample; leaf ties go to class 0."""
-    while not node.is_leaf:
-        node = node.left if x[node.attribute] <= node.cut else node.right
-    return 1 if node.counts[1] > node.counts[0] else 0
+class NodeTable(NamedTuple):
+    """Trees of one or more forests in one pre-order node table, tree after
+    tree and forest after forest.
+
+    Node ``i`` sends a row whose feature ``attribute[i]`` is at most
+    ``cut[i]`` to node ``i + 1`` and any other row to ``right[i]``.  A leaf
+    has a NaN cut and itself as right child, so every row that reaches it
+    stays, and votes ``vote[i]``: 1 when it holds more class-1 samples.
+    ``roots`` is the first node of each tree, ``trees`` the number of trees
+    of each forest and ``depth`` the most splits on any path.
+    """
+
+    attribute: np.ndarray
+    cut: np.ndarray
+    right: np.ndarray
+    vote: np.ndarray
+    roots: np.ndarray
+    trees: np.ndarray
+    depth: int
+
+
+def node_table(forests: list[EtForest]) -> NodeTable:
+    """The table of ``forests``, walked with a stack; the attributes of each
+    forest are offset by the ``feature_dim`` of the forests before it, so the
+    table reads their features side by side."""
+    attribute, cut, right, vote, roots = [], [], [], [], []
+    depth, offset = 0, 0
+    for forest in forests:
+        for tree in forest.trees:
+            roots.append(len(attribute))
+            stack = [(tree, 0, -1)]  # node, its level, and the split whose right child it is
+            while stack:
+                node, level, parent = stack.pop()
+                i = len(attribute)
+                if parent >= 0:
+                    right[parent] = i
+                leaf = node.is_leaf
+                attribute.append(0 if leaf else offset + node.attribute)
+                cut.append(math.nan if leaf else node.cut)
+                right.append(i)  # a split's is set when its right child is reached
+                vote.append(leaf and node.counts[1] > node.counts[0])
+                depth = max(depth, level)
+                if not leaf:
+                    stack += [(node.right, level + 1, i), (node.left, level + 1, -1)]
+        offset += forest.feature_dim
+    return NodeTable(
+        np.array(attribute, dtype=np.intp), np.array(cut, dtype=np.float64), np.array(right, dtype=np.intp),
+        np.array(vote, dtype=np.int64), np.array(roots, dtype=np.intp),
+        np.array([len(forest.trees) for forest in forests], dtype=np.intp), depth,
+    )
+
+
+def majority(table: NodeTable, features: np.ndarray) -> np.ndarray:
+    """``(n_rows, n_forests)`` majority vote of each forest of ``table`` for
+    each row of ``features``; a tied forest votes class 0.
+
+    Each row first compares its features with the cut of every node, which
+    picks every node's next node; then all trees descend together, one
+    gather per level, for ``table.depth`` levels.  Rows go in chunks of
+    about ``BATCH_PAIRS`` (row, node) pairs.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    n_nodes = len(table.attribute)
+    step = max(1, BATCH_PAIRS // n_nodes)
+    first_trees = np.cumsum(table.trees) - table.trees
+    votes = np.empty((len(x), len(table.trees)), dtype=np.int64)
+    for start in range(0, len(x), step):
+        rows = x[start : start + step]
+        offsets = np.arange(len(rows))[:, np.newaxis] * n_nodes
+        # The next node of every (row, node), as an index into ``after`` itself.
+        after = np.where(rows[:, table.attribute] <= table.cut, np.arange(1, n_nodes + 1), table.right) + offsets
+        after = after.ravel()
+        node = table.roots + offsets
+        for _ in range(table.depth):
+            node = after[node]
+        votes[start : start + step] = np.add.reduceat(table.vote[node - offsets], first_trees, axis=1)
+    return (votes * 2 > table.trees).astype(np.int64)
 
 
 def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:
@@ -246,9 +319,7 @@ def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != forest.feature_dim:
         raise ValueError(f"features of shape {x.shape} are not rows of the trained dimension {forest.feature_dim}")
-    rows = x.tolist()
-    votes = np.array([[tree_predict(tree, row) for row in rows] for tree in forest.trees], dtype=np.int64).sum(axis=0)
-    return (votes * 2 > len(forest.trees)).astype(np.int64)
+    return majority(node_table([forest]), x)[:, 0]
 
 
 def _stops(nodes: _Nodes, x: np.ndarray, trees: np.ndarray, samples: np.ndarray, min_samples_split_grid) -> np.ndarray:

@@ -7,7 +7,9 @@ level, so trees deeper than the recursion limit raise ``RecursionError``.
 :func:`tune` fits one forest per grid point and fold, each fold forest
 seeded ``child_seed(seed, 1, max_features, fold)`` as
 :func:`fingerbci.extratrees.tune` seeds the forest it truncates and
-prefix-scores.  :func:`predict` votes tree by tree and sample by sample.
+prefix-scores.  :func:`predict` votes tree by tree and sample by sample
+through :func:`tree_predict`, the scalar walk that the package's node
+table replaces.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from fingerbci.crossval import stratified_folds
-from fingerbci.extratrees import EtForest, EtNode, EtParams, tree_predict
+from fingerbci.extratrees import EtForest, EtNode, EtParams
 from fingerbci.rng import child_seed, stream
 
 MASK = (1 << 64) - 1
@@ -68,6 +70,13 @@ def grow(x: np.ndarray, y: np.ndarray, key: int, max_features: int, min_samples_
         left=grow(x[mask], y[mask], mix(key, 0), max_features, min_samples_split),
         right=grow(x[~mask], y[~mask], mix(key, 1), max_features, min_samples_split),
     )
+
+
+def tree_predict(node: EtNode, x) -> int:
+    """Single tree vote for one sample; leaf ties go to class 0."""
+    while not node.is_leaf:
+        node = node.left if x[node.attribute] <= node.cut else node.right
+    return 1 if node.counts[1] > node.counts[0] else 0
 
 
 def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:

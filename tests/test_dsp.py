@@ -278,7 +278,7 @@ class TestFilterBankEquivalence:
 
 
 class TestProjectedVariances:
-    """``projected_variances`` against ``diag(W S W^T)`` of the covariance bank.
+    """``row_variances`` against ``diag(W S W^T)`` of the covariance bank.
 
     Both read the same filtered band signal, so they differ only in the
     order of roundings; 1e-9 relative is far above that and far below any
@@ -291,44 +291,70 @@ class TestProjectedVariances:
     def projections(rng, n_channels, rows_per_band):
         return [rng.standard_normal((k, n_channels)) for k in rows_per_band]
 
+    def variances(self, trials, projections):
+        """Per band ``(n_trials, k_b)``: the rows of every band stacked into one call."""
+        row_bands = np.repeat(np.arange(len(projections)), [len(rows) for rows in projections])
+        stacked = dsp.row_variances(trials, 100.0, self.bank.bands, self.bank.taps, np.vstack(projections), row_bands)
+        return np.split(stacked, np.cumsum([len(rows) for rows in projections])[:-1], axis=1)
+
     @pytest.mark.parametrize("rows_per_band", [(1, 2, 3), (4, 5, 9), (2, 4, 8)], ids=["fewer", "more", "mixed"])
     def test_equals_covariance_diagonals(self, rows_per_band):
-        # Four channels: (1, 2, 3) rows all project the spectra, (4, 5, 9)
-        # all project the filtered channels, and (2, 4, 8) does both.
+        # Four channels: every band of (1, 2, 3) has fewer rows than
+        # channels, every band of (4, 5, 9) at least as many, and (2, 4, 8)
+        # has both kinds.  Every row projects the spectra either way.
         rng = np.random.default_rng(12)
         dataset = unequal_dataset(rng, n_channels=4)
         projections = self.projections(rng, 4, rows_per_band)
-        variances = dsp.projected_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, projections)
+        variances = self.variances(dataset.trials, projections)
         _, feature = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
         for b, rows in enumerate(projections):
             expected = np.einsum("kc,ncd,kd->nk", rows, feature[b], rows)
             assert variances[b].shape == (len(dataset.trials), len(rows))
             np.testing.assert_allclose(variances[b], expected, rtol=1e-9, atol=0)
 
+    # Twelve rows over three bands of four channels filter the channels;
+    # six rows project the spectra.
+    BOTH_WAYS = [(2, 4, 6), (1, 2, 3)]
+
     def test_single_trial_equals_batch_bit_for_bit(self):
         rng = np.random.default_rng(13)
         dataset = random_dataset(rng, trials_per_class=4, n_channels=4, n_samples=512)
-        projections = self.projections(rng, 4, (2, 4, 6))
-        batch = dsp.projected_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, projections)
-        for i, trial in enumerate(dataset.trials):
-            single = dsp.projected_variances([trial], 100.0, self.bank.bands, self.bank.taps, projections)
-            for b in range(len(projections)):
-                assert np.array_equal(single[b][0], batch[b][i])
+        for rows_per_band in self.BOTH_WAYS:
+            projections = self.projections(rng, 4, rows_per_band)
+            batch = self.variances(dataset.trials, projections)
+            for i, trial in enumerate(dataset.trials):
+                single = self.variances([trial], projections)
+                for b in range(len(projections)):
+                    assert np.array_equal(single[b][0], batch[b][i])
 
     def test_batch_size_changes_no_bit(self, monkeypatch):
         rng = np.random.default_rng(14)
         dataset = random_dataset(rng, trials_per_class=4, n_channels=4, n_samples=512)
-        projections = self.projections(rng, 4, (2, 4, 6))
-        whole = dsp.projected_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, projections)
-        monkeypatch.setattr(dsp, "BATCH_SAMPLES", 3 * 4 * 512)  # three trials per batch
-        split = dsp.projected_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, projections)
-        for joined, parts in zip(whole, split):
-            assert np.array_equal(joined, parts)
+        for rows_per_band in self.BOTH_WAYS:
+            projections = self.projections(rng, 4, rows_per_band)
+            monkeypatch.undo()
+            whole = self.variances(dataset.trials, projections)
+            # Three trials per batch: a batch is bounded by the signals it filters.
+            monkeypatch.setattr(dsp, "BATCH_SAMPLES", 3 * max(4, sum(rows_per_band)) * 512)
+            split = self.variances(dataset.trials, projections)
+            for joined, parts in zip(whole, split):
+                assert np.array_equal(joined, parts)
+
+    def test_row_order_changes_no_bit(self):
+        # Rows of one band need not be adjacent: each row's variance depends
+        # only on the row and its band.
+        rng = np.random.default_rng(17)
+        dataset = unequal_dataset(rng, n_channels=4)
+        rows, row_bands = rng.standard_normal((9, 4)), np.array([2, 0, 1, 2, 0, 0, 1, 2, 1])
+        order = rng.permutation(9)
+        stacked = dsp.row_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, rows, row_bands)
+        shuffled = dsp.row_variances(dataset.trials, 100.0, self.bank.bands, 63, rows[order], row_bands[order])
+        assert np.array_equal(shuffled, stacked[:, order])
 
     @pytest.mark.parametrize("rows", [2, 6])
     def test_all_zero_trial_named_with_its_band(self, rows):
-        # Both reductions refuse the same trial in the same band, whichever
-        # side of the filter the projection is applied on.
+        # Both reductions refuse the same trial in the same band, with fewer
+        # rows per band than channels or more.
         dataset = random_dataset(np.random.default_rng(15), n_channels=4, n_samples=512)
         trials = dataset.trials[:2] + [Trial(label=0, samples=np.zeros((4, 512)), sample_rate=100.0)]
         projections = self.projections(np.random.default_rng(16), 4, (rows,) * 3)
@@ -336,4 +362,4 @@ class TestProjectedVariances:
         with pytest.raises(ValueError, match=message):
             band_covariances(trials, 100.0, self.bank.bands, self.bank.taps)
         with pytest.raises(ValueError, match=message):
-            dsp.projected_variances(trials, 100.0, self.bank.bands, self.bank.taps, projections)
+            self.variances(trials, projections)

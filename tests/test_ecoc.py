@@ -33,7 +33,9 @@ from fingerbci.ecoc import (
     predict_trials,
     resolve_feature_grid,
 )
-from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
+from fingerbci.extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict
+
+import extratrees_reference as reference
 
 
 def hamming(a, b) -> int:
@@ -330,8 +332,7 @@ class TestFitEcoc:
         assert list(predict_trials(model, trials)) == [predict_ecoc(model, t) for t in trials]
         batch = ecoc._trial_features(model, trials, None)
         for i, trial in enumerate(trials):
-            for column, single in zip(batch, ecoc._trial_features(model, [trial], None)):
-                assert np.array_equal(single[0], column[i])
+            assert np.array_equal(ecoc._trial_features(model, [trial], None)[0], batch[i])
 
     def test_all_zero_trial_named_with_its_band(self, mini_decomp):
         dataset, decomp = mini_decomp
@@ -383,9 +384,9 @@ class TestServingFeatures:
     over ``decompose`` of the same trials.  Both read the same band signal
     and differ only in rounding order; they must agree to 1e-9."""
 
-    # Six channels, rows per band: band 0 two (projects the spectra), band 2
-    # 2 + 4 + 2 = 8 from three columns and band 1 six (both filter every
-    # channel, then project), band 3 two, band 5 four.
+    # Six channels, rows per band: band 0 two, band 2 2 + 4 + 2 = 8 from
+    # three columns and band 1 six (both at least C), band 3 two, band 5
+    # four.  Columns read blocks of 2, 4 and 6 rows.
     SHARED = [([0, 2], 1), ([2], 2), ([2, 3, 5], 1), ([1], 3), ([5], 1)]
 
     @pytest.mark.parametrize("taps, n_channels, columns", [
@@ -403,13 +404,63 @@ class TestServingFeatures:
                           trials=trials)
         decomp = decompose(dataset, FilterBank(bands=model.bands, taps=taps))
         served = ecoc._trial_features(model, trials, None)
-        for column, features in zip(model.columns, served):
-            expected = ecoc._column_features(column.selected_bands, column.filters, decomp.feature_covariances)
-            assert features.shape == expected.shape
-            np.testing.assert_allclose(features, expected, rtol=0, atol=1e-9)
+        expected = np.hstack([ecoc._column_features(column.selected_bands, column.filters, decomp.feature_covariances)
+                              for column in model.columns])
+        assert served.shape == expected.shape
+        np.testing.assert_allclose(served, expected, rtol=0, atol=1e-9)
         for i, trial in enumerate(trials):
-            for features, single in zip(served, ecoc._trial_features(model, [trial], None)):
-                assert np.array_equal(single[0], features[i])
+            assert np.array_equal(ecoc._trial_features(model, [trial], None)[0], served[i])
+
+
+def voting_model(rng, dims, n_estimators):
+    """An exhaustive-code model of ``len(dims)`` = 2^(p-1) - 1 columns whose
+    column ``j`` forest reads ``dims[j]`` features; voting never reads filters."""
+    columns = []
+    for j, (dim, n) in enumerate(zip(dims, n_estimators)):
+        features = rng.standard_normal((30, dim))
+        labels = (features[:, 0] + rng.standard_normal(30) > 0).astype(np.int64)
+        labels[:2] = [0, 1]
+        forest = et_fit(features, labels, EtParams(max_features=dim, min_samples_split=2, n_estimators=n, seed=j))
+        columns.append(ColumnModel(selected_bands=[], filters=np.empty((0, 2, 1)), forest=forest))
+    n_classes = (len(dims) + 1).bit_length()
+    return EcocModel(code=exhaustive_code(n_classes), classes=list(range(n_classes)), columns=columns,
+                     class_names=[f"c{i}" for i in range(n_classes)], channel_names=["ch0"], sample_rate=128.0,
+                     bands=[(8.0, 10.0)], taps=63)
+
+
+def reference_classes(model, features):
+    """Decode of each column's per-tree majority through the scalar walk."""
+    ends = np.cumsum([column.forest.feature_dim for column in model.columns])
+    bits = np.stack([reference.predict(column.forest, features[:, end - column.forest.feature_dim : end])
+                     for column, end in zip(model.columns, ends)], axis=1)
+    return np.asarray(model.classes)[decode(model.code, bits)]
+
+
+class TestVote:
+    """``_vote``'s one descent through every column's trees against the
+    per-column, per-tree majority of the scalar walk."""
+
+    def test_columns_of_different_dimensions(self):
+        rng = np.random.default_rng(90)
+        model = voting_model(rng, dims=(4, 1, 8, 2, 4, 3, 6), n_estimators=(3, 9, 4, 1, 6, 2, 5))
+        # A tied column: one tree votes 1 everywhere and one 0 everywhere.
+        tied = EtForest([EtNode(counts=(0, 2)), EtNode(counts=(2, 0))], EtParams(1, 2, 2), 3)
+        model.columns[5] = ColumnModel(selected_bands=[], filters=np.empty((0, 2, 1)), forest=tied)
+        features = rng.standard_normal((60, 28))
+        expected = reference_classes(model, features)
+        assert np.array_equal(ecoc._vote(model, features), expected)
+        for i, row in enumerate(features):
+            assert np.array_equal(ecoc._vote(model, row[np.newaxis]), expected[i : i + 1])
+
+    def test_replaced_columns_vote_with_their_forests(self):
+        rng = np.random.default_rng(91)
+        first = voting_model(rng, dims=(2, 3, 1), n_estimators=(5, 5, 5))
+        features = rng.standard_normal((40, 6))
+        before = ecoc._vote(first, features)
+        second = replace(first, columns=voting_model(rng, dims=(2, 3, 1), n_estimators=(7, 3, 1)).columns)
+        assert np.array_equal(ecoc._vote(second, features), reference_classes(second, features))
+        assert np.array_equal(ecoc._vote(first, features), before)
+        assert np.array_equal(before, reference_classes(first, features))
 
 
 class TestModelBundle:

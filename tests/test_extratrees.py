@@ -6,10 +6,12 @@ import pytest
 from scipy import stats
 
 import extratrees_reference as reference
+from extratrees_reference import tree_predict
 from fingerbci import extratrees
 from fingerbci.crossval import stratified_folds
 from fingerbci.extratrees import (
-    EtNode, EtParams, _draw, _fold_votes, _grow, _link, _root_keys, fit, mix, predict, tree_predict, tune,
+    EtForest, EtNode, EtParams, _draw, _fold_votes, _grow, _link, _root_keys, fit, majority, mix, node_table, predict,
+    tune,
 )
 from fingerbci.rng import child_seed, stream
 
@@ -145,12 +147,101 @@ class TestPredict:
     def test_leaf_tie_votes_class_zero(self):
         leaf = EtNode(counts=(3, 3))
         assert tree_predict(leaf, np.zeros(1)) == 0
+        assert predict(EtForest([leaf], EtParams(1, 2, 1), 1), np.zeros((1, 1)))[0] == 0
 
     def test_dimension_mismatch_rejected(self):
         features, labels = separable_clusters(np.random.default_rng(19), n=5)
         forest = fit(features, labels, EtParams(max_features=1, min_samples_split=2, n_estimators=1))
         with pytest.raises(ValueError, match="dimension"):
             predict(forest, np.zeros((2, 5)))
+
+
+def chain(length: int, feature_dim: int = 1) -> EtNode:
+    """A tree of ``length`` splits, each with a leaf on the left: node ``k``
+    sends values up to ``k`` of feature ``k % feature_dim`` to a leaf voting
+    ``k % 2``; built bottom-up, without recursion."""
+    node = EtNode(counts=(0, 1))
+    for k in reversed(range(length)):
+        node = EtNode(attribute=k % feature_dim, cut=float(k), left=EtNode(counts=(1 - k % 2, k % 2)), right=node)
+    return node
+
+
+def reference_votes(forests, rows) -> np.ndarray:
+    """``(n_rows, n_forests)`` per-tree majority of the scalar walk, each
+    forest reading its own block of the rows' features."""
+    ends = np.cumsum([forest.feature_dim for forest in forests])
+    return np.stack([reference.predict(forest, rows[:, end - forest.feature_dim : end])
+                     for forest, end in zip(forests, ends)], axis=1)
+
+
+class TestNodeTable:
+    """The node-table descent against the per-tree majority of the scalar
+    ``tree_predict`` walk; votes are integers, so they must be equal."""
+
+    def test_random_forests(self):
+        rng = np.random.default_rng(80)
+        for i in range(120):
+            features, labels, params = random_problem(rng, i)
+            forest = fit(features, labels, params)
+            # Probes at every cut of the first tree exercise the ``<=`` side.
+            probes = np.vstack([features, rng.standard_normal((10, features.shape[1]))])
+            table = node_table([forest])
+            cuts = table.cut[table.attribute >= 0][np.isfinite(table.cut[table.attribute >= 0])]
+            probes = np.vstack([probes, np.repeat(cuts[:, np.newaxis], features.shape[1], axis=1)])
+            assert np.array_equal(predict(forest, probes), reference.predict(forest, probes)), f"problem {i}"
+
+    def test_single_leaf_tree(self):
+        for counts, vote in (((1, 2), 1), ((2, 1), 0), ((0, 0), 0)):
+            forest = EtForest([EtNode(counts=counts)], EtParams(1, 2, 1), 2)
+            assert node_table([forest]).depth == 0
+            assert np.array_equal(predict(forest, np.zeros((3, 2))), [vote] * 3)
+
+    def test_tied_forest_votes_zero(self):
+        trees = [EtNode(counts=(0, 4)), EtNode(0, 0.0, EtNode(counts=(5, 0)), EtNode(counts=(0, 5)))]
+        forest = EtForest(trees, EtParams(1, 2, 2), 1)
+        # -1 splits left (two votes 1 and 0: a tie), 1 splits right (two votes 1).
+        assert np.array_equal(predict(forest, np.array([[-1.0], [1.0]])), [0, 1])
+        assert np.array_equal(reference.predict(forest, np.array([[-1.0], [1.0]])), [0, 1])
+
+    def test_chain_deeper_than_recursion_limit(self):
+        length = 2000
+        assert length > sys.getrecursionlimit()
+        forest = EtForest([chain(length)], EtParams(1, 2, 1), 1)
+        table = node_table([forest])
+        assert table.depth == length and len(table.attribute) == 2 * length + 1
+        rows = np.array([[-1.0], [0.5], [1.0], [1000.5], [1998.0], [1999.0], [1999.5], [np.inf]])
+        expected = [0, 1, 1, 1, 0, 1, 1, 1]
+        assert [tree_predict(forest.trees[0], row) for row in rows] == expected
+        assert np.array_equal(predict(forest, rows), expected)
+
+    def test_forests_of_different_dimensions_side_by_side(self):
+        rng = np.random.default_rng(81)
+        forests = []
+        for i, dim in enumerate((3, 1, 5, 2)):
+            features = rng.standard_normal((30, dim))
+            labels = (features[:, -1] + 0.5 * rng.standard_normal(30) > 0).astype(np.int64)
+            labels[:2] = [0, 1]
+            forests.append(fit(features, labels, EtParams(max_features=dim, min_samples_split=2, n_estimators=5 + i,
+                                                          seed=i)))
+        forests.append(EtForest([chain(40, feature_dim=2)], EtParams(1, 2, 1), 2))
+        rows = rng.standard_normal((25, 13)) * np.r_[np.ones(11), 20.0, 20.0]
+        table = node_table(forests)
+        assert list(table.trees) == [5, 6, 7, 8, 1]
+        expected = reference_votes(forests, rows)
+        assert np.array_equal(majority(table, rows), expected)
+        for i, row in enumerate(rows):
+            assert np.array_equal(majority(table, row[np.newaxis]), expected[i : i + 1])
+        assert majority(table, rows[:0]).shape == (0, 5)
+
+    def test_row_chunks_change_no_vote(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        features, labels, params = random_problem(rng, 5)
+        forest = fit(features, labels, replace(params, n_estimators=9))
+        rows = rng.standard_normal((23, features.shape[1]))
+        whole = predict(forest, rows)
+        monkeypatch.setattr(extratrees, "BATCH_PAIRS", 4 * len(node_table([forest]).attribute))  # four rows a chunk
+        assert np.array_equal(predict(forest, rows), whole)
+        assert np.array_equal(whole, reference.predict(forest, rows))
 
 
 class TestTune:
