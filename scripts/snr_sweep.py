@@ -10,7 +10,7 @@ decoder falls off as the 9-11 Hz sources sink into the noise floor.
 
 import argparse
 
-from fingerbci import PipelineConfig, SynthConfig, generate, repeated_holdout
+from fingerbci import PipelineConfig, SynthConfig, decompose, generate, repeated_holdout
 from fingerbci.rng import child_seed
 
 
@@ -44,7 +44,7 @@ def main() -> None:
             noise_seed=child_seed(args.seed, 1),
             class_names=["rest", "thumb", "index", "middle"],
         ))
-        report = repeated_holdout(dataset, config)
+        report = repeated_holdout(decompose(dataset, config.bank()), config)
         print(f"{snr:8.4g}  {report.mean:8.3f}  {report.kappa_mean:6.3f}")
 
 

@@ -21,8 +21,8 @@ from .dsp import (
 )
 from .ecoc import (
     PAIR_CODE,
-    CodeMatrix,
     EcocModel,
+    check_code,
     decode,
     exhaustive_code,
     fit_ecoc,

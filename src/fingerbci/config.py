@@ -7,7 +7,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .dsp import FilterBank, make_bank
+from .bandselect import DEFAULT_SHRINKAGE
+from .dsp import DEFAULT_TAPS, FilterBank, make_bank
 
 
 @dataclass(frozen=True)
@@ -24,9 +25,9 @@ class PipelineConfig:
     band_start: float = 5.0
     band_stop: float = 39.0
     band_width: float = 2.0
-    fir_taps: int = 257
+    fir_taps: int = DEFAULT_TAPS
     csp_pairs: int = 2
-    lda_shrinkage: float = 1e-3
+    lda_shrinkage: float = DEFAULT_SHRINKAGE
     cv_folds: int = 5
     et_max_features: list[int] | None = None
     et_min_samples_split: list[int] = field(default_factory=lambda: [2, 5, 10])

@@ -178,6 +178,13 @@ def _causal(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return fftconvolve(x, h[np.newaxis, :], mode="full", axes=1)[:, : x.shape[1]]
 
 
+def _check_filterable(trial: Trial, sample_rate: float, taps: int) -> None:
+    if trial.sample_rate != sample_rate:
+        raise ValueError(f"trial rate {trial.sample_rate} != filter rate {sample_rate}")
+    if trial.n_samples <= 3 * taps:
+        raise ValueError(f"trial too short to filter: {trial.n_samples} samples <= 3 x {taps} taps")
+
+
 def apply_filter(trial: Trial, fir: FirFilter) -> Trial:
     """Zero-phase forward-backward filtering of one trial.
 
@@ -186,11 +193,8 @@ def apply_filter(trial: Trial, fir: FirFilter) -> Trial:
     and last ``taps - 1`` samples (filter warm-up in each direction) are
     discarded.
     """
-    if trial.sample_rate != fir.sample_rate:
-        raise ValueError(f"trial rate {trial.sample_rate} != filter rate {fir.sample_rate}")
     taps = fir.taps
-    if trial.n_samples <= 3 * taps:
-        raise ValueError(f"trial too short to filter: {trial.n_samples} samples <= 3 x {taps} taps")
+    _check_filterable(trial, fir.sample_rate, taps)
     x = trial.samples.astype(np.float64)
     y = _causal(x, fir.coefficients)
     y = _causal(y[:, ::-1], fir.coefficients)[:, ::-1]
@@ -210,20 +214,14 @@ def make_bank(start: float, stop: float, width: float, taps: int = DEFAULT_TAPS)
     return FilterBank(bands=bands, taps=taps)
 
 
-@functools.lru_cache(maxsize=64)
-def _kernel_spectrum(low: float, high: float, sample_rate: float, taps: int, n_fft: int) -> np.ndarray:
-    # The n_fft-point spectrum of the band kernel's autocorrelation, built
-    # once per band and length and shared read-only by every later call.
-    h = design_bandpass(low, high, sample_rate, taps).coefficients
-    spectrum = scipy.fft.rfft(np.convolve(h, h[::-1]), n_fft)
-    spectrum.flags.writeable = False
-    return spectrum
-
-
 @functools.lru_cache(maxsize=16)
 def _kernel_spectra(bands: tuple, sample_rate: float, taps: int, n_fft: int) -> np.ndarray:
-    # The spectra of :func:`_kernel_spectrum` of every band, stacked.
-    spectra = np.stack([_kernel_spectrum(low, high, sample_rate, taps, n_fft) for low, high in bands])
+    # The n_fft-point spectrum of each band kernel's autocorrelation, one row
+    # per band, built once per band list and length and shared read-only by
+    # every later call.  Each row is its own rfft, so a band's row does not
+    # depend on the list it is cached with.
+    kernels = [design_bandpass(low, high, sample_rate, taps).coefficients for low, high in bands]
+    spectra = np.stack([scipy.fft.rfft(np.convolve(h, h[::-1]), n_fft) for h in kernels])
     spectra.flags.writeable = False
     return spectra
 
@@ -240,10 +238,7 @@ def _spectra(trials, sample_rate, taps, n_signals=0):
     if not trials:
         raise ValueError("no trials to filter")
     for trial in trials:
-        if trial.sample_rate != sample_rate:
-            raise ValueError(f"trial rate {trial.sample_rate} != filter rate {sample_rate}")
-        if trial.n_samples <= 3 * taps:
-            raise ValueError(f"trial too short to filter: {trial.n_samples} samples <= 3 x {taps} taps")
+        _check_filterable(trial, sample_rate, taps)
     n_channels = trials[0].n_channels
     lengths = np.array([trial.n_samples for trial in trials])
     batches = []
@@ -290,8 +285,9 @@ def band_covariances(
     shape = (len(bands), len(trials), trials[0].n_channels, trials[0].n_channels) if trials else ()
     csp_covariances, feature_covariances = np.empty(shape), np.empty(shape)
     for batch, length, n_fft, spectra in _spectra(trials, sample_rate, taps):
+        kernels = _kernel_spectra(tuple(map(tuple, bands)), sample_rate, taps, n_fft)
         for b, (low, high) in enumerate(bands):
-            y = _valid(spectra, _kernel_spectrum(low, high, sample_rate, taps, n_fft), taps, length, n_fft)
+            y = _valid(spectra, kernels[b], taps, length, n_fft)
             products = y @ y.swapaxes(-1, -2)
             traces = np.trace(products, axis1=-2, axis2=-1)
             _refuse_silent(traces[:, np.newaxis], batch, [(low, high)])

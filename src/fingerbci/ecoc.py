@@ -35,48 +35,29 @@ FORMAT_VERSION = 3
 TREE_FIELDS = ("attribute", "cut", "counts")
 
 
-@dataclass
-class CodeMatrix:
-    """p x q binary matrix; rows are class codewords, columns binary tasks."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits)
-        if self.bits.ndim != 2:
-            raise ValueError("code matrix must be 2-D")
-
-    @property
-    def n_classes(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.bits.shape[1]
-
-    def validate(self) -> None:
-        """Check that nearest-row decoding is well defined: integer 0/1
-        entries, pairwise distinct rows, and no constant, duplicate or
-        complementary column."""
-        p, q = self.bits.shape
-        if self.bits.dtype.kind not in "iu" or not np.isin(self.bits, (0, 1)).all():
-            raise ValueError("code matrix entries must be integers 0 or 1")
-        if len({tuple(r) for r in self.bits}) != p:
-            raise ValueError("rows must be pairwise distinct")
-        columns = self.bits.T
-        for j in range(q):
-            if len(np.unique(columns[j])) == 1:
-                raise ValueError(f"column {j} is constant")
-        for i in range(q):
-            for j in range(i + 1, q):
-                if (columns[i] == columns[j]).all():
-                    raise ValueError(f"columns {i} and {j} are identical")
-                if (columns[i] == 1 - columns[j]).all():
-                    raise ValueError(f"columns {i} and {j} are complementary")
+def check_code(bits: np.ndarray) -> None:
+    """Check that nearest-row decoding of a ``(p, q)`` code is well defined:
+    integer 0/1 entries, pairwise distinct rows, and no constant, duplicate
+    or complementary column."""
+    p, q = bits.shape
+    if bits.dtype.kind not in "iu" or not np.isin(bits, (0, 1)).all():
+        raise ValueError("code matrix entries must be integers 0 or 1")
+    if len({tuple(r) for r in bits}) != p:
+        raise ValueError("rows must be pairwise distinct")
+    columns = bits.T
+    for j in range(q):
+        if len(np.unique(columns[j])) == 1:
+            raise ValueError(f"column {j} is constant")
+    for i in range(q):
+        for j in range(i + 1, q):
+            if (columns[i] == columns[j]).all():
+                raise ValueError(f"columns {i} and {j} are identical")
+            if (columns[i] == 1 - columns[j]).all():
+                raise ValueError(f"columns {i} and {j} are complementary")
 
 
-def exhaustive_code(n_classes: int) -> CodeMatrix:
-    """Exhaustive code: row 0 all ones, row i alternating runs of
+def exhaustive_code(n_classes: int) -> np.ndarray:
+    """Exhaustive ``(p, q)`` code: row 0 all ones, row i alternating runs of
     ``2^(p-1-i)`` zeros then ones, truncated to ``2^(p-1) - 1`` bits."""
     if not 3 <= n_classes <= 8:
         raise ValueError(f"exhaustive codes supported for 3..8 classes, got {n_classes}")
@@ -86,20 +67,21 @@ def exhaustive_code(n_classes: int) -> CodeMatrix:
     for r in range(1, n_classes):
         run = 2 ** (n_classes - 1 - r)
         bits[r] = (j // run) % 2
-    return CodeMatrix(bits=bits)
+    return bits
 
 
 # The code of a class-pair decoder: one column, whose bit is the row index.
-PAIR_CODE = CodeMatrix(bits=[[0], [1]])
+PAIR_CODE = np.array([[0], [1]])
+PAIR_CODE.flags.writeable = False
 
 
-def decode(code: CodeMatrix, codewords: np.ndarray) -> int | np.ndarray:
+def decode(code: np.ndarray, codewords: np.ndarray) -> int | np.ndarray:
     """Row nearest in Hamming distance to each codeword of a ``(..., q)``
     array, ties to the lowest index; an ``int`` for a single codeword."""
     codewords = np.asarray(codewords)
-    if codewords.ndim == 0 or codewords.shape[-1] != code.n_columns:
-        raise ValueError(f"codewords of shape {codewords.shape} do not have {code.n_columns} columns")
-    rows = np.argmin(np.sum(code.bits != codewords[..., np.newaxis, :], axis=-1), axis=-1)
+    if codewords.ndim == 0 or codewords.shape[-1] != code.shape[1]:
+        raise ValueError(f"codewords of shape {codewords.shape} do not have {code.shape[1]} columns")
+    rows = np.argmin(np.sum(code != codewords[..., np.newaxis, :], axis=-1), axis=-1)
     return int(rows) if codewords.ndim == 1 else rows
 
 
@@ -175,7 +157,7 @@ class EcocModel:
     after its first prediction: ``dataclasses.replace`` builds a new one.
     """
 
-    code: CodeMatrix
+    code: np.ndarray
     classes: list[int]
     columns: list[ColumnModel]
     class_names: list[str]
@@ -206,7 +188,7 @@ class EcocModel:
         return node_table([column.forest for column in self.columns])
 
 
-def fit_ecoc(decomp: BandDecomposition, code: CodeMatrix, config: PipelineConfig) -> EcocModel:
+def fit_ecoc(decomp: BandDecomposition, code: np.ndarray, config: PipelineConfig) -> EcocModel:
     """Train one column model per code-matrix column.
 
     For column ``j`` the trials of classes with bit 1 form the positive
@@ -217,20 +199,28 @@ def fit_ecoc(decomp: BandDecomposition, code: CodeMatrix, config: PipelineConfig
     """
     labels = decomp.labels
     present = set(np.unique(labels))
-    if present != set(range(code.n_classes)):
-        raise ValueError(f"expected all {code.n_classes} classes present, got labels {sorted(present)}")
-    if code.n_classes != decomp.n_classes:
+    if present != set(range(len(code))):
+        raise ValueError(f"expected all {len(code)} classes present, got labels {sorted(present)}")
+    if len(code) != decomp.n_classes:
         raise ValueError("code matrix size does not match dataset classes")
 
-    columns = []
-    for j in range(code.n_columns):
-        y = code.bits[labels, j]
+    pools = [code[labels, j] for j in range(code.shape[1])]
+    for j, y in enumerate(pools):
         if y.all() or not y.any():
             raise ValueError(f"code column {j} puts every class on one side (degenerate code matrix)")
-        columns.append(fit_column(decomp, y, config, child_seed(config.seed, j)))
+        for side in (0, 1):
+            # Band scoring and tuning split each side into cv_folds stratified folds.
+            count = int(np.sum(y == side))
+            if count < config.cv_folds:
+                names = [decomp.class_names[c] for c in np.flatnonzero(code[:, j] == side)]
+                raise ValueError(
+                    f"code column {j} has {count} trials on side {side} (classes {', '.join(names)}), "
+                    f"fewer than cv_folds {config.cv_folds}"
+                )
+    columns = [fit_column(decomp, y, config, child_seed(config.seed, j)) for j, y in enumerate(pools)]
     return EcocModel(
         code=code,
-        classes=list(range(code.n_classes)),
+        classes=list(range(len(code))),
         columns=columns,
         class_names=list(decomp.class_names),
         channel_names=list(decomp.channel_names),
@@ -393,7 +383,7 @@ def save_model(model: EcocModel, path: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "format_version": FORMAT_VERSION,
-        "code": model.code.bits.tolist(),
+        "code": model.code.tolist(),
         "classes": list(model.classes),
         "columns": [_column_to_json(c) for c in model.columns],
         "class_names": list(model.class_names),
@@ -464,7 +454,7 @@ def _check_model(model: EcocModel) -> None:
     Trees are the pre-order lists of the bundle.
     """
     try:
-        model.code.validate()
+        check_code(model.code)
     except ValueError as exc:
         raise ValueError(f"model bundle field 'code': {exc}") from None
     for name in ("class_names", "channel_names"):
@@ -478,12 +468,12 @@ def _check_model(model: EcocModel) -> None:
         raise ValueError(f"model bundle field {exc.field!r}: {exc}") from None
     code, classes = model.code, model.classes
     _require(_is_list_of(classes, int), "classes", f"{classes!r} is not a list of integers")
-    _require(code.n_classes == len(classes), "classes", f"{len(classes)} entries for {code.n_classes} code rows")
+    _require(len(code) == len(classes), "classes", f"{len(classes)} entries for {len(code)} code rows")
     _require(
         len(set(classes)) == len(classes) and all(0 <= c < len(model.class_names) for c in classes),
         "classes", f"{classes} are not distinct indices into {len(model.class_names)} class_names",
     )
-    _require(code.n_columns == len(model.columns), "columns", f"{len(model.columns)} for {code.n_columns} code columns")
+    _require(code.shape[1] == len(model.columns), "columns", f"{len(model.columns)} for {code.shape[1]} code columns")
     n_channels = len(model.channel_names)
     for j, column in enumerate(model.columns):
         bands = column.selected_bands
@@ -526,7 +516,7 @@ def load_model(path: str | Path) -> EcocModel:
         bits = _array(data, "code")
         _require(bits.ndim == 2, "code", "must be a list of rows")
         model = EcocModel(
-            code=CodeMatrix(bits=bits),
+            code=bits,
             classes=data["classes"],
             columns=[_column_from_json(c) for c in _entries(data, "columns", dict)],
             class_names=data["class_names"],

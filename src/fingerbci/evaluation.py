@@ -1,6 +1,8 @@
 """Metrics and the repeated stratified-holdout evaluation harness.
 
-Reports follow the Mean+/-SD (Max) accuracy shape plus one Cohen's kappa
+The harness reads a dataset's band decomposition, not its raw trials:
+callers run :func:`~fingerbci.dsp.decompose` once and evaluate the
+multiclass decoder and every class pair on it.  Reports follow the Mean+/-SD (Max) accuracy shape plus one Cohen's kappa
 per repetition, computed on the pooled test confusion of that repetition.
 """
 
@@ -11,10 +13,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import BandDecomposition, decompose
+from .dsp import BandDecomposition
 from .ecoc import PAIR_CODE, exhaustive_code, fit_ecoc, predict_from_bands
 from .rng import child_seed
-from .trialstore import Dataset, stratified_split
+from .trialstore import stratified_split
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:
@@ -94,24 +96,20 @@ class RunReport:
 
 
 def repeated_holdout(
-    data: Dataset | BandDecomposition, config: PipelineConfig, pair: tuple[int, int] | None = None
+    decomp: BandDecomposition, config: PipelineConfig, pair: tuple[int, int] | None = None
 ) -> RunReport:
     """``config.repetitions`` seeded stratified holdout rounds of the full pipeline.
 
     Multiclass by default (exhaustive-code ECOC); with ``pair`` given, the
-    one-column :data:`PAIR_CODE` decoder on those two classes.  ``data`` is
-    a dataset or its decomposition through the config's filter bank;
-    filtering is per-trial and label-free, so one decomposition serves the
-    multiclass run and every pair run.  Every fit only ever sees
-    training-trial indices.
+    one-column :data:`PAIR_CODE` decoder on those two classes.  ``decomp``
+    is a dataset's decomposition through the config's filter bank
+    (:func:`~fingerbci.dsp.decompose`); filtering is per-trial and
+    label-free, so one decomposition serves the multiclass run and every
+    pair run.  Every fit only ever sees training-trial indices.
     """
     bank = config.bank()
-    if isinstance(data, BandDecomposition):
-        if data.bands != bank.bands or data.taps != bank.taps:
-            raise ValueError("decomposition was not made with the config's filter bank")
-        decomp = data
-    else:
-        decomp = decompose(data, bank)
+    if decomp.bands != bank.bands or decomp.taps != bank.taps:
+        raise ValueError("decomposition was not made with the config's filter bank")
     if pair is not None:
         decomp = decomp.classes(pair[0], pair[1])
     n_classes = decomp.n_classes

@@ -13,6 +13,8 @@ given the two seeds.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,19 +54,34 @@ class SynthConfig:
     mixing_vectors: list[list[list[float]]] | None = None
 
     def validate(self) -> None:
+        """Raise ``ValueError`` naming the first field of the wrong type or range."""
+        for name in ("n_classes", "trials_per_class", "n_channels", "mixing_seed", "noise_seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("sample_rate", "trial_duration", "noise_variance"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("class_names", "channel_names"):
+            names = getattr(self, name)
+            if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+                raise ValueError(f"{name} must be null or a list of strings, got {names!r}")
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.trials_per_class < 1:
             raise ValueError("need at least 1 trial per class")
         if self.n_channels < 1:
             raise ValueError("need at least 1 channel")
+        if self.mixing_seed < 0 or self.noise_seed < 0:
+            raise ValueError("mixing_seed and noise_seed must be >= 0")
         if self.sample_rate <= 0 or self.trial_duration <= 0:
             raise ValueError("sample_rate and trial_duration must be positive")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
-        if len(self.class_sources) != self.n_classes:
+        if not isinstance(self.class_sources, list) or len(self.class_sources) != self.n_classes:
             raise ValueError(f"class_sources must list {self.n_classes} classes")
         for c, sources in enumerate(self.class_sources):
+            if not (_is_list_of_number_lists(sources) and all(len(source) == 3 for source in sources)):
+                raise ValueError(f"class_sources: class {c} must list (low, high, variance) triples, got {sources!r}")
             for low, high, variance in sources:
                 if not 0.0 < low < high < self.sample_rate / 2.0:
                     raise ValueError(f"class {c}: invalid band ({low}, {high}) at {self.sample_rate} Hz")
@@ -75,9 +92,11 @@ class SynthConfig:
         if self.channel_names is not None and len(self.channel_names) != self.n_channels:
             raise ValueError("channel_names length must equal n_channels")
         if self.mixing_vectors is not None:
-            if len(self.mixing_vectors) != self.n_classes:
+            if not isinstance(self.mixing_vectors, list) or len(self.mixing_vectors) != self.n_classes:
                 raise ValueError("mixing_vectors must list every class")
             for c, vectors in enumerate(self.mixing_vectors):
+                if not _is_list_of_number_lists(vectors):
+                    raise ValueError(f"mixing_vectors: class {c} must list vectors of finite numbers, got {vectors!r}")
                 if len(vectors) != len(self.class_sources[c]):
                     raise ValueError(f"class {c}: one mixing vector per source required")
                 for v in vectors:
@@ -93,9 +112,23 @@ class SynthConfig:
         if unknown:
             raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
         cfg = cls(**data)
-        cfg.class_sources = [[(float(l), float(h), float(v)) for l, h, v in sources] for sources in cfg.class_sources]
         cfg.validate()
+        cfg.class_sources = [[(float(l), float(h), float(v)) for l, h, v in sources] for sources in cfg.class_sources]
         return cfg
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_list_of_number_lists(values) -> bool:
+    return isinstance(values, (list, tuple)) and all(
+        isinstance(v, (list, tuple)) and all(map(_is_number, v)) for v in values
+    )
 
 
 def _synth_taps(sample_rate: float, n_samples: int) -> int:

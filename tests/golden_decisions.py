@@ -138,7 +138,7 @@ def _train(calibration: SynthConfig, test: SynthConfig, config: PipelineConfig) 
 
 def _repetition(dataset: SynthConfig, config: PipelineConfig) -> dict:
     with _columns_recorded() as columns:
-        report = repeated_holdout(generate(dataset), config)
+        report = repeated_holdout(decompose(generate(dataset), config.bank()), config)
     return {"columns": columns, "confusion": report.confusions[0].tolist()}
 
 

@@ -89,9 +89,9 @@ def test_criterion_1_decode_matches_brute_force():
     with criterion(1, "decode agrees with brute-force nearest row for every codeword (p=3, 4)"):
         for p in (3, 4):
             code = exhaustive_code(p)
-            for bits in itertools.product((0, 1), repeat=code.n_columns):
+            for bits in itertools.product((0, 1), repeat=code.shape[1]):
                 word = np.array(bits)
-                assert decode(code, word) == brute_force_nearest(code.bits, word), (
+                assert decode(code, word) == brute_force_nearest(code, word), (
                     f"p={p}, codeword {bits}"
                 )
         elapsed = time.perf_counter() - start
@@ -107,13 +107,13 @@ def test_criterion_2_code_properties():
     ):
         for p in (3, 4, 5):
             code = exhaustive_code(p)
-            q = code.n_columns
+            q = code.shape[1]
             assert q == 2 ** (p - 1) - 1
             distances = [
-                hamming(code.bits[i], code.bits[j]) for i in range(p) for j in range(i + 1, p)
+                hamming(code[i], code[j]) for i in range(p) for j in range(i + 1, p)
             ]
             assert min(distances) == 2 ** (p - 2)
-            columns = [tuple(code.bits[:, j]) for j in range(q)]
+            columns = [tuple(code[:, j]) for j in range(q)]
             for j, column in enumerate(columns):
                 assert len(set(column)) == 2, f"p={p}: column {j} constant"
             for i in range(q):
@@ -129,7 +129,7 @@ def test_criterion_2_code_properties():
             t = (min(distances) - 1) // 2
             for c in range(p):
                 for j in range(q):
-                    corrupted = code.bits[c].copy()
+                    corrupted = code[c].copy()
                     corrupted[j] ^= 1
                     if t >= 1:
                         decoded = decode(code, corrupted)
@@ -137,7 +137,7 @@ def test_criterion_2_code_properties():
                             f"p={p}: flipping bit {j} of row {c} decodes to {decoded}"
                         )
                     else:
-                        row_distances = [hamming(row, corrupted) for row in code.bits]
+                        row_distances = [hamming(row, corrupted) for row in code]
                         assert 0 not in row_distances, (
                             f"p={p}: flipping bit {j} of row {c} gives the codeword of "
                             f"row {row_distances.index(0)}"
@@ -148,7 +148,7 @@ def test_criterion_2_code_properties():
                         )
                 for n_flips in range(2, t + 1):
                     for flipped in itertools.combinations(range(q), n_flips):
-                        corrupted = code.bits[c].copy()
+                        corrupted = code[c].copy()
                         corrupted[list(flipped)] ^= 1
                         decoded = decode(code, corrupted)
                         assert decoded == c, (
@@ -271,7 +271,7 @@ def test_criterion_7_end_to_end_multiclass(oracle_dataset):
             repetitions=10,
             seed=1234,
         )
-        report = repeated_holdout(oracle_dataset, config)
+        report = repeated_holdout(decompose(oracle_dataset, config.bank()), config)
         mean_kappa = report.kappa_mean
         assert mean_kappa >= 0.6, f"oracle mean kappa {mean_kappa:.3f}"
 
@@ -286,7 +286,7 @@ def test_criterion_7_end_to_end_multiclass(oracle_dataset):
                 for i, t in enumerate(oracle_dataset.trials)
             ],
         )
-        shuffled_report = repeated_holdout(shuffled, config)
+        shuffled_report = repeated_holdout(decompose(shuffled, config.bank()), config)
         shuffled_kappa = shuffled_report.kappa_mean
         assert -0.15 <= shuffled_kappa <= 0.15, f"shuffled mean kappa {shuffled_kappa:.3f}"
         elapsed = time.perf_counter() - start

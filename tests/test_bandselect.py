@@ -265,8 +265,8 @@ def ecoc_columns(decomp, seed):
     """(labels, seed) of every column of the exhaustive code, as fit_ecoc scores them."""
     code = exhaustive_code(decomp.n_classes)
     return [
-        (np.isin(decomp.labels, np.flatnonzero(code.bits[:, j])).astype(np.int64), child_seed(seed, j, 0))
-        for j in range(code.n_columns)
+        (np.isin(decomp.labels, np.flatnonzero(code[:, j])).astype(np.int64), child_seed(seed, j, 0))
+        for j in range(code.shape[1])
     ]
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,35 @@ class TestSynth:
         path.write_text(json.dumps(config))
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# Malformed synth config values, each refused by field name.
+SYNTH_REJECTED = {
+    "fractional n_channels": ({"n_channels": 2.5}, "n_channels must be an integer, got 2.5"),
+    "trials_per_class a string": ({"trials_per_class": "3"}, "trials_per_class must be an integer, got '3'"),
+    "n_classes true": ({"n_classes": True}, "n_classes must be an integer"),
+    "seed null": ({"noise_seed": None}, "noise_seed must be an integer"),
+    "negative seed": ({"mixing_seed": -1}, "mixing_seed and noise_seed must be >= 0"),
+    "sample rate a string": ({"sample_rate": "128"}, "sample_rate must be a finite number"),
+    "infinite duration": ({"trial_duration": float("inf")}, "trial_duration must be a finite number"),
+    "noise variance null": ({"noise_variance": None}, "noise_variance must be a finite number"),
+    "source with two entries": ({"class_sources": [[[9.0, 11.0]]] * 4}, "class_sources: class 0 .*triples"),
+    "source band a string": ({"class_sources": [[["9", 11.0, 4.0]]] * 4}, "class_sources: class 0 .*triples"),
+    "sources not a list": ({"class_sources": "9-11"}, "class_sources must list 4 classes"),
+    "class names a string": ({"class_names": "abcd"}, "class_names must be null or a list of strings"),
+    "channel name a number": ({"channel_names": [1, 2, 3, 4]}, "channel_names must be null or a list of strings"),
+    "mixing vector of strings": ({"mixing_vectors": [[["1", "0", "0", "0"]]] * 4}, "mixing_vectors: class 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(SYNTH_REJECTED))
+def test_synth_rejects_malformed_values_by_name(case, tmp_path, capsys):
+    fields, message = SYNTH_REJECTED[case]
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({**SYNTH_CONFIG, **fields}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d")]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "d").exists()
 
 
 class TestScoreBands:
@@ -143,6 +173,26 @@ class TestTrain:
         ])
         assert code == 1
         assert "--classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("train", [], "code column 0 has 4 trials on side 1 (classes class_0), fewer than cv_folds 5"),
+    ("train", ["--classes", "class_2,class_1"], "code column 0 has 4 trials on side 0 (classes class_2), fewer than cv_folds 5"),
+    ("evaluate", [], "code column 0 has 3 trials on side 1 (classes class_0), fewer than cv_folds 5"),
+])
+def test_small_pools_named_by_column_and_class(tmp_path, capsys, command, extra, message):
+    # Three classes of four trials: every side of every column has 4 (or 8) trials, and 3 after a holdout split.
+    synth = {**SYNTH_CONFIG, "n_classes": 3, "trials_per_class": 4, "class_sources": SYNTH_CONFIG["class_sources"][:3]}
+    del synth["class_names"]
+    (tmp_path / "synth.json").write_text(json.dumps(synth))
+    (tmp_path / "pipeline.json").write_text(json.dumps({**PIPELINE_CONFIG, "cv_folds": 5}))
+    assert main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(tmp_path / "data")]) == 0
+    code = main([
+        command, "--dataset", str(tmp_path / "data"), "--config", str(tmp_path / "pipeline.json"),
+        "--out", str(tmp_path / "out"), *extra,
+    ])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 class TestEvaluate:

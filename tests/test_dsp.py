@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,6 +173,16 @@ class TestDecompose:
         assert out_rms == pytest.approx(in_rms, rel=0.02)
 
 
+@pytest.mark.parametrize("picked", [[2, 3, 4], [16, 0, 9], [7]])
+def test_kernel_row_does_not_depend_on_its_band_list(picked):
+    # Training caches the kernels of all 17 default bands; serving caches the few bands a model reads.
+    bank = make_bank(5.0, 39.0, 2.0)
+    n_fft = scipy.fft.next_fast_len(3 * 512, real=True)
+    full = dsp._kernel_spectra(tuple(bank.bands), 512.0, bank.taps, n_fft)
+    served = dsp._kernel_spectra(tuple(bank.bands[b] for b in picked), 512.0, bank.taps, n_fft)
+    assert np.array_equal(served, full[picked])
+
+
 def unequal_dataset(rng, lengths=(700, 900, 700, 1100), n_channels=3):
     """100 Hz trials of several lengths with a shared 10 Hz source."""
     trials = []
@@ -238,13 +249,21 @@ class TestFilterBankEquivalence:
 
     def test_cached_kernel_spectra_change_no_bit(self, dataset):
         cached = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
-        dsp._kernel_spectrum.cache_clear()
+        dsp._kernel_spectra.cache_clear()
         for fresh, again in zip(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), cached):
             assert np.array_equal(fresh, again)
-        spectrum = dsp._kernel_spectrum(8.0, 10.0, 100.0, 63, 1024)
-        assert spectrum is dsp._kernel_spectrum(8.0, 10.0, 100.0, 63, 1024)
+        bands = ((8.0, 10.0), (10.0, 12.0))
+        spectra = dsp._kernel_spectra(bands, 100.0, 63, 1024)
+        assert spectra is dsp._kernel_spectra(bands, 100.0, 63, 1024)
         with pytest.raises(ValueError, match="read-only"):
-            spectrum[0] = 0.0
+            spectra[0, 0] = 0.0
+
+    @pytest.mark.parametrize("picked", [[2], [1, 0], [2, 0, 1], [0, 2]])
+    def test_band_subsets_and_orders_change_no_bit(self, dataset, picked):
+        whole = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
+        bands = [self.bank.bands[b] for b in picked]
+        for part, full in zip(band_covariances(dataset.trials, 100.0, bands, self.bank.taps), whole):
+            assert np.array_equal(part, full[picked])
 
     def test_unequal_lengths(self):
         dataset = unequal_dataset(np.random.default_rng(9))

@@ -26,8 +26,8 @@ from fingerbci import (
 from fingerbci.csp import fit_csp_stack
 from fingerbci.ecoc import (
     PAIR_CODE,
-    CodeMatrix,
     ColumnModel,
+    check_code,
     EcocModel,
     decode,
     predict_trials,
@@ -64,30 +64,30 @@ class TestExhaustiveCode:
                 [0, 1, 0, 1, 0, 1, 0],
             ]
         )
-        assert np.array_equal(code.bits, expected)
+        assert np.array_equal(code, expected)
 
     def test_three_class_rows(self):
         code = exhaustive_code(3)
-        assert np.array_equal(code.bits, [[1, 1, 1], [0, 0, 1], [0, 1, 0]])
+        assert np.array_equal(code, [[1, 1, 1], [0, 0, 1], [0, 1, 0]])
 
     def test_codeword_length(self):
         for p in range(3, 9):
-            assert exhaustive_code(p).n_columns == 2 ** (p - 1) - 1
+            assert exhaustive_code(p).shape[1] == 2 ** (p - 1) - 1
 
     def test_minimum_distance_four_class(self):
         code = exhaustive_code(4)
         distances = [
-            hamming(code.bits[i], code.bits[j]) for i in range(4) for j in range(i + 1, 4)
+            hamming(code[i], code[j]) for i in range(4) for j in range(i + 1, 4)
         ]
         assert min(distances) == 4
 
     def test_invariants_hold_for_all_supported_sizes(self):
         for p in range(3, 9):
             code = exhaustive_code(p)
-            code.validate()
-            assert code.n_columns == 2 ** (p - 1) - 1
-            assert (code.bits[0] == 1).all()
-            distances = [hamming(code.bits[i], code.bits[j]) for i in range(p) for j in range(i + 1, p)]
+            check_code(code)
+            assert code.shape[1] == 2 ** (p - 1) - 1
+            assert (code[0] == 1).all()
+            distances = [hamming(code[i], code[j]) for i in range(p) for j in range(i + 1, p)]
             assert min(distances) == 2 ** (p - 2)
 
     @pytest.mark.parametrize(
@@ -102,7 +102,7 @@ class TestExhaustiveCode:
     )
     def test_generic_check_rejects(self, bits, message):
         with pytest.raises(ValueError, match=message):
-            CodeMatrix(bits=bits).validate()
+            check_code(np.array(bits))
 
     def test_out_of_range_rejected(self):
         for p in (2, 9):
@@ -112,10 +112,10 @@ class TestExhaustiveCode:
     def test_printed_table_variant_fails_validation(self):
         # A class-2 row of 0001111 creates a constant column and breaks the
         # distance structure; the run-length construction is the valid one.
-        bits = exhaustive_code(4).bits.copy()
+        bits = exhaustive_code(4).copy()
         bits[1] = [0, 0, 0, 1, 1, 1, 1]
         with pytest.raises(ValueError):
-            CodeMatrix(bits=bits).validate()
+            check_code(bits)
 
 
 class TestHamming:
@@ -139,12 +139,12 @@ class TestDecode:
     def test_exact_row_decodes_to_class(self):
         code = exhaustive_code(4)
         for c in range(4):
-            assert decode(code, code.bits[c]) == c
+            assert decode(code, code[c]) == c
 
     def test_one_bit_from_class_one(self):
         code = exhaustive_code(4)
         word = np.array([1, 1, 1, 1, 1, 1, 0])
-        distances = [hamming(word, code.bits[c]) for c in range(4)]
+        distances = [hamming(word, code[c]) for c in range(4)]
         assert distances == [1, 5, 5, 3]
         assert decode(code, word) == 0
 
@@ -153,21 +153,21 @@ class TestDecode:
         # two classes, resolved to the lower index.
         code = exhaustive_code(4)
         word = np.array([0, 0, 1, 1, 0, 1, 0])
-        distances = [hamming(word, code.bits[c]) for c in range(4)]
+        distances = [hamming(word, code[c]) for c in range(4)]
         assert distances == [4, 4, 2, 2]
         assert decode(code, word) == 2
-        assert decode(code, word) == brute_force_nearest(code.bits, word)
+        assert decode(code, word) == brute_force_nearest(code, word)
 
     def test_all_words_match_brute_force_p3(self):
         code = exhaustive_code(3)
         for word in itertools.product((0, 1), repeat=3):
-            assert decode(code, np.array(word)) == brute_force_nearest(code.bits, word)
+            assert decode(code, np.array(word)) == brute_force_nearest(code, word)
 
     def test_single_bit_correction_p4(self):
         code = exhaustive_code(4)
         for c in range(4):
             for j in range(7):
-                word = code.bits[c].copy()
+                word = code[c].copy()
                 word[j] ^= 1
                 assert decode(code, word) == c
 
@@ -178,13 +178,13 @@ class TestDecode:
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_batch_equals_rows_and_brute_force(self, p):
         code = exhaustive_code(p)
-        words = np.array(list(itertools.product((0, 1), repeat=code.n_columns)))
+        words = np.array(list(itertools.product((0, 1), repeat=code.shape[1])))
         rows = decode(code, words)
         assert rows.shape == (len(words),)
         assert rows.tolist() == [decode(code, word) for word in words]
-        assert rows.tolist() == [brute_force_nearest(code.bits, word) for word in words]
+        assert rows.tolist() == [brute_force_nearest(code, word) for word in words]
         # Any leading shape decodes the same words.
-        assert np.array_equal(decode(code, words.reshape(2, -1, code.n_columns)), rows.reshape(2, -1))
+        assert np.array_equal(decode(code, words.reshape(2, -1, code.shape[1])), rows.reshape(2, -1))
 
     def test_empty_batch_decodes_to_no_rows(self):
         assert decode(exhaustive_code(4), np.zeros((0, 7), dtype=np.int64)).shape == (0,)
@@ -241,7 +241,7 @@ class TestFitEcoc:
         m = SMALL.csp_pairs
         model = fit_small_ecoc(decomp)
         for j, column in enumerate(model.columns):
-            y = model.code.bits[decomp.labels, j]
+            y = model.code[decomp.labels, j]
             covs = decomp.csp_covariances[column.selected_bands]
             full, _ = fit_csp_stack(covs[:, y == 0].mean(axis=1), covs[:, y == 1].mean(axis=1), m)
             assert column.filters.dtype == np.float64
@@ -250,10 +250,20 @@ class TestFitEcoc:
 
     def test_degenerate_code_rejected(self, mini_decomp):
         _, decomp = mini_decomp
-        bits = exhaustive_code(4).bits.copy()
+        bits = exhaustive_code(4).copy()
         bits[1] = [0, 0, 0, 1, 1, 1, 1]  # printed-table variant: column 4 all ones
         with pytest.raises(ValueError, match="one side"):
-            fit_ecoc(decomp, CodeMatrix(bits=bits), SMALL)
+            fit_ecoc(decomp, bits, SMALL)
+
+    def test_small_pool_refused_before_any_fit(self, mini_decomp, monkeypatch):
+        # Column 6 of the 4-class code puts class 3 (middle) alone on side 0.
+        _, decomp = mini_decomp
+        keep = np.flatnonzero(decomp.labels != 3).tolist() + np.flatnonzero(decomp.labels == 3)[:2].tolist()
+        fitted = []
+        monkeypatch.setattr(ecoc, "fit_column", lambda *args: fitted.append(args))
+        with pytest.raises(ValueError, match=r"code column 6 has 2 trials on side 0 \(classes middle\), fewer than cv_folds 3"):
+            fit_ecoc(decomp.subset(keep), exhaustive_code(4), replace(SMALL, cv_folds=3))
+        assert fitted == []
 
     def test_deterministic(self, mini_decomp):
         dataset, decomp = mini_decomp
@@ -485,7 +495,7 @@ class TestModelBundle:
         save_model(model, tmp_path / "bin")
         loaded = load_model(tmp_path / "bin")
         assert loaded.classes == [0, 1]
-        assert np.array_equal(loaded.code.bits, PAIR_CODE.bits)
+        assert np.array_equal(loaded.code, PAIR_CODE)
         probes = pair_view.trials[:4]
         assert np.array_equal(predict_trials(model, probes), predict_trials(loaded, probes))
 

@@ -81,24 +81,29 @@ class TestRunReport:
             assert key in summary
 
 
+@pytest.fixture()
+def four_class(mini_four_class, fast_config):
+    return decompose(mini_four_class, fast_config.bank())
+
+
 class TestRepeatedHoldout:
-    def test_binary_pair_runs_and_is_deterministic(self, mini_four_class, fast_config):
-        first = repeated_holdout(mini_four_class, replace(fast_config, repetitions=2, seed=3), pair=(0, 1))
-        second = repeated_holdout(mini_four_class, replace(fast_config, repetitions=2, seed=3), pair=(0, 1))
+    def test_binary_pair_runs_and_is_deterministic(self, four_class, fast_config):
+        first = repeated_holdout(four_class, replace(fast_config, repetitions=2, seed=3), pair=(0, 1))
+        second = repeated_holdout(four_class, replace(fast_config, repetitions=2, seed=3), pair=(0, 1))
         assert first.accuracies == second.accuracies
         assert first.kappas == second.kappas
         assert all(cm.shape == (2, 2) for cm in first.confusions)
         assert all(cm.sum() == 4 for cm in first.confusions)  # 2 test trials per class
 
-    def test_multiclass_shapes(self, mini_four_class, fast_config):
-        report = repeated_holdout(mini_four_class, replace(fast_config, repetitions=1, seed=5))
+    def test_multiclass_shapes(self, four_class, fast_config):
+        report = repeated_holdout(four_class, replace(fast_config, repetitions=1, seed=5))
         assert len(report.accuracies) == len(report.kappas) == 1
         assert report.confusions[0].shape == (4, 4)
         assert report.confusions[0].sum() == 8  # 2 test trials x 4 classes
         assert report.max >= report.mean
 
-    def test_separable_pair_scores_high(self, mini_four_class, fast_config):
-        report = repeated_holdout(mini_four_class, replace(fast_config, repetitions=2, seed=7), pair=(0, 2))
+    def test_separable_pair_scores_high(self, four_class, fast_config):
+        report = repeated_holdout(four_class, replace(fast_config, repetitions=2, seed=7), pair=(0, 2))
         assert report.mean >= 0.75
 
     def test_decomposition_from_another_bank_rejected(self, mini_four_class, fast_config):
@@ -106,6 +111,6 @@ class TestRepeatedHoldout:
         with pytest.raises(ValueError, match="filter bank"):
             repeated_holdout(decomp, replace(fast_config, repetitions=1, seed=1))
 
-    def test_invalid_repetitions(self, mini_four_class, fast_config):
+    def test_invalid_repetitions(self, four_class, fast_config):
         with pytest.raises(ValueError):
-            repeated_holdout(mini_four_class, replace(fast_config, repetitions=0, seed=1))
+            repeated_holdout(four_class, replace(fast_config, repetitions=0, seed=1))
