@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .config import PipelineConfig
 from .dsp import decompose
-from .ecoc import PAIR_CODE, exhaustive_code, fit_ecoc, load_model, predict_trials, save_model
+from .ecoc import PAIR_CODE, column_pools, exhaustive_code, fit_ecoc, load_model, predict_trials, save_model
 from .evaluation import repeated_holdout
 from .bandselect import score_bands_for_labels, select_bands
 from .synthgen import SynthConfig, generate
@@ -64,7 +64,9 @@ def cmd_score_bands(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config, args.seed)
     dataset = load_dataset(args.dataset)
     class_a, class_b = _parse_classes(args.classes, dataset.class_names)
-    pair = decompose(dataset, config.bank()).classes(class_a, class_b)
+    pair_data = subset_classes(dataset, class_a, class_b)
+    column_pools(PAIR_CODE, pair_data.labels(), pair_data.class_names, config.cv_folds)
+    pair = decompose(pair_data, config.bank())
     scores = score_bands_for_labels(
         pair, pair.labels, config.csp_pairs, config.cv_folds, config.seed, config.lda_shrinkage
     )

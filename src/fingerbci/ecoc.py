@@ -188,6 +188,25 @@ class EcocModel:
         return node_table([column.forest for column in self.columns])
 
 
+def column_pools(code: np.ndarray, labels, class_names: list[str], folds: int) -> list[np.ndarray]:
+    """Each code column's binary labels of the trials labelled ``labels``.  Raises ``ValueError`` for a
+    column with every class on one side, or for a side of fewer than ``folds`` trials, naming its classes:
+    band scoring and tuning split each side into ``folds`` stratified folds."""
+    pools = [code[labels, j] for j in range(code.shape[1])]
+    for j, y in enumerate(pools):
+        if y.all() or not y.any():
+            raise ValueError(f"code column {j} puts every class on one side (degenerate code matrix)")
+        for side in (0, 1):
+            count = int(np.sum(y == side))
+            if count < folds:
+                names = [class_names[c] for c in np.flatnonzero(code[:, j] == side)]
+                raise ValueError(
+                    f"code column {j} has {count} trials on side {side} (classes {', '.join(names)}), "
+                    f"fewer than cv_folds {folds}"
+                )
+    return pools
+
+
 def fit_ecoc(decomp: BandDecomposition, code: np.ndarray, config: PipelineConfig) -> EcocModel:
     """Train one column model per code-matrix column.
 
@@ -204,19 +223,7 @@ def fit_ecoc(decomp: BandDecomposition, code: np.ndarray, config: PipelineConfig
     if len(code) != decomp.n_classes:
         raise ValueError("code matrix size does not match dataset classes")
 
-    pools = [code[labels, j] for j in range(code.shape[1])]
-    for j, y in enumerate(pools):
-        if y.all() or not y.any():
-            raise ValueError(f"code column {j} puts every class on one side (degenerate code matrix)")
-        for side in (0, 1):
-            # Band scoring and tuning split each side into cv_folds stratified folds.
-            count = int(np.sum(y == side))
-            if count < config.cv_folds:
-                names = [decomp.class_names[c] for c in np.flatnonzero(code[:, j] == side)]
-                raise ValueError(
-                    f"code column {j} has {count} trials on side {side} (classes {', '.join(names)}), "
-                    f"fewer than cv_folds {config.cv_folds}"
-                )
+    pools = column_pools(code, labels, decomp.class_names, config.cv_folds)
     columns = [fit_column(decomp, y, config, child_seed(config.seed, j)) for j, y in enumerate(pools)]
     return EcocModel(
         code=code,

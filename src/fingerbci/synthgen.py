@@ -29,6 +29,10 @@ _SENSOR_STREAM = 1
 
 _MIN_TAPS = 31
 
+# Padded white-noise samples (trials x length) of one source per filter pass:
+# enough to amortise the pass's overhead, few enough for ~1 MB temporaries.
+CHUNK_SAMPLES = 1 << 16
+
 
 @dataclass
 class SynthConfig:
@@ -151,15 +155,14 @@ def mixing_vector(config: SynthConfig, class_index: int, source_index: int) -> n
     return v / np.linalg.norm(v)
 
 
-def _bandlimited_noise(rng: np.random.Generator, fir, n_samples: int, variance: float) -> np.ndarray:
-    taps = fir.taps
-    white = rng.standard_normal(n_samples + 2 * (taps - 1))
-    shaped = apply_filter(
-        Trial(label=0, samples=white[np.newaxis, :], sample_rate=fir.sample_rate), fir
-    ).samples[0].astype(np.float64)
+def _bandlimited_noise(noise_seed: int, trials: range, s: int, fir, n_samples: int, variance: float) -> np.ndarray:
+    """Source ``s`` of ``trials``, one row per trial, shaped in one filter pass."""
     if variance == 0.0:
-        return np.zeros(n_samples)
-    return shaped * (np.sqrt(variance) / shaped.std())
+        return np.zeros((len(trials), n_samples))
+    draws = [stream(noise_seed, _SOURCE_STREAM, t, s).standard_normal(n_samples + 2 * (fir.taps - 1)) for t in trials]
+    white = Trial(label=0, samples=np.stack(draws), sample_rate=fir.sample_rate)  # float32, like a stored trial
+    shaped = apply_filter(white, fir).samples.astype(np.float64)
+    return shaped * (np.sqrt(variance) / shaped.std(axis=1, keepdims=True))
 
 
 def generate(config: SynthConfig) -> Dataset:
@@ -168,30 +171,28 @@ def generate(config: SynthConfig) -> Dataset:
     n_samples = int(round(config.sample_rate * config.trial_duration))
     taps = _synth_taps(config.sample_rate, n_samples)
 
-    filters = {}
-    for sources in config.class_sources:
-        for low, high, _ in sources:
-            if (low, high) not in filters:
-                filters[(low, high)] = design_bandpass(low, high, config.sample_rate, taps)
-    mixing = [
-        [mixing_vector(config, c, s) for s in range(len(config.class_sources[c]))]
-        for c in range(config.n_classes)
-    ]
+    bands = {(low, high) for sources in config.class_sources for low, high, _ in sources}
+    filters = {band: design_bandpass(*band, config.sample_rate, taps) for band in bands}
 
+    chunk = max(1, CHUNK_SAMPLES // (n_samples + 2 * (taps - 1)))
     trials = []
-    trial_index = 0
     for c in range(config.n_classes):
-        for _ in range(config.trials_per_class):
-            samples = np.zeros((config.n_channels, n_samples))
-            for s, (low, high, variance) in enumerate(config.class_sources[c]):
-                rng = stream(config.noise_seed, _SOURCE_STREAM, trial_index, s)
-                source = _bandlimited_noise(rng, filters[(low, high)], n_samples, variance)
-                samples += mixing[c][s][:, np.newaxis] * source[np.newaxis, :]
-            if config.noise_variance > 0:
-                rng = stream(config.noise_seed, _SENSOR_STREAM, trial_index)
-                samples += np.sqrt(config.noise_variance) * rng.standard_normal(samples.shape)
-            trials.append(Trial(label=c, samples=samples, sample_rate=config.sample_rate))
-            trial_index += 1
+        mixing = [mixing_vector(config, c, s) for s in range(len(config.class_sources[c]))]
+        end = (c + 1) * config.trials_per_class
+        for start in range(c * config.trials_per_class, end, chunk):
+            indices = range(start, min(start + chunk, end))
+            sources = [
+                _bandlimited_noise(config.noise_seed, indices, s, filters[(low, high)], n_samples, variance)
+                for s, (low, high, variance) in enumerate(config.class_sources[c])
+            ]
+            for row, trial_index in enumerate(indices):
+                samples = np.zeros((config.n_channels, n_samples))
+                for s, source in enumerate(sources):
+                    samples += mixing[s][:, np.newaxis] * source[row][np.newaxis, :]
+                if config.noise_variance > 0:
+                    rng = stream(config.noise_seed, _SENSOR_STREAM, trial_index)
+                    samples += np.sqrt(config.noise_variance) * rng.standard_normal(samples.shape)
+                trials.append(Trial(label=c, samples=samples, sample_rate=config.sample_rate))
 
     class_names = config.class_names or [f"class_{c}" for c in range(config.n_classes)]
     channel_names = config.channel_names or [f"ch{i:02d}" for i in range(config.n_channels)]

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from fingerbci import cli
 from fingerbci.cli import main
 from fingerbci import load_dataset
 
@@ -179,14 +180,17 @@ class TestTrain:
     ("train", [], "code column 0 has 4 trials on side 1 (classes class_0), fewer than cv_folds 5"),
     ("train", ["--classes", "class_2,class_1"], "code column 0 has 4 trials on side 0 (classes class_2), fewer than cv_folds 5"),
     ("evaluate", [], "code column 0 has 3 trials on side 1 (classes class_0), fewer than cv_folds 5"),
+    ("score-bands", ["--classes", "class_2,class_1"], "code column 0 has 4 trials on side 0 (classes class_2), fewer than cv_folds 5"),
 ])
-def test_small_pools_named_by_column_and_class(tmp_path, capsys, command, extra, message):
+def test_small_pools_named_by_column_and_class(tmp_path, capsys, monkeypatch, command, extra, message):
     # Three classes of four trials: every side of every column has 4 (or 8) trials, and 3 after a holdout split.
     synth = {**SYNTH_CONFIG, "n_classes": 3, "trials_per_class": 4, "class_sources": SYNTH_CONFIG["class_sources"][:3]}
     del synth["class_names"]
     (tmp_path / "synth.json").write_text(json.dumps(synth))
     (tmp_path / "pipeline.json").write_text(json.dumps({**PIPELINE_CONFIG, "cv_folds": 5}))
     assert main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(tmp_path / "data")]) == 0
+    if command == "score-bands":  # refused before the filter bank runs
+        monkeypatch.setattr(cli, "decompose", lambda *args: pytest.fail("decomposed a pair with a small pool"))
     code = main([
         command, "--dataset", str(tmp_path / "data"), "--config", str(tmp_path / "pipeline.json"),
         "--out", str(tmp_path / "out"), *extra,

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from fingerbci import SynthConfig, generate
+import synthgen_reference
+from fingerbci import SynthConfig, generate, synthgen
 from fingerbci.synthgen import mixing_vector
 
 
@@ -124,3 +127,48 @@ class TestMixing:
         config = base_config(mixing_vectors=[[[2.0, 0, 0, 0, 0, 0]], [[0, 3.0, 0, 0, 0, 0]]])
         assert np.allclose(mixing_vector(config, 0, 0), [1, 0, 0, 0, 0, 0])
         assert np.allclose(mixing_vector(config, 1, 0), [0, 1, 0, 0, 0, 0])
+
+
+# One feature of source shaping per config, each kept byte for byte by the chunked pass.
+EQUIVALENCE_CASES = {
+    "two sources in one class": dict(class_sources=[[(9.0, 11.0, 4.0), (20.0, 24.0, 1.0)], [(9.0, 11.0, 2.0)]]),
+    "band shared by two classes": dict(n_classes=3, class_sources=[[(9.0, 11.0, 4.0)], [(13.0, 15.0, 1.0)], [(9.0, 11.0, 0.5)]]),
+    "zero-variance source": dict(class_sources=[[(9.0, 11.0, 0.0), (20.0, 24.0, 1.0)], [(9.0, 11.0, 0.0)]]),
+    "class with no source": dict(n_classes=3, class_sources=[[], [(9.0, 11.0, 4.0)], []]),
+    "noise_variance 0": dict(noise_variance=0.0),
+    "trials_per_class 1": dict(trials_per_class=1),
+}
+
+
+class TestChunkedShaping:
+    """Shaping a run of trials in one filter pass changes no byte of any trial."""
+
+    # 760 padded samples per trial at 128 Hz, 2 s: chunks of 1, 1, 3 and every trial of a class.
+    @pytest.mark.parametrize("chunk_samples", [1, 3, 3 * 760, 1 << 16])
+    @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+    def test_equal_to_per_trial_reference(self, monkeypatch, case, chunk_samples):
+        monkeypatch.setattr(synthgen, "CHUNK_SAMPLES", chunk_samples)
+        config = base_config(**{"trials_per_class": 7, **EQUIVALENCE_CASES[case]})
+        expected = synthgen_reference.generate(config)
+        actual = generate(config)
+        assert [t.label for t in actual.trials] == [t.label for t in expected.trials]
+        for a, b in zip(actual.trials, expected.trials, strict=True):
+            assert a.samples.tobytes() == b.samples.tobytes()
+        assert (actual.class_names, actual.channel_names) == (expected.class_names, expected.channel_names)
+
+    def test_pinned_digest(self):
+        # Two sources, a band shared by two classes, a zero-variance source and a class with no source.
+        config = base_config(
+            n_classes=4, trials_per_class=5, n_channels=4, mixing_seed=11, noise_variance=0.5, noise_seed=12,
+            class_sources=[[(9.0, 11.0, 4.0), (20.0, 24.0, 1.0)], [(9.0, 11.0, 2.0)], [(13.0, 15.0, 0.0)], []],
+        )
+        digest = hashlib.sha256()
+        for trial in generate(config).trials:
+            digest.update(np.int64(trial.label).tobytes())
+            digest.update(trial.samples.tobytes())
+        assert digest.hexdigest() == "a761e086339f2fc098ae639c8b77c135ac82c617cb4cc419595f8d6dce0af8c5"
+
+    def test_zero_variance_source_is_not_filtered(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "apply_filter", lambda *args: pytest.fail("filtered a zero-variance source"))
+        dataset = generate(base_config(class_sources=[[(9.0, 11.0, 0.0)], []], noise_variance=0.0))
+        assert all(not trial.samples.any() for trial in dataset.trials)
