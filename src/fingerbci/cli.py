@@ -61,6 +61,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_score_bands(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if out.with_suffix(".csv") == out:
+        raise ValueError(f"--out {out} is also the path of the CSV written beside it; give the JSON another suffix")
     config = _load_pipeline_config(args.config, args.seed)
     dataset = load_dataset(args.dataset)
     class_a, class_b = _parse_classes(args.classes, dataset.class_names)
@@ -71,7 +74,6 @@ def cmd_score_bands(args: argparse.Namespace) -> int:
         pair, pair.labels, config.csp_pairs, config.cv_folds, config.seed, config.lda_shrinkage
     )
     selection = select_bands(scores)
-    out = Path(args.out)
     _write_json(
         {
             "pair": [class_a, class_b],
@@ -193,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--classes", required=True, help="two classes, e.g. rest,thumb or 0,1")
     p.add_argument("--config", help="pipeline config JSON (defaults used if omitted)")
-    p.add_argument("--out", required=True, help="output JSON (a CSV is written alongside)")
+    p.add_argument("--out", required=True, help="output JSON, not .csv (a CSV is written alongside)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_score_bands)
 

@@ -20,8 +20,6 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft
-from scipy.signal import fftconvolve
 
 from .trialstore import Dataset, Trial
 
@@ -173,9 +171,26 @@ def design_bandpass(low: float, high: float, sample_rate: float, taps: int) -> F
     return FirFilter(coefficients=h, band=(low, high), sample_rate=sample_rate)
 
 
+def _next_fast_len(n: int) -> int:
+    """The least ``2^a 3^b 5^c >= n``: a length the FFT factors into small radices."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The least power of two times p35 that reaches n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _causal(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # Causal FIR pass along the last axis, same length as the input.
-    return fftconvolve(x, h[np.newaxis, :], mode="full", axes=1)[:, : x.shape[1]]
+    # Causal FIR pass along the last axis, same length as the input: the
+    # full linear convolution by one zero-padded real FFT product, truncated.
+    n = x.shape[1]
+    n_fft = _next_fast_len(n + len(h) - 1)
+    return np.fft.irfft(np.fft.rfft(x, n_fft, axis=1) * np.fft.rfft(h, n_fft), n_fft, axis=1)[:, :n]
 
 
 def _check_filterable(trial: Trial, sample_rate: float, taps: int) -> None:
@@ -221,7 +236,7 @@ def _kernel_spectra(bands: tuple, sample_rate: float, taps: int, n_fft: int) -> 
     # every later call.  Each row is its own rfft, so a band's row does not
     # depend on the list it is cached with.
     kernels = [design_bandpass(low, high, sample_rate, taps).coefficients for low, high in bands]
-    spectra = np.stack([scipy.fft.rfft(np.convolve(h, h[::-1]), n_fft) for h in kernels])
+    spectra = np.stack([np.fft.rfft(np.convolve(h, h[::-1]), n_fft) for h in kernels])
     spectra.flags.writeable = False
     return spectra
 
@@ -248,15 +263,15 @@ def _spectra(trials, sample_rate, taps, n_signals=0):
         batches += [same_length[i : i + step] for i in range(0, len(same_length), step)]
     for batch in batches:
         length = int(lengths[batch[0]])
-        n_fft = scipy.fft.next_fast_len(length, real=True)
+        n_fft = _next_fast_len(length)
         samples = np.stack([trials[i].samples for i in batch]).astype(np.float64)
-        yield batch, length, n_fft, scipy.fft.rfft(samples, n_fft, axis=-1)
+        yield batch, length, n_fft, np.fft.rfft(samples, n_fft, axis=-1)
 
 
 def _valid(spectra: np.ndarray, kernels: np.ndarray, taps: int, length: int, n_fft: int) -> np.ndarray:
     # Output k of a circular convolution of n_fft >= length points wraps
     # nothing for k >= 2 * (taps - 1): the valid part.
-    return scipy.fft.irfft(spectra * kernels, n_fft, axis=-1)[..., 2 * (taps - 1) : length]
+    return np.fft.irfft(spectra * kernels, n_fft, axis=-1)[..., 2 * (taps - 1) : length]
 
 
 def _refuse_silent(totals: np.ndarray, batch: np.ndarray, bands) -> None:

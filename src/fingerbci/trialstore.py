@@ -184,7 +184,9 @@ def load_dataset(path: str | Path) -> Dataset:
     records = _field(manifest, "trials", lambda v: type(v) is list and all(type(r) is dict for r in v),
                      "a list of objects")
     n_channels = len(channel_names)
-    raw = trials_path.read_bytes()
+    # One read of the whole file; each trial's samples are a view of it.
+    size = trials_path.stat().st_size
+    values = np.fromfile(trials_path, dtype=_SAMPLE_DTYPE, count=size // _SAMPLE_DTYPE.itemsize)
 
     trials = []
     expected_offset = 0
@@ -197,16 +199,17 @@ def load_dataset(path: str | Path) -> Dataset:
             raise ValueError(f"trial {i} offset {offset} does not match packed layout ({expected_offset})")
         count = n_channels * n_samples
         nbytes = count * _SAMPLE_DTYPE.itemsize
-        if offset + nbytes > len(raw):
+        if offset + nbytes > size:
             raise ValueError(
                 f"trial {i} payload runs past end of {TRIALS_NAME} "
-                f"({offset + nbytes} > {len(raw)} bytes)"
+                f"({offset + nbytes} > {size} bytes)"
             )
-        samples = np.frombuffer(raw, dtype=_SAMPLE_DTYPE, count=count, offset=offset)
-        trials.append(Trial(label=label, samples=samples.reshape(n_channels, n_samples).copy(), sample_rate=sample_rate))
+        start = offset // _SAMPLE_DTYPE.itemsize
+        samples = values[start : start + count].reshape(n_channels, n_samples)
+        trials.append(Trial(label=label, samples=samples, sample_rate=sample_rate))
         expected_offset = offset + nbytes
-    if expected_offset != len(raw):
-        raise ValueError(f"{TRIALS_NAME} has {len(raw)} bytes, manifest accounts for {expected_offset}")
+    if expected_offset != size:
+        raise ValueError(f"{TRIALS_NAME} has {size} bytes, manifest accounts for {expected_offset}")
 
     return Dataset(sample_rate=sample_rate, channel_names=channel_names, class_names=class_names, trials=trials)
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fingerbci
 from fingerbci import cli
 from fingerbci.cli import main
 from fingerbci import load_dataset
@@ -123,6 +128,18 @@ class TestScoreBands:
             rows = list(csv.reader(fh))
         assert rows[0] == ["band_low_hz", "band_high_hz", "score", "selected"]
         assert len(rows) == 4
+
+    def test_csv_out_refused_before_any_work(self, workspace, tmp_path, capsys, monkeypatch):
+        # The CSV beside the JSON would take the same path and overwrite it.
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: pytest.fail("read the dataset"))
+        out = tmp_path / "scores.csv"
+        code = main([
+            "score-bands", "--dataset", str(workspace / "dataset"),
+            "--classes", "rest,thumb", "--config", str(workspace / "pipeline.json"), "--out", str(out),
+        ])
+        assert code == 1
+        assert f"--out {out} is also the path of the CSV written beside it" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_class_fails(self, workspace, capsys):
         code = main([
@@ -305,3 +322,41 @@ class TestPredict:
         err = capsys.readouterr().err
         assert str(names) in err and str(dataset.channel_names) in err and f"{rate} Hz" in err
         assert not (tmp_path / "p.csv").exists()
+
+
+# The synth and pipeline configs of CI's installed console-script step.
+TINY_SYNTH = {
+    "n_classes": 3, "trials_per_class": 8, "n_channels": 4, "sample_rate": 128.0, "trial_duration": 2.0,
+    "class_sources": [[[9.0, 11.0, 4.0]]] * 3, "mixing_seed": 1, "noise_variance": 1.0, "noise_seed": 2,
+}
+TINY_PIPELINE = {
+    "band_start": 8.0, "band_stop": 14.0, "band_width": 2.0, "fir_taps": 63, "csp_pairs": 1, "cv_folds": 2,
+    "et_max_features": [1], "et_min_samples_split": [2], "et_n_estimators": [10],
+}
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or one of its subpackages now fails
+import fingerbci, fingerbci.cli
+loaded = [name for name, module in sys.modules.items() if name.split(".")[0] == "scipy" and module is not None]
+assert not loaded, loaded
+work = sys.argv[1]
+for argv in (
+    ["synth", "--config", f"{work}/synth.json", "--out", f"{work}/data"],
+    ["train", "--dataset", f"{work}/data", "--config", f"{work}/pipeline.json", "--out", f"{work}/model"],
+    ["predict", "--model", f"{work}/model", "--dataset", f"{work}/data", "--out", f"{work}/p.csv"],
+):
+    assert fingerbci.cli.main(argv) == 0, argv
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: the CLI imports and runs with scipy unimportable.
+    (tmp_path / "synth.json").write_text(json.dumps(TINY_SYNTH))
+    (tmp_path / "pipeline.json").write_text(json.dumps(TINY_PIPELINE))
+    src = str(Path(fingerbci.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "p.csv") as fh:
+        assert len(list(csv.reader(fh))) == 25  # a header and one row per trial

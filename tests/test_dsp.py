@@ -382,3 +382,45 @@ class TestProjectedVariances:
             band_covariances(trials, 100.0, self.bank.bands, self.bank.taps)
         with pytest.raises(ValueError, match=message):
             self.variances(trials, projections)
+
+
+def direct_causal(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Time-domain causal FIR pass of each row, same length as the row."""
+    return np.stack([np.convolve(row, h)[: len(row)] for row in x])
+
+
+class TestFftPath:
+    """The numpy FFT path against references that do not share its code."""
+
+    def test_fast_length_equals_scipy(self):
+        lengths = range(1, 20_001)
+        assert [dsp._next_fast_len(n) for n in lengths] == [scipy.fft.next_fast_len(n, real=True) for n in lengths]
+
+    # 700 + 62 pads to 768 and 1000 + 256 to 1280; 1025 + 62 = 1087 pads to 1125.
+    @pytest.mark.parametrize("n_samples, taps", [(700, 63), (1000, 257), (1025, 63)])
+    def test_apply_filter_matches_direct_convolution(self, n_samples, taps):
+        rng = np.random.default_rng(n_samples)
+        trial = Trial(label=0, samples=rng.standard_normal((3, n_samples)), sample_rate=100.0)
+        fir = design_bandpass(8.0, 12.0, 100.0, taps)
+        x, h = trial.samples.astype(np.float64), fir.coefficients
+        forward = direct_causal(x, h)
+        expected = direct_causal(forward[:, ::-1], h)[:, ::-1][:, taps - 1 : n_samples - (taps - 1)]
+        scale = np.max(np.abs(expected))
+        # The float64 passes agree within 1e-12 of the signal's scale ...
+        assert np.max(np.abs(dsp._causal(x, h) - forward)) <= 1e-12 * np.max(np.abs(forward))
+        twice = dsp._causal(dsp._causal(x, h)[:, ::-1], h)[:, ::-1][:, taps - 1 : n_samples - (taps - 1)]
+        assert np.max(np.abs(twice - expected)) <= 1e-12 * scale
+        # ... and the stored float32 output is the reference's rounding, up to one unit in the last place.
+        out = apply_filter(trial, fir).samples
+        assert out.dtype == np.float32
+        np.testing.assert_array_max_ulp(out, expected.astype(np.float32), maxulp=1)
+
+    def test_spectra_are_complex128_for_float32_trials(self):
+        # numpy >= 2 transforms float32 in single precision; the bank casts first.
+        dataset = unequal_dataset(np.random.default_rng(18))
+        assert all(trial.samples.dtype == np.float32 for trial in dataset.trials)
+        for batch, length, n_fft, spectra in dsp._spectra(dataset.trials, 100.0, 63):
+            assert spectra.dtype == np.complex128
+            samples = np.stack([dataset.trials[i].samples.astype(np.float64) for i in batch])
+            reference = scipy.fft.rfft(samples, n_fft)
+            np.testing.assert_allclose(spectra, reference, rtol=0, atol=1e-12 * np.abs(reference).max())

@@ -176,6 +176,25 @@ class TestFormat:
         with pytest.raises(ValueError, match="accounts for"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("change, message", [(-1, "past end"), (1, "accounts for")])
+    def test_binary_one_byte_off_rejected(self, tmp_path, change, message):
+        save_dataset(two_class_dataset(), tmp_path)
+        raw = (tmp_path / "trials.bin").read_bytes()
+        (tmp_path / "trials.bin").write_bytes(raw[:-1] if change < 0 else raw + b"\x00")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(tmp_path)
+
+    def test_trials_are_views_of_one_buffer(self, tmp_path):
+        dataset = random_dataset(np.random.default_rng(3), trials_per_class=3)
+        save_dataset(dataset, tmp_path)
+        loaded = load_dataset(tmp_path)
+        buffer = loaded.trials[0].samples.base
+        assert buffer is not None and all(trial.samples.base is buffer for trial in loaded.trials)
+        assert buffer.nbytes == (tmp_path / "trials.bin").stat().st_size
+        for a, b in zip(loaded.trials, dataset.trials):
+            assert a.samples.dtype == np.float32 and a.samples.flags.c_contiguous
+            assert a.samples.tobytes() == b.samples.tobytes()
+
     def test_missing_files(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path)
