@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,7 +129,7 @@ def check_bank(bands, sample_rate: float, taps: int) -> None:
     at least 31 and ``0 < low < high < sample_rate / 2`` for each
     ``(low, high)``.
     """
-    if not (np.isfinite(sample_rate) and sample_rate > 0.0):
+    if not 0.0 < sample_rate < np.inf:  # exact comparisons: NaN fails, and an integer is never converted
         raise BankError("sample_rate", f"sample rate must be positive and finite, got {sample_rate}")
     _check_taps(taps)
     for low, high in bands:
@@ -241,10 +242,9 @@ def _kernel_spectra(bands: tuple, sample_rate: float, taps: int, n_fft: int) -> 
     return spectra
 
 
-def _spectra(trials, sample_rate, taps, n_signals=0):
-    """Yield ``(batch, length, n_fft, spectra)``: the ``n_fft``-point rfft of
-    the trials of ``batch``, each ``length`` samples long, ``(len(batch), C,
-    n_fft // 2 + 1)``.
+def _spectra(trials, sample_rate, taps, n_signals=0, fft_len=_next_fast_len):
+    """Yield ``(batch, length, n_fft, spectra)``: the ``n_fft = fft_len(length)``-point rfft of the
+    trials of ``batch``, each ``length`` samples long, ``(len(batch), C, n_fft // 2 + 1)``.
 
     Trials of equal length go through in batches of about ``BATCH_SAMPLES``
     samples of the ``max(C, n_signals)`` signals that the caller filters per
@@ -252,29 +252,19 @@ def _spectra(trials, sample_rate, taps, n_signals=0):
     """
     if not trials:
         raise ValueError("no trials to filter")
-    for trial in trials:
+    same_length: dict[int, list[int]] = {}
+    for i, trial in enumerate(trials):
         _check_filterable(trial, sample_rate, taps)
-    n_channels = trials[0].n_channels
-    lengths = np.array([trial.n_samples for trial in trials])
-    batches = []
-    for length in np.unique(lengths):
-        same_length = np.flatnonzero(lengths == length)
-        step = max(1, BATCH_SAMPLES // (max(n_channels, n_signals) * int(length)))
-        batches += [same_length[i : i + step] for i in range(0, len(same_length), step)]
-    for batch in batches:
-        length = int(lengths[batch[0]])
-        n_fft = _next_fast_len(length)
-        samples = np.stack([trials[i].samples for i in batch]).astype(np.float64)
-        yield batch, length, n_fft, np.fft.rfft(samples, n_fft, axis=-1)
+        same_length.setdefault(trial.n_samples, []).append(i)
+    for length in sorted(same_length):
+        n_fft, indices = fft_len(length), same_length[length]
+        step = max(1, BATCH_SAMPLES // (max(trials[0].n_channels, n_signals) * length))
+        for batch in (indices[i : i + step] for i in range(0, len(indices), step)):
+            samples = np.stack([trials[i].samples for i in batch], dtype=np.float64)
+            yield batch, length, n_fft, np.fft.rfft(samples, n_fft, axis=-1)
 
 
-def _valid(spectra: np.ndarray, kernels: np.ndarray, taps: int, length: int, n_fft: int) -> np.ndarray:
-    # Output k of a circular convolution of n_fft >= length points wraps
-    # nothing for k >= 2 * (taps - 1): the valid part.
-    return np.fft.irfft(spectra * kernels, n_fft, axis=-1)[..., 2 * (taps - 1) : length]
-
-
-def _refuse_silent(totals: np.ndarray, batch: np.ndarray, bands) -> None:
+def _refuse_silent(totals: np.ndarray, batch: list[int], bands) -> None:
     # ``totals[i, b]``: trial ``batch[i]``'s total variance in ``bands[b]``;
     # names the first band with a silent trial, and its first such trial.
     silent = totals <= 0.0
@@ -302,7 +292,7 @@ def band_covariances(
     for batch, length, n_fft, spectra in _spectra(trials, sample_rate, taps):
         kernels = _kernel_spectra(tuple(map(tuple, bands)), sample_rate, taps, n_fft)
         for b, (low, high) in enumerate(bands):
-            y = _valid(spectra, kernels[b], taps, length, n_fft)
+            y = np.fft.irfft(spectra * kernels[b], n_fft, axis=-1)[..., 2 * (taps - 1) : length]
             products = y @ y.swapaxes(-1, -2)
             traces = np.trace(products, axis1=-2, axis2=-1)
             _refuse_silent(traces[:, np.newaxis], batch, [(low, high)])
@@ -312,40 +302,60 @@ def band_covariances(
     return csp_covariances, feature_covariances
 
 
+class RowPlan(NamedTuple):
+    """What :func:`row_variances` reads for trials of one length: ``n_fft``, the ``valid`` samples, whether the rows
+    ``project`` the spectra, the ``kernels`` laid out for that branch and the mask ``in_band`` of each row's band."""
+
+    n_fft: int
+    valid: slice
+    project: bool
+    kernels: np.ndarray
+    in_band: np.ndarray
+
+
+def row_plan(sample_rate: float, bands, taps: int, rows: np.ndarray, row_bands, length: int) -> RowPlan:
+    """The :class:`RowPlan` of ``length``-sample trials; arguments as for :func:`row_variances`."""
+    n_fft, row_bands = _next_fast_len(length), np.asarray(row_bands, dtype=np.intp)
+    kernels = _kernel_spectra(tuple(map(tuple, bands)), sample_rate, taps, n_fft)
+    project = len(rows) < len(bands) * rows.shape[1]
+    in_band = (row_bands[:, np.newaxis] == np.arange(len(bands))).astype(np.float64)
+    valid = slice(2 * (taps - 1), length)  # the outputs that the n_fft-point circular convolution does not wrap
+    return RowPlan(n_fft, valid, project, kernels[row_bands] if project else kernels[:, np.newaxis], in_band)
+
+
 def row_variances(
     trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int,
-    rows: np.ndarray, row_bands: np.ndarray,
+    rows: np.ndarray, row_bands: np.ndarray, plans=None,
 ) -> np.ndarray:
     """``(n_trials, R)`` centred variances of each trial filtered into band
     ``bands[row_bands[r]]`` and projected through ``rows[r]``, a ``(R, C)``
     stack of spatial rows: ``diag(W S W^T)`` of the centred covariances ``S``
     of :func:`band_covariances`, up to rounding.
 
-    A spatial projection commutes with the filter, so all bands take one
-    product, one kernel multiply, one irfft and one reduction, on whichever
-    signals are fewer.  With fewer rows than ``len(bands) * C``, each row
-    projects the trial's spectrum and gives its variance; otherwise every
-    band filters the ``C`` channels, and each row reads its variance from
-    its band's centred covariance.  A trial whose rows of one band have no
-    variance in total is refused by name.
+    A spatial projection commutes with the filter, so all bands take one product, one
+    kernel multiply, one irfft and one reduction, on whichever signals are fewer.  With
+    fewer rows than ``len(bands) * C``, each row projects the trial's spectrum and gives
+    its variance; otherwise every band filters the ``C`` channels, and each row reads its
+    variance from its band's centred covariance.  A trial whose rows of one band have no
+    variance in total is refused by name.  ``plans`` maps a trial length to its
+    :func:`row_plan`, which a caller may keep for the same rows.
     """
-    row_bands = np.asarray(row_bands, dtype=np.intp)
-    in_band = (row_bands[:, np.newaxis] == np.arange(len(bands))).astype(np.float64)
-    project = len(rows) < len(bands) * rows.shape[1]
-    n_signals = len(rows) if project else len(bands) * rows.shape[1]
+    plans = plans or functools.partial(row_plan, sample_rate, bands, taps, rows, row_bands)
     variances = np.empty((len(trials), len(rows)))
-    for batch, length, n_fft, spectra in _spectra(trials, sample_rate, taps, n_signals):
-        kernels = _kernel_spectra(tuple(map(tuple, bands)), sample_rate, taps, n_fft)
-        if project:
+    n_signals = min(len(rows), len(bands) * rows.shape[1])
+    for batch, length, n_fft, spectra in _spectra(trials, sample_rate, taps, n_signals, lambda n: plans(n).n_fft):
+        plan = plans(length)
+        if plan.project:
             # Projected as one real product over (re, im) pairs.
-            y = _valid((rows @ spectra.view(np.float64)).view(np.complex128), kernels[row_bands], taps, length, n_fft)
+            projected = (rows @ spectra.view(np.float64)).view(np.complex128)
+            y = np.fft.irfft(projected * plan.kernels, n_fft, axis=-1)[..., plan.valid]
             variance = np.einsum("...t,...t->...", y, y) / y.shape[-1] - y.mean(axis=-1) ** 2
         else:
-            y = _valid(spectra[:, np.newaxis], kernels[:, np.newaxis], taps, length, n_fft)
+            y = np.fft.irfft(spectra[:, np.newaxis] * plan.kernels, n_fft, axis=-1)[..., plan.valid]
             means = y.mean(axis=-1)
             covariances = y @ y.swapaxes(-1, -2) / y.shape[-1] - means[..., :, np.newaxis] * means[..., np.newaxis, :]
             variance = np.einsum("rc,nrcd,rd->nr", rows, covariances[:, row_bands], rows)
-        _refuse_silent(variance @ in_band, batch, bands)
+        _refuse_silent(variance @ plan.in_band, batch, bands)
         variances[batch] = variance
     return variances
 

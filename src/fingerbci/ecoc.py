@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import functools
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
 from .config import PipelineConfig
 from .csp import fit_csp_stack, kept_filters, log_ratios, log_variance_features
-from .dsp import BandDecomposition, BankError, check_bank, row_variances
+from .dsp import BandDecomposition, BankError, RowPlan, check_bank, row_plan, row_variances
 from .extratrees import EtForest, EtNode, EtParams, NodeTable, fit as et_fit, majority, node_table, tune as et_tune
 from .rng import child_seed
 from .trialstore import Trial, replacing
@@ -152,9 +153,9 @@ class EcocModel:
     the dataset class index of each code row: ``range(p)`` for the exhaustive
     code, ``[a, b]`` for :data:`PAIR_CODE` fitted on the view of pair (a, b).
 
-    Serving derives the stacked filter rows and the node table of all
-    columns on the first prediction and keeps them, so a model is not edited
-    after its first prediction: ``dataclasses.replace`` builds a new one.
+    Serving derives the stacked filter rows, the node table and a plan per
+    trial length when first needed and keeps them: a model is not edited
+    after it has predicted, and ``dataclasses.replace`` builds a new one.
     """
 
     code: np.ndarray
@@ -183,9 +184,15 @@ class EcocModel:
         return [self.bands[b] for b in needed], np.vstack(filters), np.repeat(row_bands, sizes), blocks
 
     @functools.cached_property
-    def _trees(self) -> NodeTable:
-        """The node table of every column's forest, column after column."""
-        return node_table([column.forest for column in self.columns])
+    def _plans(self) -> Callable[[int], RowPlan]:
+        """The :class:`~fingerbci.dsp.RowPlan` of the rows for each trial length, the last 16 kept."""
+        bands, rows, row_bands, _ = self._rows
+        return functools.lru_cache(16)(functools.partial(row_plan, self.sample_rate, bands, self.taps, rows, row_bands))
+
+    @functools.cached_property
+    def _trees(self) -> tuple[NodeTable, np.ndarray]:
+        """The node table of every column's forest, column after column, and ``classes`` as an array."""
+        return node_table([column.forest for column in self.columns]), np.asarray(self.classes, dtype=np.int64)
 
 
 def column_pools(code: np.ndarray, labels, class_names: list[str], folds: int) -> list[np.ndarray]:
@@ -257,7 +264,7 @@ def _trial_features(model: EcocModel, trials: list[Trial], channel_names: list[s
         if trial.n_channels != len(model.channel_names):
             raise ValueError(f"trial has {trial.n_channels} channels, model expects {len(model.channel_names)}")
     bands, rows, row_bands, blocks = model._rows
-    variances = row_variances(trials, model.sample_rate, bands, model.taps, rows, row_bands)
+    variances = row_variances(trials, model.sample_rate, bands, model.taps, rows, row_bands, model._plans)
     features = np.empty_like(variances)
     for block in blocks:
         features[:, block] = log_ratios(variances[:, block])
@@ -271,8 +278,8 @@ def _vote(model: EcocModel, features: np.ndarray) -> np.ndarray:
     table (see :attr:`EcocModel._trees`), each column's forest votes a bit
     by majority, and each codeword decodes to a class index.
     """
-    bits = majority(model._trees, features)
-    return np.asarray(model.classes, dtype=np.int64)[decode(model.code, bits)]
+    table, classes = model._trees
+    return classes[decode(model.code, majority(table, features))]
 
 
 def predict_from_bands(model: EcocModel, covariances: np.ndarray) -> np.ndarray:
@@ -409,7 +416,7 @@ def _require(ok: bool, name: str, message: str) -> None:
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max  # finite, and within float64's range
 
 
 def _is_list_of(values, kind: type) -> bool:
@@ -448,8 +455,8 @@ def _check_tree(tree: dict, j: int, feature_dim: int) -> None:
     _require((owed[:-1] > 0).all() and owed[-1] == 0, "attribute",
              f"column {j} has a tree whose attributes are not a binary tree in pre-order")
     internal = int(splits.sum())
-    _require(type(cut) is list and len(cut) == internal and all(_is_number(c) for c in cut)
-             and all(map(math.isfinite, cut)), "cut", f"column {j} has a tree without {internal} finite numeric cuts")
+    _require(type(cut) is list and len(cut) == internal and all(map(_is_number, cut)), "cut",
+             f"column {j} has a tree without {internal} finite numeric cuts")
     _require(_is_list_of(counts, int) and len(counts) == 2 * (len(attribute) - internal) and min(counts) >= 0,
              "counts", f"column {j} has a tree without two non-negative integer counts per leaf")
 
@@ -466,7 +473,7 @@ def _check_model(model: EcocModel) -> None:
         raise ValueError(f"model bundle field 'code': {exc}") from None
     for name in ("class_names", "channel_names"):
         _require(_is_list_of(getattr(model, name), str), name, "must be a list of strings")
-    _require(_is_number(model.sample_rate), "sample_rate", f"{model.sample_rate!r} is not a number")
+    _require(_is_number(model.sample_rate), "sample_rate", f"{model.sample_rate!r} is not a finite number")
     for band in model.bands:
         _require(len(band) == 2 and all(_is_number(f) for f in band), "bands", f"{list(band)} is not a (low, high) pair")
     try:
@@ -488,9 +495,10 @@ def _check_model(model: EcocModel) -> None:
                  f"column {j} selects {bands} of {len(model.bands)} bands")
         filters = column.filters
         kept = filters.shape[1] if filters.ndim == 3 else 0
+        # Entries of at most 1e100 keep the variance of any finite float32 trial's projection inside float64's range.
         _require(kept >= 2 and kept % 2 == 0 and filters.dtype == np.float64
-                 and filters.shape == (len(bands), kept, n_channels) and bool(np.isfinite(filters).all()), "filters",
-                 f"column {j} has {filters.dtype} CSP filters of shape {filters.shape}, not finite floats "
+                 and filters.shape == (len(bands), kept, n_channels) and bool((abs(filters) <= 1e100).all()), "filters",
+                 f"column {j} has {filters.dtype} CSP filters of shape {filters.shape}, not floats in [-1e100, 1e100] "
                  f"of shape ({len(bands)}, 2m, {n_channels}) with m >= 1")
         forest = column.forest
         expected_dim = kept * len(bands)

@@ -239,20 +239,21 @@ class NodeTable(NamedTuple):
     """Trees of one or more forests in one pre-order node table, tree after
     tree and forest after forest.
 
-    Node ``i`` sends a row whose feature ``attribute[i]`` is at most
-    ``cut[i]`` to node ``i + 1`` and any other row to ``right[i]``.  A leaf
-    has a NaN cut and itself as right child, so every row that reaches it
-    stays, and votes ``vote[i]``: 1 when it holds more class-1 samples.
-    ``roots`` is the first node of each tree, ``trees`` the number of trees
-    of each forest and ``depth`` the most splits on any path.
+    Node ``i`` sends a row whose feature ``attribute[i]`` is at most ``cut[i]`` to node ``left[i] = i + 1``
+    and any other row to ``right[i]``.  A leaf has a NaN cut and itself as right child, so every row that
+    reaches it stays, and votes ``vote[i]``: 1 when it holds more class-1 samples.  ``roots`` is the first
+    node of each tree, ``trees`` the number of trees of each forest, ``first_trees`` the first tree of each
+    forest and ``depth`` the most splits on any path.
     """
 
     attribute: np.ndarray
     cut: np.ndarray
+    left: np.ndarray
     right: np.ndarray
     vote: np.ndarray
     roots: np.ndarray
     trees: np.ndarray
+    first_trees: np.ndarray
     depth: int
 
 
@@ -280,10 +281,11 @@ def node_table(forests: list[EtForest]) -> NodeTable:
                 if not leaf:
                     stack += [(node.right, level + 1, i), (node.left, level + 1, -1)]
         offset += forest.feature_dim
+    trees = np.array([len(forest.trees) for forest in forests], dtype=np.intp)
     return NodeTable(
-        np.array(attribute, dtype=np.intp), np.array(cut, dtype=np.float64), np.array(right, dtype=np.intp),
-        np.array(vote, dtype=np.int64), np.array(roots, dtype=np.intp),
-        np.array([len(forest.trees) for forest in forests], dtype=np.intp), depth,
+        np.array(attribute, dtype=np.intp), np.array(cut, dtype=np.float64), np.arange(1, len(attribute) + 1),
+        np.array(right, dtype=np.intp), np.array(vote, dtype=np.int64), np.array(roots, dtype=np.intp),
+        trees, np.cumsum(trees) - trees, depth,
     )
 
 
@@ -299,18 +301,17 @@ def majority(table: NodeTable, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     n_nodes = len(table.attribute)
     step = max(1, BATCH_PAIRS // n_nodes)
-    first_trees = np.cumsum(table.trees) - table.trees
     votes = np.empty((len(x), len(table.trees)), dtype=np.int64)
     for start in range(0, len(x), step):
         rows = x[start : start + step]
         offsets = np.arange(len(rows))[:, np.newaxis] * n_nodes
         # The next node of every (row, node), as an index into ``after`` itself.
-        after = np.where(rows[:, table.attribute] <= table.cut, np.arange(1, n_nodes + 1), table.right) + offsets
+        after = np.where(rows[:, table.attribute] <= table.cut, table.left, table.right) + offsets
         after = after.ravel()
         node = table.roots + offsets
         for _ in range(table.depth):
             node = after[node]
-        votes[start : start + step] = np.add.reduceat(table.vote[node - offsets], first_trees, axis=1)
+        votes[start : start + step] = np.add.reduceat(table.vote[node - offsets], table.first_trees, axis=1)
     return (votes * 2 > table.trees).astype(np.int64)
 
 

@@ -24,6 +24,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from sys import float_info
 
 import numpy as np
 
@@ -177,7 +178,7 @@ def load_dataset(path: str | Path) -> Dataset:
             raise ValueError(f"corrupt manifest: {exc}") from exc
     if type(manifest) is not dict:
         raise ValueError("corrupt manifest: not a JSON object")
-    sample_rate = float(_field(manifest, "sample_rate", lambda v: type(v) in (int, float) and math.isfinite(v) and v > 0,
+    sample_rate = float(_field(manifest, "sample_rate", lambda v: type(v) in (int, float) and 0 < v <= float_info.max,
                                "a positive finite number"))
     channel_names = _field(manifest, "channel_names", _is_list_of_strings, "a list of strings")
     class_names = _field(manifest, "class_names", _is_list_of_strings, "a list of strings")

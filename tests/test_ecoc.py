@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import operator
 import re
 import sys
 from dataclasses import replace
@@ -18,9 +20,11 @@ from fingerbci import (
     ecoc,
     exhaustive_code,
     fit_ecoc,
+    load_dataset,
     load_model,
     make_bank,
     predict_ecoc,
+    save_dataset,
     save_model,
 )
 from fingerbci.csp import fit_csp_stack
@@ -422,6 +426,95 @@ class TestServingFeatures:
             assert np.array_equal(ecoc._trial_features(model, [trial], None)[0], served[i])
 
 
+@pytest.fixture(scope="module")
+def plan_models(mini_decomp):
+    """A trained model whose rows outnumber the channels times the bands
+    they read, so its plans filter the channels, and a class-pair model
+    with fewer rows, whose plans project the spectra."""
+    dataset, decomp = mini_decomp
+    channels = fit_small_ecoc(decomp)
+    _, projecting = fit_small_pair(dataset, (0, 2), seed=4)
+    assert not channels._plans(256).project and projecting._plans(256).project
+    return {"channels": channels, "projecting": projecting}
+
+
+class TestServingPlan:
+    """Each trial length is served from the model's plan for it; the plan
+    changes no output and no refusal."""
+
+    @pytest.mark.parametrize("branch", ["channels", "projecting"])
+    def test_single_trial_features_equal_batch_and_bands(self, plan_models, mini_decomp, branch):
+        dataset, _ = mini_decomp
+        model = replace(plan_models[branch])
+        covariances = decompose(dataset, SMALL.bank()).feature_covariances
+        batch = ecoc._trial_features(model, dataset.trials, None)
+        for i, trial in enumerate(dataset.trials):
+            assert np.array_equal(ecoc._trial_features(model, [trial], None)[0], batch[i])
+        expected = np.hstack([ecoc._column_features(c.selected_bands, c.filters, covariances) for c in model.columns])
+        np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-9)
+        predicted = predict_trials(model, dataset.trials)
+        assert np.array_equal(predicted, ecoc.predict_from_bands(model, covariances))
+        assert [predict_ecoc(model, trial) for trial in dataset.trials] == list(predicted)
+
+    @pytest.mark.parametrize("branch", ["channels", "projecting"])
+    def test_two_lengths_build_two_plans(self, plan_models, mini_decomp, tmp_path, branch):
+        dataset, _ = mini_decomp
+        model = replace(plan_models[branch])
+        save_model(model, tmp_path)
+        trials = [Trial(t.label, t.samples[:, :n], t.sample_rate) for t, n in zip(dataset.trials, [256, 200] * 8)]
+        served = [predict_ecoc(model, trial) for trial in trials]
+        assert model._plans.cache_info().currsize == 2
+        assert served == [predict_ecoc(load_model(tmp_path), trial) for trial in trials]
+        assert np.array_equal(ecoc._trial_features(model, trials, None),
+                              ecoc._trial_features(load_model(tmp_path), trials, None))
+
+    def test_plans_kept_for_the_last_16_lengths(self, plan_models, mini_decomp):
+        dataset, _ = mini_decomp
+        model = replace(plan_models["projecting"])
+        for n in range(256, 238, -1):
+            predict_ecoc(model, Trial(0, dataset.trials[0].samples[:, :n], 128.0))
+        assert model._plans.cache_info().currsize == model._plans.cache_info().maxsize == 16
+
+    def test_replaced_model_builds_its_own_plan(self, plan_models, mini_decomp):
+        # The pair model's fields over a model that has served: its plans project, the first one's do not.
+        dataset, _ = mini_decomp
+        first = replace(plan_models["channels"])
+        predict_trials(first, dataset.trials)
+        pair = plan_models["projecting"]
+        second = replace(first, code=pair.code, classes=pair.classes, columns=pair.columns)
+        assert second._plans is not first._plans
+        assert second._plans(256).project and not first._plans(256).project
+        fresh = replace(pair)
+        assert np.array_equal(ecoc._trial_features(second, dataset.trials, None),
+                              ecoc._trial_features(fresh, dataset.trials, None))
+        assert np.array_equal(predict_trials(second, dataset.trials), predict_trials(fresh, dataset.trials))
+
+    @pytest.mark.parametrize("branch", ["channels", "projecting"])
+    def test_refusals_keep_their_messages(self, plan_models, mini_decomp, branch):
+        dataset, _ = mini_decomp
+        model = replace(plan_models[branch])
+        names, good = list(dataset.channel_names), dataset.trials[0]
+        first = model.bands[min(b for column in model.columns for b in column.selected_bands)]
+        zero = Trial(label=0, samples=np.zeros((4, 256)), sample_rate=128.0)
+        refusals = [
+            ([Trial(0, good.samples[:, :189], 128.0)], None, "trial too short to filter: 189 samples <= 3 x 63 taps"),
+            ([zero], None, f"trial 0 is all zero in band {first}"),
+            ([good, zero], None, f"trial 1 is all zero in band {first}"),
+            ([Trial(0, np.ones((7, 256)), 128.0)], None, "trial has 7 channels, model expects 4"),
+            ([good], names[::-1], f"channels {names[::-1]} at 128.0 Hz do not match the model's channels {names} "
+                                  "at 128.0 Hz (names, order and sample rate must agree)"),
+            ([Trial(0, good.samples, 256.0)], None, f"channels {names} at 256.0 Hz do not match"),
+        ]
+        for trials, channel_names, message in refusals:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                predict_trials(model, trials, channel_names=channel_names)
+            if len(trials) == 1:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    predict_ecoc(model, trials[0], channel_names=channel_names)
+        # The refusals leave the model serving as a fresh one does.
+        assert np.array_equal(predict_trials(model, dataset.trials), predict_trials(replace(model), dataset.trials))
+
+
 def voting_model(rng, dims, n_estimators):
     """An exhaustive-code model of ``len(dims)`` = 2^(p-1) - 1 columns whose
     column ``j`` forest reads ``dims[j]`` features; voting never reads filters."""
@@ -655,6 +748,9 @@ BUNDLE_EDITS = {
     "fractional n_estimators": (lambda d: _forest(d)["params"].update(n_estimators=9.5), "'n_estimators'"),
     "feature_dim a string": (lambda d: _forest(d).update(feature_dim=str(_forest(d)["feature_dim"])), "'feature_dim'"),
     "NaN CSP filter entry": (_set_filter_entry(float("nan")), "'filters'"),
+    "CSP filter entry whose projections overflow": (_set_filter_entry(-1e308), "'filters'"),
+    "integer cut beyond float64": (_set_tree("cut", 0, 10**400), "'cut'"),
+    "integer sample_rate beyond float64": (lambda d: d.update(sample_rate=10**400), "'sample_rate'"),
     "CSP filter entry not a number": (_set_filter_entry("x"), "'filters'"),
     "empty forest": (lambda d: _forest(d).update(trees=[]), "'trees'"),
     "tree missing": (lambda d: _forest(d)["trees"].pop(), "'trees'"),
@@ -729,6 +825,15 @@ class TestBundleChecks:
                 except ValueError:
                     pass
 
+    def test_integer_sample_rate_beyond_int64_loads(self, small_bundle, mini_decomp, tmp_path):
+        # A rate numpy cannot hold as an integer is still a rate: the model loads and refuses other rates' trials.
+        data = json.loads(small_bundle)
+        data["sample_rate"] = 10**30
+        (tmp_path / "model.json").write_text(json.dumps(data))
+        model = load_model(tmp_path)
+        with pytest.raises(ValueError, match=f"do not match the model's channels .* at {10**30} Hz"):
+            predict_trials(model, mini_decomp[0].trials)
+
     @pytest.mark.parametrize("edit", list(BUNDLE_EDITS))
     def test_corrupt_bundle_rejected_at_load(self, small_bundle, tmp_path, edit):
         change, field = BUNDLE_EDITS[edit]
@@ -740,3 +845,92 @@ class TestBundleChecks:
             (tmp_path / "model.json").write_text(json.dumps(data))
         with pytest.raises(ValueError, match=field):
             load_model(tmp_path)
+
+
+# One parsed JSON value or list entry is replaced by one of these, or deleted.
+DELETE = object()
+MUTANTS = [DELETE, None, True, False, 0, -1, 1.5, 10**30, 10**400, -1e308, float("nan"), float("inf"), "", "x", [], {},
+           [[0.5]], {"a": 1}]
+
+
+def json_paths(value, path=()):
+    """The path of every value below ``value`` in parsed JSON."""
+    keys = list(value) if type(value) is dict else range(len(value)) if type(value) is list else []
+    for key in keys:
+        yield path + (key,)
+        yield from json_paths(value[key], path + (key,))
+
+
+def mutated(text: str, data) -> str:
+    """``text`` with one JSON value, drawn from hypothesis ``data``, replaced or deleted."""
+    parsed = json.loads(text)
+    path = data.draw(st.sampled_from(list(json_paths(parsed))), label="path")
+    value = data.draw(st.sampled_from(MUTANTS), label="value")
+    parent = functools.reduce(operator.getitem, path[:-1], parsed)
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(parsed)
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(mini_decomp, small_bundle, tmp_path_factory):
+    """The files of the test dataset, the model its bundle holds, and a directory to write mutants into."""
+    directory = tmp_path_factory.mktemp("dataset")
+    save_dataset(mini_decomp[0], directory)
+    (directory / "model.json").write_text(small_bundle)
+    files = {name: (directory / name).read_bytes() for name in ("manifest.json", "trials.bin")}
+    return files, load_model(directory), tmp_path_factory.mktemp("mutant")
+
+
+class TestMutatedInputs:
+    """Random single mutations of a deployed-style bundle, of a dataset
+    manifest and of ``trials.bin``: each is refused at load with a
+    ``ValueError`` that names what it refuses, or loads and predicts.  A
+    loaded model may refuse trials it does not fit (another sample rate or
+    montage) with today's message, but never fails otherwise."""
+
+    @staticmethod
+    def serves(model, dataset):
+        try:
+            predicted = predict_trials(model, dataset.trials, channel_names=dataset.channel_names)
+        except ValueError as exc:
+            assert "do not match the model's channels" in str(exc), exc
+        else:
+            assert set(predicted.tolist()) <= set(model.classes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_bundle_refused_by_field_or_served(self, small_bundle, saved_dataset, mini_decomp, data):
+        directory = saved_dataset[2]
+        (directory / "model.json").write_text(mutated(small_bundle, data))
+        try:
+            model = load_model(directory)
+        except ValueError as exc:
+            assert re.search(r"field '\w+'", str(exc)), exc
+        else:
+            self.serves(model, mini_decomp[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_manifest_refused_or_served(self, saved_dataset, data):
+        files, model, directory = saved_dataset
+        (directory / "manifest.json").write_text(mutated(files["manifest.json"].decode(), data))
+        (directory / "trials.bin").write_bytes(files["trials.bin"])
+        try:
+            dataset = load_dataset(directory)
+        except ValueError as exc:
+            assert re.search(r"field '\w+'|trial|dataset", str(exc)), exc
+        else:
+            self.serves(model, dataset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(1, 512), extra=st.binary(min_size=1, max_size=64))
+    def test_truncated_or_extended_trials_refused(self, saved_dataset, cut, extra):
+        files, _, directory = saved_dataset
+        (directory / "manifest.json").write_bytes(files["manifest.json"])
+        for changed in (files["trials.bin"][:-cut], files["trials.bin"] + extra):
+            (directory / "trials.bin").write_bytes(changed)
+            with pytest.raises(ValueError, match="trials.bin"):
+                load_dataset(directory)

@@ -259,6 +259,7 @@ MANIFEST_EDITS = {
     "string sample_rate": (_set(("sample_rate",), "100"), "'sample_rate'"),
     "zero sample_rate": (_set(("sample_rate",), 0), "'sample_rate'"),
     "infinite sample_rate": (_set(("sample_rate",), float("inf")), "'sample_rate'"),
+    "integer sample_rate beyond float64": (_set(("sample_rate",), 10**400), "'sample_rate'"),
     "missing sample_rate": (_drop(("sample_rate",)), "'sample_rate'"),
     "missing trials": (_drop(("trials",)), "'trials'"),
 }
