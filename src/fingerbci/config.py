@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from sys import float_info
 
 from .bandselect import DEFAULT_SHRINKAGE
 from .dsp import DEFAULT_TAPS, FilterBank, make_bank
@@ -50,7 +50,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("band_start", "band_stop", "band_width", "lda_shrinkage", "test_fraction"):
             value = getattr(self, name)
-            if type(value) not in (int, float) or not math.isfinite(value):
+            if type(value) not in (int, float) or not abs(value) <= float_info.max:  # an int may exceed float64
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("et_max_features", "et_min_samples_split", "et_n_estimators"):
             values = getattr(self, name)

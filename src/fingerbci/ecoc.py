@@ -14,6 +14,7 @@ rows mapped to the pair's classes.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -334,7 +335,7 @@ def _tree_to_json(tree: EtNode) -> dict:
 
 
 def _tree_from_json(data: dict) -> EtNode:
-    """Link the pre-order lists that :func:`_check_tree` accepted."""
+    """Link the pre-order lists that :func:`_check_trees` accepted."""
     cuts, counts = iter(data["cut"]), iter(data["counts"])
     waiting: list[EtNode] = []  # internal nodes still missing a child
     for attribute in data["attribute"]:
@@ -378,16 +379,16 @@ def _column_from_json(data: dict) -> ColumnModel:
 
 
 def _to_json(value, indent: str = "") -> str:
-    """JSON text with sorted keys, two-space indents and every list of
-    numbers on one line."""
+    """JSON text with sorted keys and two-space indents, but each object or
+    list whose values are all numbers or lists of numbers on one line."""
     inner = indent + "  "
-    if type(value) is dict and value:
-        items = [f"{json.dumps(key)}: {_to_json(v, inner)}" for key, v in sorted(value.items())]
-        brackets = "{}"
-    elif type(value) is list and not all(isinstance(v, (int, float)) for v in value):
-        items, brackets = [_to_json(v, inner) for v in value], "[]"
+    values = value.values() if type(value) is dict else value if type(value) is list else ()
+    if all(isinstance(x, (int, float)) for v in values for x in (v if type(v) is list else (v,))):
+        return json.dumps(value, sort_keys=True)
+    if type(value) is dict:
+        items, brackets = [f"{json.dumps(key)}: {_to_json(v, inner)}" for key, v in sorted(value.items())], "{}"
     else:
-        return json.dumps(value)
+        items, brackets = [_to_json(v, inner) for v in value], "[]"
     return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 
 
@@ -420,7 +421,7 @@ def _is_number(value) -> bool:
 
 
 def _is_list_of(values, kind: type) -> bool:
-    return type(values) is list and all(type(v) is kind for v in values)
+    return type(values) is list and {kind}.issuperset(map(type, values))
 
 
 def _entries(data: dict, name: str, kind: type) -> list:
@@ -444,20 +445,26 @@ def _array(data: dict, name: str) -> np.ndarray:
         raise ValueError(f"model bundle field {name!r}: {exc}") from None
 
 
-def _check_tree(tree: dict, j: int, feature_dim: int) -> None:
-    """Refuse pre-order lists that are not a binary tree reading ``feature_dim`` features."""
-    attribute, cut, counts = tree["attribute"], tree["cut"], tree["counts"]
-    _require(_is_list_of(attribute, int) and attribute and min(attribute) >= -1 and max(attribute) < feature_dim,
+def _check_trees(trees: list[dict], j: int, feature_dim: int) -> None:
+    """Refuse column ``j``'s pre-order lists, checked chained, unless each tree is a binary tree
+    reading ``feature_dim`` features; of several faults, the first of attribute, cut and counts is named."""
+    attributes, cuts, counts = ([tree[name] for tree in trees] for name in TREE_FIELDS)
+    flat = list(itertools.chain.from_iterable(attributes)) if _is_list_of(attributes, list) else None
+    _require(_is_list_of(flat, int) and all(attributes) and min(flat) >= -1 and max(flat) < feature_dim,
              "attribute", f"column {j} has a tree whose attributes are not integers in [-1, {feature_dim})")
-    splits = np.array(attribute) >= 0
-    # Children still owed after each node: a pre-order binary tree owes none only after its last node.
-    owed = 1 + np.cumsum(np.where(splits, 1, -1))
-    _require((owed[:-1] > 0).all() and owed[-1] == 0, "attribute",
+    sizes = np.array([len(a) for a in attributes])
+    ends = np.cumsum(sizes)
+    # Children owed after each node, from its tree's root: a pre-order binary tree owes none only after its last node.
+    steps = np.cumsum(np.where(np.array(flat) >= 0, 1, -1))
+    owed = 1 + steps - np.repeat(np.r_[0, steps[ends[:-1] - 1]], sizes)
+    _require(np.array_equal(np.flatnonzero(owed <= 0), ends - 1), "attribute",
              f"column {j} has a tree whose attributes are not a binary tree in pre-order")
-    internal = int(splits.sum())
-    _require(type(cut) is list and len(cut) == internal and all(map(_is_number, cut)), "cut",
-             f"column {j} has a tree without {internal} finite numeric cuts")
-    _require(_is_list_of(counts, int) and len(counts) == 2 * (len(attribute) - internal) and min(counts) >= 0,
+    # A binary tree of n nodes has (n - 1) / 2 internal nodes and (n + 1) / 2 leaves.
+    flat = list(itertools.chain.from_iterable(cuts)) if _is_list_of(cuts, list) else None
+    _require(flat is not None and list(map(len, cuts)) == ((sizes - 1) // 2).tolist() and all(map(_is_number, flat)),
+             "cut", f"column {j} has a tree without one finite numeric cut per internal node")
+    flat = list(itertools.chain.from_iterable(counts)) if _is_list_of(counts, list) else None
+    _require(_is_list_of(flat, int) and list(map(len, counts)) == (sizes + 1).tolist() and min(flat) >= 0,
              "counts", f"column {j} has a tree without two non-negative integer counts per leaf")
 
 
@@ -508,8 +515,7 @@ def _check_model(model: EcocModel) -> None:
             _require(type(value) is int, name, f"column {j} has a forest with {name} {value!r}, not an integer")
         _require(len(forest.trees) == forest.params.n_estimators >= 1, "trees",
                  f"column {j} has {len(forest.trees)} trees for n_estimators {forest.params.n_estimators}")
-        for tree in forest.trees:
-            _check_tree(tree, j, expected_dim)
+        _check_trees(forest.trees, j, expected_dim)
 
 
 def load_model(path: str | Path) -> EcocModel:

@@ -13,9 +13,9 @@ given the two seeds.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -126,7 +126,7 @@ def _is_integer(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= float_info.max
 
 
 def _is_list_of_number_lists(values) -> bool:

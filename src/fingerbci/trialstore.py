@@ -180,10 +180,9 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ValueError("corrupt manifest: not a JSON object")
     sample_rate = float(_field(manifest, "sample_rate", lambda v: type(v) in (int, float) and 0 < v <= float_info.max,
                                "a positive finite number"))
-    channel_names = _field(manifest, "channel_names", _is_list_of_strings, "a list of strings")
-    class_names = _field(manifest, "class_names", _is_list_of_strings, "a list of strings")
-    records = _field(manifest, "trials", lambda v: type(v) is list and all(type(r) is dict for r in v),
-                     "a list of objects")
+    channel_names = _entries(manifest, "channel_names", str, "a list of strings")
+    class_names = _entries(manifest, "class_names", str, "a list of strings")
+    records = _entries(manifest, "trials", dict, "a list of objects")
     n_channels = len(channel_names)
     # One read of the whole file; each trial's samples are a view of it.
     size = trials_path.stat().st_size
@@ -224,8 +223,13 @@ def _field(data: dict, name: str, valid, need: str, where: str = ""):
     return data[name]
 
 
-def _is_list_of_strings(value) -> bool:
-    return type(value) is list and all(type(v) is str for v in value)
+def _entries(data: dict, name: str, kind: type, need: str) -> list:
+    """``data[name]`` as read, refused by field name unless a list of ``kind``, naming its first other entry."""
+    values = _field(data, name, lambda v: type(v) is list, need)
+    bad = next((i for i, v in enumerate(values) if type(v) is not kind), None)
+    if bad is not None:
+        raise ValueError(f"manifest field {name!r}: entry {bad} is of type {type(values[bad]).__name__}; need {need}")
+    return values
 
 
 def stratified_split(labels: np.ndarray, test_fraction: float, seed: int) -> SplitIndices:

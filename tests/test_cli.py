@@ -93,6 +93,9 @@ SYNTH_REJECTED = {
     "class names a string": ({"class_names": "abcd"}, "class_names must be null or a list of strings"),
     "channel name a number": ({"channel_names": [1, 2, 3, 4]}, "channel_names must be null or a list of strings"),
     "mixing vector of strings": ({"mixing_vectors": [[["1", "0", "0", "0"]]] * 4}, "mixing_vectors: class 0"),
+    # json.dumps writes 10**400 out in digits, an integer beyond float64's range.
+    "integer sample rate beyond float64": ({"sample_rate": 10**400}, "sample_rate must be a finite number"),
+    "integer source variance beyond float64": ({"class_sources": [[[9.0, 11.0, 10**400]]] * 4}, "class_sources: class 0"),
 }
 
 
@@ -140,6 +143,17 @@ class TestScoreBands:
         assert code == 1
         assert f"--out {out} is also the path of the CSV written beside it" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_integer_beyond_float64_refused_by_name(self, workspace, tmp_path, capsys):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({**PIPELINE_CONFIG, "band_width": 10**400}))
+        assert f'"band_width": 1{"0" * 400},' in config.read_text()
+        code = main([
+            "score-bands", "--dataset", str(workspace / "dataset"),
+            "--classes", "rest,thumb", "--config", str(config), "--out", str(tmp_path / "scores.json"),
+        ])
+        assert code == 1
+        assert "band_width must be a finite number" in capsys.readouterr().err
 
     def test_unknown_class_fails(self, workspace, capsys):
         code = main([

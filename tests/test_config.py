@@ -46,6 +46,7 @@ REJECTED = {
     "infinite band stop": ({"band_stop": float("inf")}, "band_stop must be a finite number"),
     "band width a string": ({"band_width": "2"}, "band_width must be a finite number"),
     "NaN band width": ({"band_width": float("nan")}, "band_width must be a finite number"),
+    "integer band width beyond float64": ({"band_width": 10**400}, "band_width must be a finite number"),
 }
 
 

@@ -5,6 +5,7 @@ import operator
 import re
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from fingerbci.ecoc import (
 )
 from fingerbci.extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict
 
+import bundle_reference
 import extratrees_reference as reference
 
 
@@ -606,6 +608,21 @@ class TestModelBundle:
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path)
 
+    def test_older_layouts_load_and_resave_to_new_bytes(self, small_bundle, saved_dataset, mini_decomp, tmp_path):
+        # The earlier printer (five lines per tree) and a plain two-space re-indent hold the same content.
+        data = json.loads(small_bundle)
+        trials = mini_decomp[0].trials
+        expected = predict_trials(saved_dataset[1], trials)
+        layouts = {"printer": bundle_reference.indented_json(data) + "\n", "indent": json.dumps(data, indent=2)}
+        for name, text in layouts.items():
+            assert len(text) > len(small_bundle)
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "model.json").write_text(text)
+            model = load_model(tmp_path / name)
+            assert np.array_equal(predict_trials(model, trials), expected)
+            save_model(model, tmp_path / f"{name}-resaved")
+            assert (tmp_path / f"{name}-resaved" / "model.json").read_text() == small_bundle
+
 
 def _depth(tree) -> int:
     deepest, stack = 0, [(tree, 0)]
@@ -784,6 +801,32 @@ class TestBundleChecks:
         tree = json.loads(small_bundle)["columns"][0]["forest"]["trees"][0]
         assert f'"attribute": {json.dumps(tree["attribute"])}' in small_bundle
 
+    def test_each_tree_is_one_line(self, small_bundle):
+        lines = [line.strip().rstrip(",") for line in small_bundle.splitlines()]
+        trees = [tree for column in json.loads(small_bundle)["columns"] for tree in column["forest"]["trees"]]
+        assert [json.loads(line) for line in lines if line.startswith('{"attribute"')] == trees
+
+    def test_containers_of_numbers_on_one_line(self, small_bundle):
+        # params, code, bands, each band's filter block and each tree; every other container spans lines.
+        def containers(value):
+            if type(value) in (dict, list):
+                yield value
+                for v in value.values() if type(value) is dict else value:
+                    yield from containers(v)
+
+        def numbers(value):
+            return type(value) in (int, float) or type(value) is list and all(type(v) in (int, float) for v in value)
+
+        flat = 0
+        for value in containers(json.loads(small_bundle)):
+            one_line = json.dumps(value, sort_keys=True)
+            if all(map(numbers, value.values() if type(value) is dict else value)):
+                flat += 1
+                assert one_line in small_bundle
+            else:
+                assert one_line not in small_bundle
+        assert flat > 7 * SMALL.et_n_estimators[0]
+
     def test_tree_deeper_than_recursion_limit_round_trips(self, tmp_path):
         # The deep chain of the extra-trees tests, beside a constant second
         # feature, deployed as a one-band class-pair model.
@@ -837,14 +880,53 @@ class TestBundleChecks:
     @pytest.mark.parametrize("edit", list(BUNDLE_EDITS))
     def test_corrupt_bundle_rejected_at_load(self, small_bundle, tmp_path, edit):
         change, field = BUNDLE_EDITS[edit]
-        if isinstance(change, TextEdit):
-            (tmp_path / "model.json").write_text(change.change(small_bundle), errors="surrogateescape")
-        else:
-            data = json.loads(small_bundle)
-            change(data)
-            (tmp_path / "model.json").write_text(json.dumps(data))
+        write_edited(small_bundle, change, tmp_path)
         with pytest.raises(ValueError, match=field):
             load_model(tmp_path)
+
+
+def write_edited(bundle: str, change, directory) -> None:
+    """Write ``bundle`` with one :data:`BUNDLE_EDITS` change applied as ``directory/model.json``."""
+    if isinstance(change, TextEdit):
+        (directory / "model.json").write_text(change.change(bundle), errors="surrogateescape")
+    else:
+        data = json.loads(bundle)
+        change(data)
+        (directory / "model.json").write_text(json.dumps(data))
+
+
+def judged(directory) -> tuple | None:
+    """``None`` when the bundle loads, else the field and the column that its refusal names."""
+    try:
+        load_model(directory)
+    except ValueError as exc:
+        return re.findall(r"'(\w+)'", str(exc))[:1], re.findall(r"column (\d+)", str(exc))[:1]
+    return None
+
+
+def judged_per_tree(directory) -> tuple | None:
+    """:func:`judged` with each column's trees checked one at a time by the reference."""
+    with mock.patch.object(ecoc, "_check_trees", bundle_reference.check_trees):
+        return judged(directory)
+
+
+class TestPerColumnTreeChecks:
+    """The per-column tree check accepts and refuses what the per-tree
+    reference does, naming the same field and column."""
+
+    @pytest.mark.parametrize("edit", [None, *BUNDLE_EDITS])
+    def test_bundle_edits_judged_as_per_tree(self, small_bundle, tmp_path, edit):
+        write_edited(small_bundle, BUNDLE_EDITS[edit][0] if edit else lambda data: None, tmp_path)
+        assert judged(tmp_path) == judged_per_tree(tmp_path)
+        assert (judged(tmp_path) is None) == (edit is None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutants_judged_as_per_tree(self, small_bundle, saved_dataset, data):
+        directory = saved_dataset[2]
+        within = data.draw(st.sampled_from([None, "trees"]), label="within")
+        (directory / "model.json").write_text(mutated(small_bundle, data, within))
+        assert judged(directory) == judged_per_tree(directory)
 
 
 # One parsed JSON value or list entry is replaced by one of these, or deleted.
@@ -861,10 +943,12 @@ def json_paths(value, path=()):
         yield from json_paths(value[key], path + (key,))
 
 
-def mutated(text: str, data) -> str:
-    """``text`` with one JSON value, drawn from hypothesis ``data``, replaced or deleted."""
+def mutated(text: str, data, within: str | None = None) -> str:
+    """``text`` with one JSON value, drawn from hypothesis ``data``, replaced
+    or deleted; with ``within``, one below a key of that name."""
     parsed = json.loads(text)
-    path = data.draw(st.sampled_from(list(json_paths(parsed))), label="path")
+    paths = [path for path in json_paths(parsed) if within is None or within in path[:-1]]
+    path = data.draw(st.sampled_from(paths), label="path")
     value = data.draw(st.sampled_from(MUTANTS), label="value")
     parent = functools.reduce(operator.getitem, path[:-1], parsed)
     if value is DELETE:

@@ -281,6 +281,16 @@ class TestManifestChecks:
         with pytest.raises(ValueError, match=re.escape(field)):
             load_dataset(tmp_path)
 
+    def test_list_field_refusal_names_its_first_bad_entry(self, saved, tmp_path):
+        # A long trials list is not repeated in the message: entry 1 of 402 is named by index and type.
+        saved["trials"] = (saved["trials"] * 402)[:402]
+        saved["trials"][1] = 5
+        (tmp_path / "manifest.json").write_text(json.dumps(saved))
+        message = "field 'trials': entry 1 is of type int; need a list of objects"
+        with pytest.raises(ValueError, match=message) as caught:
+            load_dataset(tmp_path)
+        assert len(str(caught.value)) < 200
+
     @pytest.mark.parametrize("text", [b"[]", b'{"sample_rate": \xff}'], ids=["list", "not UTF-8"])
     def test_manifest_text_refused_as_corrupt(self, tmp_path, text):
         save_dataset(two_class_dataset(), tmp_path)
