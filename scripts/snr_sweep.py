@@ -10,8 +10,36 @@ decoder falls off as the 9-11 Hz sources sink into the noise floor.
 
 import argparse
 
-from fingerbci import PipelineConfig, SynthConfig, decompose, generate, repeated_holdout
+from fingerbci import Dataset, PipelineConfig, SynthConfig, decompose, generate, repeated_holdout
 from fingerbci.rng import child_seed
+
+
+def sweep_dataset(snr: float, seed: int, trials_per_class: int) -> Dataset:
+    """4 classes (rest, thumb, index, middle) of 3 s, 8-channel trials at 512 Hz, each class with a
+    9-11 Hz source of variance ``snr`` over unit noise; ``seed`` keys the mixing and the noise."""
+    return generate(SynthConfig(
+        n_classes=4,
+        trials_per_class=trials_per_class,
+        n_channels=8,
+        sample_rate=512.0,
+        trial_duration=3.0,
+        class_sources=[[(9.0, 11.0, float(snr))] for _ in range(4)],
+        mixing_seed=child_seed(seed, 0),
+        noise_variance=1.0,
+        noise_seed=child_seed(seed, 1),
+        class_names=["rest", "thumb", "index", "middle"],
+    ))
+
+
+def sweep_config(seed: int, repetitions: int) -> PipelineConfig:
+    """The default pipeline with criterion 7's one-point extra-trees grid."""
+    return PipelineConfig(
+        et_max_features=[2],
+        et_min_samples_split=[2],
+        et_n_estimators=[50],
+        repetitions=repetitions,
+        seed=child_seed(seed, 100),
+    )
 
 
 def main() -> None:
@@ -23,27 +51,10 @@ def main() -> None:
     parser.add_argument("--repetitions", type=int, default=3)
     args = parser.parse_args()
 
-    config = PipelineConfig(
-        et_max_features=[2],
-        et_min_samples_split=[2],
-        et_n_estimators=[50],
-        repetitions=args.repetitions,
-        seed=child_seed(args.seed, 100),
-    )
+    config = sweep_config(args.seed, args.repetitions)
     print(f"{'snr':>8}  {'accuracy':>8}  {'kappa':>6}")
     for snr in args.snr:
-        dataset = generate(SynthConfig(
-            n_classes=4,
-            trials_per_class=args.trials_per_class,
-            n_channels=8,
-            sample_rate=512.0,
-            trial_duration=3.0,
-            class_sources=[[(9.0, 11.0, float(snr))] for _ in range(4)],
-            mixing_seed=child_seed(args.seed, 0),
-            noise_variance=1.0,
-            noise_seed=child_seed(args.seed, 1),
-            class_names=["rest", "thumb", "index", "middle"],
-        ))
+        dataset = sweep_dataset(snr, args.seed, args.trials_per_class)
         report = repeated_holdout(decompose(dataset, config.bank()), config)
         print(f"{snr:8.4g}  {report.mean:8.3f}  {report.kappa_mean:6.3f}")
 

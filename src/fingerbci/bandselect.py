@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossval import stratified_folds
-from .csp import fit_csp_stack, kept_filters, log_ratios
+from .csp import class_covariances, fit_csp_stack, kept_filters, log_ratios
 from .dsp import BandDecomposition
 from .rng import stream
 
@@ -36,18 +36,14 @@ class SelectionResult:
 
 
 def fit_folds(
-    csp_covariances: np.ndarray,
-    feature_covariances: np.ndarray,
-    labels: np.ndarray,
-    train: np.ndarray,
-    n_pairs: int,
-    shrinkage: float,
+    covariances: np.ndarray, labels: np.ndarray, train: np.ndarray, n_pairs: int, shrinkage: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fit CSP, then a Fisher discriminant, to every training set at once.
 
-    The covariance stacks are ``(n_bands, n_trials, C, C)`` and
-    ``train[b, k]`` masks the trials of training set ``k`` in band ``b``; fits
-    read those trials only, so held-out data cannot leak in.  The
+    ``covariances`` is the ``(n_bands, n_trials, C, C)`` stack of centred
+    covariances and ``train[b, k]`` masks the trials of training set ``k`` in
+    band ``b``; fits read those trials only, so held-out data cannot leak in.
+    CSP contrasts the class means of :func:`~fingerbci.csp.class_covariances`.  The
     discriminant is ``w = (S_pooled + shrinkage * mean(diag) * I)^-1 (mu_1 -
     mu_0)`` with the bias placing the decision point midway between the
     projected class means.
@@ -60,12 +56,12 @@ def fit_folds(
     """
     by_class = np.stack([train & (labels == 0), train & (labels == 1)], axis=2).astype(np.float64)
     counts = by_class.sum(axis=-1)
-    means = np.einsum("bkcn,bnij->bkcij", by_class, csp_covariances) / counts[..., np.newaxis, np.newaxis]
+    means = class_covariances(covariances, by_class)
     kept = kept_filters(fit_csp_stack(means[:, :, 0], means[:, :, 1], n_pairs)[0], n_pairs)
     # Projected variances w S w^T of every (set, trial, filter): one product per band.
     n_bands, n_sets, n_kept, n_channels = kept.shape
     flat = kept.reshape(n_bands, -1, n_channels)
-    projected = feature_covariances.reshape(n_bands, -1, n_channels) @ flat.swapaxes(1, 2)
+    projected = covariances.reshape(n_bands, -1, n_channels) @ flat.swapaxes(1, 2)
     projected = projected.reshape(n_bands, -1, n_channels, n_sets, n_kept)
     features = log_ratios(np.einsum("bnckp,bkpc->bknp", projected, kept))
 
@@ -105,9 +101,7 @@ def score_bands_for_labels(
     # Band i draws its folds from stream(seed, i); every (band, fold) is then scored in one pass.
     fold_ids = np.stack([stratified_folds(labels, folds, stream(seed, i)) for i in range(decomp.n_bands)])
     test = fold_ids[:, np.newaxis, :] == np.arange(folds)[:, np.newaxis]
-    _, features, weights, biases = fit_folds(
-        decomp.csp_covariances, decomp.feature_covariances, labels, ~test, n_pairs, shrinkage
-    )
+    _, features, weights, biases = fit_folds(decomp.feature_covariances, labels, ~test, n_pairs, shrinkage)
     predictions = (features @ weights[..., np.newaxis])[..., 0] + biases[..., np.newaxis] > 0.0
     accuracies = ((predictions == (labels == 1)) & test).sum(axis=-1) / test.sum(axis=-1)
     return [BandScore(band=band, score=float(score)) for band, score in zip(decomp.bands, accuracies.mean(axis=-1))]

@@ -9,6 +9,7 @@ from sys import float_info
 
 from .bandselect import DEFAULT_SHRINKAGE
 from .dsp import DEFAULT_TAPS, FilterBank, make_bank
+from .trialstore import describe
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,15 @@ class PipelineConfig:
         for name in ("csp_pairs", "cv_folds", "repetitions", "seed"):
             value = getattr(self, name)
             if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {describe(value)}")
         for name in ("band_start", "band_stop", "band_width", "lda_shrinkage", "test_fraction"):
             value = getattr(self, name)
             if type(value) not in (int, float) or not abs(value) <= float_info.max:  # an int may exceed float64
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+                raise ValueError(f"{name} must be a finite number, got {describe(value)}")
         for name in ("et_max_features", "et_min_samples_split", "et_n_estimators"):
             values = getattr(self, name)
             if values is not None and not (type(values) is list and all(type(v) is int for v in values)):
-                raise ValueError(f"{name} must be a list of integers, got {values!r}")
+                raise ValueError(f"{name} must be a list of integers, got {describe(values)}")
         try:
             self.bank()
         except ValueError as exc:

@@ -1,6 +1,7 @@
 """Common Spatial Patterns: variance-contrast spatial filters and features.
 
-Class covariances are trace-normalized means of per-trial covariances.
+Class covariances are means of each trial's centred covariance divided by
+its trace (:func:`class_covariances`).
 Filters solve the generalized eigenproblem ``C_a w = lambda (C_a + C_b) w``
 so eigenvalues fall in [0, 1] and sum to 1 across the two classes; rows of
 the filter matrix are sorted by eigenvalue descending.  Features are log
@@ -38,6 +39,16 @@ def fit_csp_stack(cov_a: np.ndarray, cov_b: np.ndarray, n_pairs: int) -> tuple[n
     filters = np.take_along_axis((inverse.swapaxes(-1, -2) @ vectors).swapaxes(-1, -2), order[..., np.newaxis], -2)
     peaks = np.take_along_axis(filters, np.argmax(np.abs(filters), axis=-1)[..., np.newaxis], -1)
     return np.where(peaks < 0.0, -filters, filters), eigenvalues
+
+
+def class_covariances(covariances: np.ndarray, by_class: np.ndarray) -> np.ndarray:
+    """``(B, K, 2, C, C)`` means of ``S / trace(S)`` over the centred covariances ``S = covariances[b, n]`` that the
+    0/1 ``by_class[b, k, c, n]`` pick: one ``einsum`` weighting each ``S`` by ``1 / trace(S)``, with no copy of it."""
+    weights = by_class / np.trace(covariances, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis]
+    means = np.einsum("bkcn,bnij->bkcij", weights, covariances) / by_class.sum(axis=-1)[..., np.newaxis, np.newaxis]
+    if not np.isfinite(means).all():
+        raise ValueError("CSP class covariances are not finite")
+    return means
 
 
 def kept_filters(filters: np.ndarray, n_pairs: int) -> np.ndarray:

@@ -7,8 +7,8 @@ power estimates downstream are not biased by edge effects.
 
 :func:`apply_filter` runs one filter over one trial's time series.  The
 filter bank (:func:`band_covariances`, :func:`decompose`) computes the same
-output in one valid-mode convolution per band and keeps only the spatial
-covariances that training reads.  Serving (:func:`row_variances`) keeps
+output in one valid-mode convolution per band and keeps only the centred
+spatial covariance that training reads.  Serving (:func:`row_variances`) keeps
 only the centred variances of given spatial rows, each in its own band,
 and filters all bands in one pass: one product, one kernel multiply and
 one irfft over the rows or the channels, whichever are fewer.
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .trialstore import Dataset, Trial
+from .trialstore import Dataset, Trial, describe
 
 DEFAULT_TAPS = 257
 
@@ -57,11 +57,10 @@ class FilterBank:
 class BandDecomposition:
     """Band covariances of a labelled dataset; band time series are not kept.
 
-    ``csp_covariances[b, i]`` is the trace-normalised covariance
-    ``Y Y^T / trace(Y Y^T)`` of trial ``i`` filtered into band ``b`` (what
-    CSP class covariances average), and ``feature_covariances[b, i]`` its
-    centred covariance ``(Y - mean)(Y - mean)^T / T`` (what the log-variance
-    features read).  Both stacks have shape ``(n_bands, n_trials, C, C)``.
+    ``feature_covariances[b, i]`` is the centred covariance
+    ``(Y - mean)(Y - mean)^T / T`` of trial ``i`` filtered into band ``b``,
+    one ``(n_bands, n_trials, C, C)`` stack: the log-variance features read
+    it, and CSP averages it over a class divided by its trace.
     """
 
     bands: list[tuple[float, float]]
@@ -70,7 +69,6 @@ class BandDecomposition:
     channel_names: list[str]
     class_names: list[str]
     labels: np.ndarray
-    csp_covariances: np.ndarray = field(repr=False)
     feature_covariances: np.ndarray = field(repr=False)
 
     @property
@@ -88,12 +86,7 @@ class BandDecomposition:
     def subset(self, indices: list[int]) -> "BandDecomposition":
         """The given trials, in the given order."""
         indices = np.asarray(indices, dtype=np.int64)
-        return replace(
-            self,
-            labels=self.labels[indices],
-            csp_covariances=self.csp_covariances[:, indices],
-            feature_covariances=self.feature_covariances[:, indices],
-        )
+        return replace(self, labels=self.labels[indices], feature_covariances=self.feature_covariances[:, indices])
 
     def classes(self, class_a: int, class_b: int) -> "BandDecomposition":
         """Two-class view relabelled ``class_a`` -> 0, ``class_b`` -> 1, trial order kept."""
@@ -119,7 +112,7 @@ class BankError(ValueError):
 
 def _check_taps(taps: int) -> None:
     if not isinstance(taps, (int, np.integer)) or taps % 2 == 0 or taps < 31:
-        raise BankError("taps", f"taps must be an odd integer >= 31, got {taps!r}")
+        raise BankError("taps", f"taps must be an odd integer >= 31, got {describe(taps)}")
 
 
 def check_bank(bands, sample_rate: float, taps: int) -> None:
@@ -225,7 +218,7 @@ def make_bank(start: float, stop: float, width: float, taps: int = DEFAULT_TAPS)
     _check_taps(taps)
     n_bands = int(round((stop - start) / width))
     if n_bands < 1 or abs(start + n_bands * width - stop) > 1e-9:
-        raise ValueError(f"({start}, {stop}) is not an integer number of {width} Hz bands")
+        raise ValueError(f"({start}, {stop}) is not an integer number of {describe(width)} Hz bands")
     bands = [(start + i * width, start + (i + 1) * width) for i in range(n_bands)]
     return FilterBank(bands=bands, taps=taps)
 
@@ -264,10 +257,12 @@ def _spectra(trials, sample_rate, taps, n_signals=0, fft_len=_next_fast_len):
             yield batch, length, n_fft, np.fft.rfft(samples, n_fft, axis=-1)
 
 
-def _refuse_silent(totals: np.ndarray, batch: list[int], bands) -> None:
-    # ``totals[i, b]``: trial ``batch[i]``'s total variance in ``bands[b]``;
-    # names the first band with a silent trial, and its first such trial.
-    silent = totals <= 0.0
+def _refuse_silent(centred: np.ndarray, power: np.ndarray, batch: list[int], bands) -> None:
+    # ``centred[i, b]``, ``power[i, b]``: trial ``batch[i]``'s total centred and uncentred power in ``bands[b]``.
+    # A trial is all zero in a band where centring leaves at most 1e-12 of its power: an all-zero trial, or a
+    # constant one, whose band output is its filtered offset and whose centred power is rounding of either sign.
+    # Names the first band with a silent trial, and its first such trial.
+    silent = centred <= 1e-12 * power
     if np.any(silent):
         b = int(np.argmax(silent.any(axis=0)))
         raise ValueError(f"trial {int(batch[np.argmax(silent[:, b])])} is all zero in band {bands[b]}")
@@ -275,31 +270,30 @@ def _refuse_silent(totals: np.ndarray, batch: list[int], bands) -> None:
 
 def band_covariances(
     trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Filter each trial into each band and reduce it straight to the two
-    covariances of :class:`BandDecomposition`.
+) -> np.ndarray:
+    """Filter each trial into each band and reduce it straight to its centred
+    covariance: the ``(n_bands, n_trials, C, C)`` stack of :class:`BandDecomposition`.
 
     Zero-phase forward-backward filtering with ``taps - 1`` samples trimmed
     at each end is a valid-mode convolution with the kernel's
     autocorrelation ``h * h[::-1]`` (length ``2 * taps - 1``).  So each
     trial takes one rfft, and each band multiplies it by that kernel's
-    spectrum, inverts and keeps the valid part.
-
-    Returns ``(csp_covariances, feature_covariances)``.
+    spectrum, inverts and keeps the valid part.  A trial that is all zero in
+    a band after centring (its trace, which CSP divides by, is at most 1e-12
+    of the uncentred one) is refused by name.
     """
     shape = (len(bands), len(trials), trials[0].n_channels, trials[0].n_channels) if trials else ()
-    csp_covariances, feature_covariances = np.empty(shape), np.empty(shape)
+    covariances = np.empty(shape)
     for batch, length, n_fft, spectra in _spectra(trials, sample_rate, taps):
         kernels = _kernel_spectra(tuple(map(tuple, bands)), sample_rate, taps, n_fft)
         for b, (low, high) in enumerate(bands):
             y = np.fft.irfft(spectra * kernels[b], n_fft, axis=-1)[..., 2 * (taps - 1) : length]
-            products = y @ y.swapaxes(-1, -2)
-            traces = np.trace(products, axis1=-2, axis2=-1)
-            _refuse_silent(traces[:, np.newaxis], batch, [(low, high)])
-            means = y.mean(axis=-1)
-            csp_covariances[b, batch] = products / traces[:, np.newaxis, np.newaxis]
-            feature_covariances[b, batch] = products / y.shape[-1] - means[:, :, np.newaxis] * means[:, np.newaxis, :]
-    return csp_covariances, feature_covariances
+            means, products = y.mean(axis=-1), y @ y.swapaxes(-1, -2) / y.shape[-1]
+            centred = products - means[:, :, np.newaxis] * means[:, np.newaxis, :]
+            traces = [np.trace(m, axis1=-2, axis2=-1)[:, np.newaxis] for m in (centred, products)]
+            _refuse_silent(*traces, batch, [(low, high)])
+            covariances[b, batch] = centred
+    return covariances
 
 
 class RowPlan(NamedTuple):
@@ -336,8 +330,8 @@ def row_variances(
     kernel multiply, one irfft and one reduction, on whichever signals are fewer.  With
     fewer rows than ``len(bands) * C``, each row projects the trial's spectrum and gives
     its variance; otherwise every band filters the ``C`` channels, and each row reads its
-    variance from its band's centred covariance.  A trial whose rows of one band have no
-    variance in total is refused by name.  ``plans`` maps a trial length to its
+    variance from its band's centred covariance.  A trial whose rows of one band have in total
+    at most 1e-12 of their uncentred power as variance is refused by name.  ``plans`` maps a trial length to its
     :func:`row_plan`, which a caller may keep for the same rows.
     """
     plans = plans or functools.partial(row_plan, sample_rate, bands, taps, rows, row_bands)
@@ -349,13 +343,15 @@ def row_variances(
             # Projected as one real product over (re, im) pairs.
             projected = (rows @ spectra.view(np.float64)).view(np.complex128)
             y = np.fft.irfft(projected * plan.kernels, n_fft, axis=-1)[..., plan.valid]
-            variance = np.einsum("...t,...t->...", y, y) / y.shape[-1] - y.mean(axis=-1) ** 2
+            power = np.einsum("...t,...t->...", y, y) / y.shape[-1]
+            variance = power - y.mean(axis=-1) ** 2
         else:
             y = np.fft.irfft(spectra[:, np.newaxis] * plan.kernels, n_fft, axis=-1)[..., plan.valid]
             means = y.mean(axis=-1)
             covariances = y @ y.swapaxes(-1, -2) / y.shape[-1] - means[..., :, np.newaxis] * means[..., np.newaxis, :]
             variance = np.einsum("rc,nrcd,rd->nr", rows, covariances[:, row_bands], rows)
-        _refuse_silent(variance @ plan.in_band, batch, bands)
+            power = variance + np.einsum("rc,nrc->nr", rows, means[:, row_bands]) ** 2
+        _refuse_silent(variance @ plan.in_band, power @ plan.in_band, batch, bands)
         variances[batch] = variance
     return variances
 
@@ -366,9 +362,6 @@ def decompose(dataset: Dataset, bank: FilterBank) -> BandDecomposition:
     Trial order and labels are preserved; each trial loses
     ``2 * (taps - 1)`` samples to edge trimming.
     """
-    csp_covariances, feature_covariances = band_covariances(
-        dataset.trials, dataset.sample_rate, bank.bands, bank.taps
-    )
     return BandDecomposition(
         bands=list(bank.bands),
         taps=bank.taps,
@@ -376,6 +369,5 @@ def decompose(dataset: Dataset, bank: FilterBank) -> BandDecomposition:
         channel_names=list(dataset.channel_names),
         class_names=list(dataset.class_names),
         labels=dataset.labels(),
-        csp_covariances=csp_covariances,
-        feature_covariances=feature_covariances,
+        feature_covariances=band_covariances(dataset.trials, dataset.sample_rate, bank.bands, bank.taps),
     )

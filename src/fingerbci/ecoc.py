@@ -25,11 +25,11 @@ import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
 from .config import PipelineConfig
-from .csp import fit_csp_stack, kept_filters, log_ratios, log_variance_features
+from .csp import class_covariances, fit_csp_stack, kept_filters, log_ratios, log_variance_features
 from .dsp import BandDecomposition, BankError, RowPlan, check_bank, row_plan, row_variances
 from .extratrees import EtForest, EtNode, EtParams, NodeTable, fit as et_fit, majority, node_table, tune as et_tune
 from .rng import child_seed
-from .trialstore import Trial, replacing
+from .trialstore import Trial, describe, replacing
 
 MODEL_NAME = "model.json"
 # Bundle layout 3: each column's kept CSP filters as one 3-D list, each tree as pre-order lists.
@@ -130,9 +130,9 @@ def fit_column(decomp: BandDecomposition, binary_labels: np.ndarray, config: Pip
     )
     selection = select_bands(scores)
 
-    covs = decomp.csp_covariances[selection.selected]
-    filters, _ = fit_csp_stack(covs[:, y == 0].mean(axis=1), covs[:, y == 1].mean(axis=1), n_pairs)
-    filters = kept_filters(filters, n_pairs)
+    by_class = np.stack([y == 0, y == 1])[np.newaxis, np.newaxis]  # one training set, shared by every band
+    means = class_covariances(decomp.feature_covariances[selection.selected], by_class)[:, 0]
+    filters = kept_filters(fit_csp_stack(means[:, 0], means[:, 1], n_pairs)[0], n_pairs)
     features = _column_features(selection.selected, filters, decomp.feature_covariances)
 
     params = et_tune(
@@ -480,15 +480,16 @@ def _check_model(model: EcocModel) -> None:
         raise ValueError(f"model bundle field 'code': {exc}") from None
     for name in ("class_names", "channel_names"):
         _require(_is_list_of(getattr(model, name), str), name, "must be a list of strings")
-    _require(_is_number(model.sample_rate), "sample_rate", f"{model.sample_rate!r} is not a finite number")
+    _require(_is_number(model.sample_rate), "sample_rate", f"{describe(model.sample_rate)} is not a finite number")
     for band in model.bands:
-        _require(len(band) == 2 and all(_is_number(f) for f in band), "bands", f"{list(band)} is not a (low, high) pair")
+        ok = len(band) == 2 and all(_is_number(f) for f in band)
+        _require(ok, "bands", f"{describe(list(band))} is not a (low, high) pair")
     try:
         check_bank(model.bands, model.sample_rate, model.taps)
     except BankError as exc:
         raise ValueError(f"model bundle field {exc.field!r}: {exc}") from None
     code, classes = model.code, model.classes
-    _require(_is_list_of(classes, int), "classes", f"{classes!r} is not a list of integers")
+    _require(_is_list_of(classes, int), "classes", f"{describe(classes)} is not a list of integers")
     _require(len(code) == len(classes), "classes", f"{len(classes)} entries for {len(code)} code rows")
     _require(
         len(set(classes)) == len(classes) and all(0 <= c < len(model.class_names) for c in classes),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dsp import apply_filter, design_bandpass
 from .rng import stream
-from .trialstore import Dataset, Trial
+from .trialstore import Dataset, Trial, describe
 
 # Path tags distinguishing the noise-seed streams.
 _SOURCE_STREAM = 0
@@ -61,14 +61,14 @@ class SynthConfig:
         """Raise ``ValueError`` naming the first field of the wrong type or range."""
         for name in ("n_classes", "trials_per_class", "n_channels", "mixing_seed", "noise_seed"):
             if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be an integer, got {describe(getattr(self, name))}")
         for name in ("sample_rate", "trial_duration", "noise_variance"):
             if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be a finite number, got {describe(getattr(self, name))}")
         for name in ("class_names", "channel_names"):
             names = getattr(self, name)
             if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-                raise ValueError(f"{name} must be null or a list of strings, got {names!r}")
+                raise ValueError(f"{name} must be null or a list of strings, got {describe(names)}")
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.trials_per_class < 1:
@@ -85,7 +85,7 @@ class SynthConfig:
             raise ValueError(f"class_sources must list {self.n_classes} classes")
         for c, sources in enumerate(self.class_sources):
             if not (_is_list_of_number_lists(sources) and all(len(source) == 3 for source in sources)):
-                raise ValueError(f"class_sources: class {c} must list (low, high, variance) triples, got {sources!r}")
+                raise ValueError(f"class_sources: class {c} has {describe(sources)}, not (low, high, variance) triples")
             for low, high, variance in sources:
                 if not 0.0 < low < high < self.sample_rate / 2.0:
                     raise ValueError(f"class {c}: invalid band ({low}, {high}) at {self.sample_rate} Hz")
@@ -100,7 +100,7 @@ class SynthConfig:
                 raise ValueError("mixing_vectors must list every class")
             for c, vectors in enumerate(self.mixing_vectors):
                 if not _is_list_of_number_lists(vectors):
-                    raise ValueError(f"mixing_vectors: class {c} must list vectors of finite numbers, got {vectors!r}")
+                    raise ValueError(f"mixing_vectors: class {c} has {describe(vectors)}, not lists of finite numbers")
                 if len(vectors) != len(self.class_sources[c]):
                     raise ValueError(f"class {c}: one mixing vector per source required")
                 for v in vectors:

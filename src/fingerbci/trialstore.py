@@ -53,7 +53,7 @@ class Trial:
         if not np.isfinite(self.samples).all():
             raise ValueError("trial samples contain non-finite values")
         if isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer)) or self.label < 0:
-            raise ValueError(f"trial field 'label': {self.label!r} is not an integer >= 0")
+            raise ValueError(f"trial field 'label': {describe(self.label)} is not an integer >= 0")
         self.label = int(self.label)  # a numpy integer would not serialise to the manifest
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
@@ -214,12 +214,25 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(sample_rate=sample_rate, channel_names=channel_names, class_names=class_names, trials=trials)
 
 
+def describe(value) -> str:
+    """A refused ``value`` as a message shows it: its repr if at most 40 characters, else its type and size."""
+    if type(value) is int and abs(value) >= 10**40:
+        digits = int(abs(value).bit_length() * math.log10(2))  # the digit count, or one less
+        return f"an int of {digits + (abs(value) >= 10**digits)} digits"
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    # The length of a JSON-like container only: a 0-d array has __len__, and len() refuses it.
+    size = f" of length {len(value)}" if isinstance(value, (str, list, tuple, dict)) else ""
+    return f"a {type(value).__name__}{size}"
+
+
 def _field(data: dict, name: str, valid, need: str, where: str = ""):
     """``data[name]`` as read, refused by field name unless ``valid`` accepts it."""
     if name not in data:
         raise ValueError(f"manifest lacks field {name!r}{where}")
     if not valid(data[name]):
-        raise ValueError(f"manifest field {name!r}{where}: {data[name]!r} is not {need}")
+        raise ValueError(f"manifest field {name!r}{where}: {describe(data[name])} is not {need}")
     return data[name]
 
 

@@ -1,7 +1,8 @@
 """Per-band reference for the stacked band-scoring pass.
 
 Scores one band at a time and one fold at a time, as the pipeline once did:
-class means of the training fold's covariances, a scipy generalised
+class means of the training fold's centred covariances, each divided by its
+trace before averaging (:func:`fold_class_means`), a scipy generalised
 eigensolver for CSP (with the ridge retry), log-variance features of the
 training and held-out trials, and a two-class Fisher discriminant.  The
 fold streams are the pipeline's own (``stream(seed, band)`` through
@@ -87,25 +88,34 @@ def fit_csp_from_covariances(cov_a: np.ndarray, cov_b: np.ndarray, n_pairs: int)
     return filters, eigenvalues
 
 
-def fit_fold_model(csp_covariances, feature_covariances, labels, train_mask, n_pairs, shrinkage):
+def fold_class_means(covariances, labels, train_mask):
+    """CSP's two class covariances of one band's ``(n_trials, C, C)`` centred
+    covariances on one training fold: each trial divided by its trace, then
+    the plain mean over the fold's trials of each class."""
+    normalised = [covariance / np.trace(covariance) for covariance in covariances]
+    means = [np.mean([normalised[n] for n in np.flatnonzero(train_mask & (labels == c))], axis=0) for c in (0, 1)]
+    if not all(np.isfinite(mean).all() for mean in means):
+        raise ValueError("CSP class covariances are not finite")
+    return tuple(means)
+
+
+def fit_fold_model(covariances, labels, train_mask, n_pairs, shrinkage):
     """Kept CSP filters (first and last ``n_pairs`` rows) and discriminant of
     one band fitted on one training fold."""
-    cov_a = csp_covariances[train_mask & (labels == 0)].mean(axis=0)
-    cov_b = csp_covariances[train_mask & (labels == 1)].mean(axis=0)
-    filters, _ = fit_csp_from_covariances(cov_a, cov_b, n_pairs)
+    filters, _ = fit_csp_from_covariances(*fold_class_means(covariances, labels, train_mask), n_pairs)
     kept = np.vstack([filters[:n_pairs], filters[-n_pairs:]])
-    lda = lda_fit(log_variance_features(feature_covariances[train_mask], kept), labels[train_mask], shrinkage)
+    lda = lda_fit(log_variance_features(covariances[train_mask], kept), labels[train_mask], shrinkage)
     return kept, lda
 
 
-def cv_band_score(csp_covariances, feature_covariances, labels, n_pairs, folds, rng, shrinkage) -> float:
+def cv_band_score(covariances, labels, n_pairs, folds, rng, shrinkage) -> float:
     """Mean held-out accuracy of one band over the folds drawn from ``rng``."""
     fold_ids = stratified_folds(labels, folds, rng)
     accuracies = []
     for k in range(folds):
         test_mask = fold_ids == k
-        kept, lda = fit_fold_model(csp_covariances, feature_covariances, labels, ~test_mask, n_pairs, shrinkage)
-        predictions = lda_predict(lda, log_variance_features(feature_covariances[test_mask], kept))
+        kept, lda = fit_fold_model(covariances, labels, ~test_mask, n_pairs, shrinkage)
+        predictions = lda_predict(lda, log_variance_features(covariances[test_mask], kept))
         accuracies.append(float(np.mean(predictions == labels[test_mask])))
     return float(np.mean(accuracies))
 
@@ -116,10 +126,7 @@ def score_bands_for_labels(decomp, labels, n_pairs=2, folds=5, seed=0, shrinkage
     return [
         BandScore(
             band=band,
-            score=cv_band_score(
-                decomp.csp_covariances[i], decomp.feature_covariances[i], labels,
-                n_pairs, folds, stream(seed, i), shrinkage,
-            ),
+            score=cv_band_score(decomp.feature_covariances[i], labels, n_pairs, folds, stream(seed, i), shrinkage),
         )
         for i, band in enumerate(decomp.bands)
     ]

@@ -11,12 +11,14 @@ from fingerbci import (
     make_bank,
     select_bands,
 )
-from fingerbci.bandselect import BandScore, fit_folds, score_bands_for_labels
+from fingerbci.bandselect import DEFAULT_SHRINKAGE, BandScore, fit_folds, score_bands_for_labels
 from fingerbci.crossval import stratified_folds
+from fingerbci.csp import class_covariances
 from fingerbci.dsp import BandDecomposition
 from fingerbci.rng import child_seed, stream
 
 import bandselect_reference as reference
+import timeseries_reference
 from bandselect_reference import lda_fit, lda_predict
 
 
@@ -167,19 +169,16 @@ class TestScoreBands:
     def test_fold_fit_ignores_heldout_trials(self, scored_decomposition):
         # Leakage guard: corrupting the held-out fold must not move the fitted models.
         first = scored_decomposition.subset(list(range(20)))
-        csp_covariances = first.csp_covariances[:1]
-        feature_covariances = first.feature_covariances[:1]
+        covariances = first.feature_covariances[:1]
         labels = np.array([0, 1] * 10)
         train_mask = (np.arange(20) < 12)[np.newaxis, np.newaxis]
-        base = fit_folds(csp_covariances, feature_covariances, labels, train_mask, 1, 1e-3)
-        # Scaling samples by 100 scales the centred covariance by 1e4; the
-        # trace-normalised one is scale-free, so replace it outright.
+        base = fit_folds(covariances, labels, train_mask, 1, 1e-3)
+        # Scaling a covariance leaves CSP's trace-normalised class means as
+        # they are, so replace the held-out covariances outright.
         heldout = ~train_mask[0, 0]
-        corrupted_csp = csp_covariances.copy()
-        corrupted_csp[:, heldout] = np.eye(csp_covariances.shape[-1]) / csp_covariances.shape[-1]
-        corrupted_features = feature_covariances.copy()
-        corrupted_features[:, heldout] *= 1e4
-        perturbed = fit_folds(corrupted_csp, corrupted_features, labels, train_mask, 1, 1e-3)
+        corrupted = covariances.copy()
+        corrupted[:, heldout] = 1e4 * np.eye(covariances.shape[-1])
+        perturbed = fit_folds(corrupted, labels, train_mask, 1, 1e-3)
         assert np.array_equal(base[0], perturbed[0])
         assert np.array_equal(base[2], perturbed[2])
         assert np.array_equal(base[3], perturbed[3])
@@ -232,13 +231,12 @@ def wishart(rng, shape, n_channels, dof):
     return x @ x.swapaxes(-1, -2) / dof
 
 
-def covariance_decomposition(csp_covariances, feature_covariances, labels):
-    n_bands, _, n_channels = feature_covariances.shape[:3]
+def covariance_decomposition(covariances, labels):
+    n_bands, _, n_channels = covariances.shape[:3]
     return BandDecomposition(
         bands=[(8.0 + 2 * b, 10.0 + 2 * b) for b in range(n_bands)], taps=63, sample_rate=128.0,
         channel_names=[f"ch{c}" for c in range(n_channels)], class_names=["a", "b"],
-        labels=np.asarray(labels),
-        csp_covariances=csp_covariances, feature_covariances=feature_covariances,
+        labels=np.asarray(labels), feature_covariances=covariances,
     )
 
 
@@ -249,9 +247,7 @@ def random_problem(seed, n_bands=3, trials_per_class=10, n_channels=4, dof=None)
     shape = (n_bands, len(labels))
     features = wishart(rng, shape, n_channels, dof or 3 * n_channels)
     features[:, :, 0, 0] += rng.uniform(0.0, 1.0, n_bands)[:, np.newaxis] * labels
-    products = features + wishart(rng, shape, n_channels, n_channels)
-    csp = products / np.trace(products, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis]
-    return covariance_decomposition(csp, features, labels)
+    return covariance_decomposition(features, labels)
 
 
 def stacked_and_reference(decomp, labels, **kwargs):
@@ -302,7 +298,6 @@ class TestStackedEquivalence:
         # Reorder the planted trials so that their labels line up with the noisy problem's.
         order = np.argsort(planted.labels, kind="stable")[np.argsort(np.argsort(noisy.labels, kind="stable"))]
         decomp = covariance_decomposition(
-            np.concatenate([planted.csp_covariances[:, order], noisy.csp_covariances])[[0, 3, 1, 4, 2, 5]],
             np.concatenate([planted.feature_covariances[:, order], noisy.feature_covariances])[[0, 3, 1, 4, 2, 5]],
             noisy.labels,
         )
@@ -352,6 +347,40 @@ class TestStackedEquivalence:
             assert stacked == expected
 
 
+class TestClassMeans:
+    """CSP's class means, one weighted ``einsum`` over the stack, against
+    averages of each covariance divided by its trace.  They sum the same
+    terms in another order, so they agree to 1e-12 of the largest entry; the
+    time-series reference rounds band trials to float32, so 1e-6 there."""
+
+    def test_fold_means_equal_reference(self):
+        for decomp, folds in ((random_problem(6), 5), (random_problem(7, n_channels=6, trials_per_class=9), 3)):
+            fold_ids = stratified_folds(decomp.labels, folds, stream(1))
+            train = fold_ids[np.newaxis, np.newaxis, :] != np.arange(folds)[np.newaxis, :, np.newaxis]
+            train = np.repeat(train, decomp.n_bands, axis=0)
+            by_class = np.stack([train & (decomp.labels == 0), train & (decomp.labels == 1)], axis=2)
+            means = class_covariances(decomp.feature_covariances, by_class)
+            for b in range(decomp.n_bands):
+                for k in range(folds):
+                    expected = reference.fold_class_means(decomp.feature_covariances[b], decomp.labels, train[b, k])
+                    for c in (0, 1):
+                        tolerance = 1e-12 * np.abs(expected[c]).max()
+                        np.testing.assert_allclose(means[b, k, c], expected[c], rtol=0, atol=tolerance)
+
+    def test_column_means_equal_time_series_reference(self):
+        # fit_column's form: one training set, broadcast over the bands.
+        dataset = generate(oracle_like(5, 6, 4, 4.0, 2.0))
+        bank = make_bank(5.0, 39.0, 2.0)
+        decomp = decompose(dataset, bank)
+        y = (decomp.labels >= 2).astype(np.int64)
+        means = class_covariances(decomp.feature_covariances, np.stack([y == 0, y == 1])[np.newaxis, np.newaxis])
+        filtered = timeseries_reference.filter_bank(dataset.trials, bank.bands, bank.taps)
+        for b in range(decomp.n_bands):
+            for c in (0, 1):
+                expected = timeseries_reference.normalised_class_mean([t for t, n in zip(filtered[b], y) if n == c])
+                np.testing.assert_allclose(means[b, 0, c], expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+
+
 class TestPreservedErrors:
     """Each error of the per-band path keeps its message in the stacked pass."""
 
@@ -368,20 +397,36 @@ class TestPreservedErrors:
 
     def test_composite_singular_after_ridge(self):
         decomp = random_problem(2)
-        decomp.csp_covariances[1] = 0.0  # the ridge scales with the trace, so it stays zero
+        # Positive trace, one negative eigenvalue: CSP's class means are indefinite, and the ridge is too small.
+        decomp.feature_covariances[1] = np.diag([1.0, 1.0, 1.0, -2.5])
         self.both_raise(decomp, "composite covariance is singular after regularization", n_pairs=1)
 
     def test_pooled_covariance_singular(self):
+        # One scalar covariance for every trial: CSP's class means are equal,
+        # and every trial has the same features, each log(1/2).
         decomp = random_problem(3)
-        decomp.feature_covariances[2] = decomp.feature_covariances[2, 0]  # one feature vector for every trial
+        decomp.feature_covariances[2] = np.eye(4)
         self.both_raise(decomp, "pooled covariance is singular after shrinkage", n_pairs=1)
 
     def test_non_finite_weights(self):
+        # A non-finite covariance stops at CSP (see the next test); an infinite ridge reaches the discriminant.
+        with np.errstate(invalid="ignore"):
+            self.both_raise(random_problem(4), "non-finite discriminant weights", n_pairs=1, shrinkage=np.inf)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_covariances(self, value):
         decomp = random_problem(4)
-        decomp.feature_covariances[0, 3] = np.nan
-        self.both_raise(decomp, "non-finite discriminant weights", n_pairs=1)
+        decomp.feature_covariances[0, 3, 1, 2] = value
+        with np.errstate(invalid="ignore"):
+            self.both_raise(decomp, "CSP class covariances are not finite", n_pairs=1)
 
     def test_zero_total_projected_variance(self):
+        # Trial 6 of band 1 gets a covariance of trace 1 that is negative on the
+        # span of the kept filters of the fold holding it out.
         decomp = random_problem(5)
-        decomp.feature_covariances[1, 6] = 0.0
+        fold_ids = stratified_folds(decomp.labels, 5, stream(0, 1))
+        covariances = decomp.feature_covariances[1]
+        kept, _ = reference.fit_fold_model(covariances, decomp.labels, fold_ids != fold_ids[6], 1, DEFAULT_SHRINKAGE)
+        basis = np.linalg.qr(kept.T)[0]
+        covariances[6] = np.eye(4) - 1.5 * basis @ basis.T
         self.both_raise(decomp, "projected signal has zero total variance", n_pairs=1)

@@ -1,9 +1,25 @@
 import json
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
 from fingerbci import PipelineConfig, make_bank
+
+# Values whose refusal must name the field without repeating the value in full.
+LONG_VALUES = [
+    ("band_width", 10**400), ("band_width", 10**300), ("band_start", "5" * 5000), ("fir_taps", 10**400),
+    ("csp_pairs", -(10**400)), ("seed", "x" * 5000), ("et_n_estimators", [0.5] * 5000), ("et_max_features", "x" * 5000),
+    ("seed", np.array(5)), ("band_width", np.array("x" * 5000)),  # 0-d arrays have __len__, and len() refuses them
+]
+
+
+@pytest.mark.parametrize("field, value", LONG_VALUES)
+def test_refusal_names_its_field_briefly(field, value):
+    with pytest.raises(ValueError, match=field) as caught:
+        PipelineConfig(**{field: value})
+    assert len(str(caught.value)) < 200
+
 
 # Settings that construction refuses, each with a fragment of its message.
 REJECTED = {

@@ -15,7 +15,7 @@ from fingerbci import (
     make_bank,
 )
 from fingerbci import dsp
-from fingerbci.csp import fit_csp_stack, kept_filters
+from fingerbci.csp import class_covariances, fit_csp_stack, kept_filters
 
 import timeseries_reference as reference
 from conftest import random_dataset
@@ -147,8 +147,7 @@ class TestDecompose:
         decomp = decompose(dataset, bank)
         assert decomp.n_bands == 3
         assert list(decomp.labels) == [t.label for t in dataset.trials]
-        for stack in (decomp.csp_covariances, decomp.feature_covariances):
-            assert stack.shape == (3, len(dataset.trials), 2, 2)
+        assert decomp.feature_covariances.shape == (3, len(dataset.trials), 2, 2)
 
     def test_default_bank_trim_arithmetic(self):
         t = np.arange(int(512 * 3.0)) / 512.0
@@ -161,8 +160,33 @@ class TestDecompose:
         dataset = Dataset(sample_rate=512.0, channel_names=["c"], class_names=["a", "b"], trials=trials)
         decomp = decompose(dataset, make_bank(5.0, 39.0, 2.0))
         assert decomp.n_bands == 17
-        for stack in (decomp.csp_covariances, decomp.feature_covariances):
-            assert len(stack) == 17
+        assert len(decomp.feature_covariances) == 17
+
+    def test_decomposition_holds_one_stack(self):
+        # One float64 covariance per (band, trial): B * N * C^2 * 8 bytes in all.
+        dataset = random_dataset(np.random.default_rng(6), trials_per_class=4, n_channels=3, n_samples=1024)
+        decomp = decompose(dataset, make_bank(8.0, 14.0, 2.0, taps=63))
+        held = [v for v in vars(decomp).values() if isinstance(v, np.ndarray) and v.dtype == np.float64]
+        assert sum(v.nbytes for v in held) == decomp.n_bands * decomp.n_trials * 3 * 3 * 8
+
+    def test_subset_and_classes_copy_one_stack(self):
+        dataset = random_dataset(np.random.default_rng(7), n_classes=3, trials_per_class=3, n_channels=3, n_samples=512)
+        decomp = decompose(dataset, make_bank(8.0, 14.0, 2.0, taps=63))
+        for view, picked in ((decomp.subset([4, 0, 7]), [4, 0, 7]), (decomp.classes(2, 0), [0, 1, 2, 6, 7, 8])):
+            held = [v for v in vars(view).values() if isinstance(v, np.ndarray) and v.dtype == np.float64]
+            assert sum(v.nbytes for v in held) == decomp.n_bands * len(picked) * 3 * 3 * 8
+            assert not np.shares_memory(view.feature_covariances, decomp.feature_covariances)
+            assert np.array_equal(view.feature_covariances, decomp.feature_covariances[:, picked])
+
+    @pytest.mark.parametrize("value", [5.0, 1e-3, 1e4])
+    def test_constant_trial_refused_in_its_first_band(self, value):
+        # A constant trial's centred band power is rounding of either sign
+        # (about 1e-15 of its uncentred power), so a sign test would refuse
+        # it in some bands and accept it in others.
+        dataset = random_dataset(np.random.default_rng(8), trials_per_class=3, n_channels=3, n_samples=512)
+        dataset.trials[4] = Trial(label=1, samples=np.full((3, 512), value), sample_rate=100.0)
+        with pytest.raises(ValueError, match=r"^trial 4 is all zero in band \(8.0, 10.0\)$"):
+            decompose(dataset, make_bank(8.0, 14.0, 2.0, taps=63))
 
     def test_wide_band_passthrough(self):
         fir = design_bandpass(1.0, 200.0, 512.0, 257)
@@ -208,25 +232,17 @@ class TestFilterBankEquivalence:
     def dataset(self):
         return random_dataset(np.random.default_rng(8), trials_per_class=4, n_channels=3, n_samples=1024)
 
-    def test_both_stacks_match_reference(self, dataset):
+    def test_stack_matches_reference(self, dataset):
         decomp = decompose(dataset, self.bank)
-        csp, feature = reference.band_covariances(dataset.trials, self.bank.bands, self.bank.taps)
-        np.testing.assert_allclose(decomp.csp_covariances, csp, rtol=1e-6, atol=1e-6 * np.abs(csp).max())
-        np.testing.assert_allclose(
-            decomp.feature_covariances, feature, rtol=1e-6, atol=1e-6 * np.abs(feature).max()
-        )
+        expected = reference.band_covariances(dataset.trials, self.bank.bands, self.bank.taps)
+        np.testing.assert_allclose(decomp.feature_covariances, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
 
     def test_features_match_reference(self, dataset):
         decomp = decompose(dataset, self.bank)
         filtered = reference.filter_bank(dataset.trials, self.bank.bands, self.bank.taps)
-        labels = decomp.labels
+        means = class_covariances(decomp.feature_covariances, np.stack([decomp.labels == 0, decomp.labels == 1]))
         for b in range(decomp.n_bands):
-            filters, _ = fit_csp_stack(
-                decomp.csp_covariances[b][labels == 0].mean(axis=0),
-                decomp.csp_covariances[b][labels == 1].mean(axis=0),
-                n_pairs=1,
-            )
-            kept = kept_filters(filters, 1)
+            kept = kept_filters(fit_csp_stack(means[b, 0, 0], means[b, 0, 1], n_pairs=1)[0], 1)
             np.testing.assert_allclose(
                 log_variance_features(decomp.feature_covariances[b], kept),
                 reference.variance_features(filtered[b], kept),
@@ -235,23 +251,21 @@ class TestFilterBankEquivalence:
 
     def test_single_trial_equals_batch_bit_for_bit(self, dataset):
         kept = np.eye(3)[[0, 2]]  # first and last rows of a three-channel CSP with one pair
-        _, batch = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
+        batch = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
         for i, trial in enumerate(dataset.trials):
-            _, single = band_covariances([trial], 100.0, self.bank.bands, self.bank.taps)
+            single = band_covariances([trial], 100.0, self.bank.bands, self.bank.taps)
             assert np.array_equal(single[:, 0], batch[:, i])
             assert np.array_equal(log_variance_features(single[:, 0], kept), log_variance_features(batch[:, i], kept))
 
     def test_batch_size_changes_no_bit(self, dataset, monkeypatch):
         whole = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
         monkeypatch.setattr(dsp, "BATCH_SAMPLES", 3 * 3 * 1024)  # three trials per batch
-        for split, joined in zip(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), whole):
-            assert np.array_equal(split, joined)
+        assert np.array_equal(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), whole)
 
     def test_cached_kernel_spectra_change_no_bit(self, dataset):
         cached = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
         dsp._kernel_spectra.cache_clear()
-        for fresh, again in zip(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), cached):
-            assert np.array_equal(fresh, again)
+        assert np.array_equal(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), cached)
         bands = ((8.0, 10.0), (10.0, 12.0))
         spectra = dsp._kernel_spectra(bands, 100.0, 63, 1024)
         assert spectra is dsp._kernel_spectra(bands, 100.0, 63, 1024)
@@ -262,17 +276,13 @@ class TestFilterBankEquivalence:
     def test_band_subsets_and_orders_change_no_bit(self, dataset, picked):
         whole = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
         bands = [self.bank.bands[b] for b in picked]
-        for part, full in zip(band_covariances(dataset.trials, 100.0, bands, self.bank.taps), whole):
-            assert np.array_equal(part, full[picked])
+        assert np.array_equal(band_covariances(dataset.trials, 100.0, bands, self.bank.taps), whole[picked])
 
     def test_unequal_lengths(self):
         dataset = unequal_dataset(np.random.default_rng(9))
         decomp = decompose(dataset, self.bank)
-        csp, feature = reference.band_covariances(dataset.trials, self.bank.bands, self.bank.taps)
-        np.testing.assert_allclose(decomp.csp_covariances, csp, rtol=1e-6, atol=1e-6 * np.abs(csp).max())
-        np.testing.assert_allclose(
-            decomp.feature_covariances, feature, rtol=1e-6, atol=1e-6 * np.abs(feature).max()
-        )
+        expected = reference.band_covariances(dataset.trials, self.bank.bands, self.bank.taps)
+        np.testing.assert_allclose(decomp.feature_covariances, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
 
     @pytest.mark.parametrize("n_samples", [3 * 63, 3 * 63 - 40])
     def test_short_trial_rejected_like_apply_filter(self, n_samples):
@@ -292,7 +302,6 @@ class TestFilterBankEquivalence:
         direct = decompose(subset_classes(dataset, 2, 0), self.bank)
         assert view.class_names == direct.class_names == ["class_2", "class_0"]
         assert np.array_equal(view.labels, direct.labels)
-        assert np.array_equal(view.csp_covariances, direct.csp_covariances)
         assert np.array_equal(view.feature_covariances, direct.feature_covariances)
 
 
@@ -325,7 +334,7 @@ class TestProjectedVariances:
         dataset = unequal_dataset(rng, n_channels=4)
         projections = self.projections(rng, 4, rows_per_band)
         variances = self.variances(dataset.trials, projections)
-        _, feature = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
+        feature = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
         for b, rows in enumerate(projections):
             expected = np.einsum("kc,ncd,kd->nk", rows, feature[b], rows)
             assert variances[b].shape == (len(dataset.trials), len(rows))
@@ -381,6 +390,16 @@ class TestProjectedVariances:
         with pytest.raises(ValueError, match=message):
             band_covariances(trials, 100.0, self.bank.bands, self.bank.taps)
         with pytest.raises(ValueError, match=message):
+            self.variances(trials, projections)
+
+    @pytest.mark.parametrize("rows", [2, 6])
+    @pytest.mark.parametrize("value", [5.0, 1e-3, 1e4])
+    def test_constant_trial_named_with_its_first_band(self, rows, value):
+        # Serving refuses a constant trial where the filter bank does: in the first band.
+        dataset = random_dataset(np.random.default_rng(15), n_channels=4, n_samples=512)
+        trials = dataset.trials[:2] + [Trial(label=0, samples=np.full((4, 512), value), sample_rate=100.0)]
+        projections = self.projections(np.random.default_rng(16), 4, (rows,) * 3)
+        with pytest.raises(ValueError, match=r"^trial 2 is all zero in band \(8.0, 10.0\)$"):
             self.variances(trials, projections)
 
 

@@ -28,7 +28,7 @@ from fingerbci import (
     save_dataset,
     save_model,
 )
-from fingerbci.csp import fit_csp_stack
+from fingerbci.csp import class_covariances, fit_csp_stack
 from fingerbci.ecoc import (
     PAIR_CODE,
     ColumnModel,
@@ -248,8 +248,9 @@ class TestFitEcoc:
         model = fit_small_ecoc(decomp)
         for j, column in enumerate(model.columns):
             y = model.code[decomp.labels, j]
-            covs = decomp.csp_covariances[column.selected_bands]
-            full, _ = fit_csp_stack(covs[:, y == 0].mean(axis=1), covs[:, y == 1].mean(axis=1), m)
+            by_class = np.stack([y == 0, y == 1])[np.newaxis, np.newaxis]
+            means = class_covariances(decomp.feature_covariances[column.selected_bands], by_class)[:, 0]
+            full, _ = fit_csp_stack(means[:, 0], means[:, 1], m)
             assert column.filters.dtype == np.float64
             assert np.array_equal(column.filters[:, :m], full[:, :m])
             assert np.array_equal(column.filters[:, m:], full[:, -m:])
@@ -876,6 +877,15 @@ class TestBundleChecks:
         model = load_model(tmp_path)
         with pytest.raises(ValueError, match=f"do not match the model's channels .* at {10**30} Hz"):
             predict_trials(model, mini_decomp[0].trials)
+
+    @pytest.mark.parametrize("field, value", [("sample_rate", 10**400), ("sample_rate", "x" * 5000),
+                                              ("classes", ["x"] * 5000), ("bands", [[1.0, "x" * 5000]] * 17)])
+    def test_refusal_names_its_field_briefly(self, small_bundle, tmp_path, field, value):
+        # The refused value is named by its type and size, not repeated in full.
+        write_edited(small_bundle, lambda d: d.update({field: value}), tmp_path)
+        with pytest.raises(ValueError, match=f"model bundle field '{field}'") as caught:
+            load_model(tmp_path)
+        assert len(str(caught.value)) < 200
 
     @pytest.mark.parametrize("edit", list(BUNDLE_EDITS))
     def test_corrupt_bundle_rejected_at_load(self, small_bundle, tmp_path, edit):

@@ -39,6 +39,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             generate(base_config(n_classes=1, class_sources=[[(9.0, 11.0, 1.0)]]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate", 10**400), ("n_channels", 10.5 * 10**300), ("noise_seed", "7" * 5000),
+        ("class_names", "x" * 5000), ("channel_names", ["c"] * 5000 + [1]),
+        ("class_sources", [[(9.0, 11.0, "x" * 5000)], [(9.0, 11.0, 1.0)]]),
+        ("mixing_vectors", [[["x" * 5000] * 6], [[1.0] * 6]]),
+    ])
+    def test_refusal_names_its_field_briefly(self, field, value):
+        # 10**400 or a 5,000-character string is named by its type and size, not repeated in full.
+        with pytest.raises(ValueError, match=field) as caught:
+            base_config(**{field: value}).validate()
+        assert len(str(caught.value)) < 200
+
     def test_from_dict_unknown_key(self):
         with pytest.raises(ValueError, match="unknown synth config keys"):
             SynthConfig.from_dict({"bogus": 1})

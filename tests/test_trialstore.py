@@ -291,6 +291,23 @@ class TestManifestChecks:
             load_dataset(tmp_path)
         assert len(str(caught.value)) < 200
 
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate", 10**400), ("sample_rate", "1" * 5000), ("channel_names", "c" * 5000),
+        ("trials", {"x": "y" * 5000}),
+    ])
+    def test_refusal_names_its_field_briefly(self, saved, tmp_path, field, value):
+        saved[field] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=f"manifest field '{field}'") as caught:
+            load_dataset(tmp_path)
+        assert len(str(caught.value)) < 200
+
+    @pytest.mark.parametrize("label", [-(10**400), np.array(1), np.array("x" * 5000)], ids=["long int", "0-d", "long 0-d"])
+    def test_label_refusal_is_brief(self, label):
+        with pytest.raises(ValueError, match="trial field 'label'") as caught:
+            Trial(label=label, samples=np.zeros((1, 4)), sample_rate=100.0)
+        assert len(str(caught.value)) < 200
+
     @pytest.mark.parametrize("text", [b"[]", b'{"sample_rate": \xff}'], ids=["list", "not UTF-8"])
     def test_manifest_text_refused_as_corrupt(self, tmp_path, text):
         save_dataset(two_class_dataset(), tmp_path)

@@ -1,13 +1,16 @@
 """Time-series reference for the covariance-domain filter bank.
 
-The filter bank reduces each band-filtered trial straight to two spatial
-covariances.  This module computes the same statistics the slow way, as the
-pipeline once did: filter every trial into every band with
-:func:`fingerbci.apply_filter` (float32 band trials), then take
-:func:`trial_covariance`, the centred covariance, and the variance of each
-CSP projection over time.  :func:`fit_csp` and :func:`extract_features` fit
-and apply CSP to time-series trials through the pipeline's own solver and
+The filter bank reduces each band-filtered trial straight to its centred
+spatial covariance.  This module computes the same statistics the slow way,
+as the pipeline once did: filter every trial into every band with
+:func:`fingerbci.apply_filter` (float32 band trials), then take the centred
+covariance, CSP's class mean of centred covariances each divided by its
+trace (:func:`normalised_class_mean`), and the variance of each CSP
+projection over time.  :func:`fit_csp` and :func:`extract_features` fit and
+apply CSP to time-series trials through the pipeline's own solver and
 features; features take the kept filter rows, a ``(2 * n_pairs, C)`` array.
+:func:`trial_covariance` is the uncentred ``X X^T / trace(X X^T)``, on which
+the solver's tests state exact values.
 """
 
 import numpy as np
@@ -60,12 +63,15 @@ def centred_covariance(trial: Trial) -> np.ndarray:
     return x @ x.T / x.shape[1]
 
 
-def band_covariances(trials: list[Trial], bands, taps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(csp_covariances, feature_covariances), each (n_bands, n_trials, C, C)."""
-    filtered = filter_bank(trials, bands, taps)
-    csp = np.array([[trial_covariance(t) for t in band] for band in filtered])
-    feature = np.array([[centred_covariance(t) for t in band] for band in filtered])
-    return csp, feature
+def band_covariances(trials: list[Trial], bands, taps: int) -> np.ndarray:
+    """Centred covariances of the band-filtered trials, (n_bands, n_trials, C, C)."""
+    return np.array([[centred_covariance(t) for t in band] for band in filter_bank(trials, bands, taps)])
+
+
+def normalised_class_mean(trials: list[Trial]) -> np.ndarray:
+    """Mean over ``trials`` of each centred covariance divided by its trace."""
+    covariances = [centred_covariance(trial) for trial in trials]
+    return np.mean([c / np.trace(c) for c in covariances], axis=0)
 
 
 def variance_features(trials: list[Trial], filters: np.ndarray) -> np.ndarray:
