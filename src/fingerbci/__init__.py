@@ -32,7 +32,7 @@ from .ecoc import (
     save_model,
 )
 from .evaluation import RunReport, accuracy, cohen_kappa, confusion_matrix, repeated_holdout
-from .extratrees import EtForest, EtNode, EtParams
+from .extratrees import EtForest, EtParams
 from .synthgen import SynthConfig, generate
 from .trialstore import (
     Dataset,

@@ -65,8 +65,10 @@ def fit_folds(
     projected = projected.reshape(n_bands, -1, n_channels, n_sets, n_kept)
     features = log_ratios(np.einsum("bnckp,bkpc->bknp", projected, kept))
 
-    class_means = np.einsum("bkcn,bknp->bkcp", by_class, features) / counts[..., np.newaxis]
-    centred = (features - class_means[:, :, labels]) * train[..., np.newaxis]
+    # Held-out trials enter the sums as zeros, never as 0 x NaN.
+    trained = np.where(train[..., np.newaxis], features, 0.0)
+    class_means = np.einsum("bkcn,bknp->bkcp", by_class, trained) / counts[..., np.newaxis]
+    centred = np.where(train[..., np.newaxis], features - class_means[:, :, labels], 0.0)
     denominators = np.maximum(counts.sum(axis=-1) - 2, 1)[..., np.newaxis, np.newaxis]
     pooled = centred.swapaxes(-1, -2) @ centred / denominators
     if shrinkage > 0:

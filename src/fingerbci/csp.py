@@ -43,8 +43,13 @@ def fit_csp_stack(cov_a: np.ndarray, cov_b: np.ndarray, n_pairs: int) -> tuple[n
 
 def class_covariances(covariances: np.ndarray, by_class: np.ndarray) -> np.ndarray:
     """``(B, K, 2, C, C)`` means of ``S / trace(S)`` over the centred covariances ``S = covariances[b, n]`` that the
-    0/1 ``by_class[b, k, c, n]`` pick: one ``einsum`` weighting each ``S`` by ``1 / trace(S)``, with no copy of it."""
-    weights = by_class / np.trace(covariances, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis]
+    0/1 ``by_class[b, k, c, n]`` pick: one ``einsum`` weighting each ``S`` by ``1 / trace(S)``, with no copy of it
+    unless some trial is in no set of its band; such a trial enters the sums as zeros, so even NaN stays out."""
+    by_class = np.broadcast_to(by_class, np.broadcast_shapes(np.shape(by_class), (len(covariances), 1, 1, 1)))
+    read = by_class.any(axis=(1, 2))
+    if not read.all():
+        covariances = np.where(read[..., np.newaxis, np.newaxis], covariances, 0.0)
+    weights = by_class / np.where(read, np.trace(covariances, axis1=-2, axis2=-1), 1.0)[:, np.newaxis, np.newaxis]
     means = np.einsum("bkcn,bnij->bkcij", weights, covariances) / by_class.sum(axis=-1)[..., np.newaxis, np.newaxis]
     if not np.isfinite(means).all():
         raise ValueError("CSP class covariances are not finite")

@@ -216,7 +216,11 @@ def make_bank(start: float, stop: float, width: float, taps: int = DEFAULT_TAPS)
     if width <= 0 or stop <= start or start <= 0:
         raise ValueError("need width > 0 and 0 < start < stop")
     _check_taps(taps)
-    n_bands = int(round((stop - start) / width))
+    count = (stop - start) / width
+    # Below Nyquist, more bands than taps would each be narrower than half a bin of a kernel's spectrum.
+    if not count <= taps:
+        raise ValueError(f"({start}, {stop}) holds {count:.6g} bands of {describe(width)} Hz, more than {taps} taps")
+    n_bands = int(round(count))
     if n_bands < 1 or abs(start + n_bands * width - stop) > 1e-9:
         raise ValueError(f"({start}, {stop}) is not an integer number of {describe(width)} Hz bands")
     bands = [(start + i * width, start + (i + 1) * width) for i in range(n_bands)]

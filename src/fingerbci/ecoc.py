@@ -27,13 +27,13 @@ from .bandselect import score_bands_for_labels, select_bands
 from .config import PipelineConfig
 from .csp import class_covariances, fit_csp_stack, kept_filters, log_ratios, log_variance_features
 from .dsp import BandDecomposition, BankError, RowPlan, check_bank, row_plan, row_variances
-from .extratrees import EtForest, EtNode, EtParams, NodeTable, fit as et_fit, majority, node_table, tune as et_tune
+from .extratrees import EtForest, EtParams, NodeTable, fit as et_fit, majority, node_table, tune as et_tune
 from .rng import child_seed
 from .trialstore import Trial, describe, replacing
 
 MODEL_NAME = "model.json"
-# Bundle layout 3: each column's kept CSP filters as one 3-D list, each tree as pre-order lists.
-FORMAT_VERSION = 3
+# Bundle layout 4: each column's kept CSP filters as one 3-D list, each tree as level-order lists.
+FORMAT_VERSION = 4
 TREE_FIELDS = ("attribute", "cut", "counts")
 
 
@@ -317,38 +317,17 @@ def predict_ecoc(
 # --- model bundle serialization -------------------------------------------
 
 
-def _tree_to_json(tree: EtNode) -> dict:
-    """Pre-order lists: ``attribute`` of every node (-1 for a leaf), ``cut``
-    of every internal node and the two class ``counts`` of every leaf."""
-    attribute, cut, counts = [], [], []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            attribute.append(-1)
-            counts += node.counts
-        else:
-            attribute.append(node.attribute)
-            cut.append(node.cut)
-            stack += [node.right, node.left]
-    return {"attribute": attribute, "cut": cut, "counts": counts}
-
-
-def _tree_from_json(data: dict) -> EtNode:
-    """Link the pre-order lists that :func:`_check_trees` accepted."""
-    cuts, counts = iter(data["cut"]), iter(data["counts"])
-    waiting: list[EtNode] = []  # internal nodes still missing a child
-    for attribute in data["attribute"]:
-        node = EtNode(attribute, next(cuts)) if attribute >= 0 else EtNode(counts=(next(counts), next(counts)))
-        if not waiting:
-            root = node
-        elif waiting[-1].left is None:
-            waiting[-1].left = node
-        else:
-            waiting.pop().right = node
-        if attribute >= 0:
-            waiting.append(node)
-    return root
+def _trees_to_json(forest: EtForest) -> list[dict]:
+    """Each tree's level-order lists: ``attribute`` of every node (-1 for a
+    leaf), ``cut`` of every internal node and the two class ``counts`` of
+    every leaf."""
+    ends = np.cumsum(forest.sizes)[:-1]
+    inner = np.cumsum(forest.attribute >= 0)[ends - 1]  # internal nodes before each tree after the first
+    return [
+        {"attribute": a.tolist(), "cut": c.tolist(), "counts": n.ravel().tolist()}
+        for a, c, n in zip(np.split(forest.attribute, ends), np.split(forest.cut, inner),
+                           np.split(forest.counts, ends - inner))
+    ]
 
 
 def _column_to_json(column: ColumnModel) -> dict:
@@ -359,23 +338,9 @@ def _column_to_json(column: ColumnModel) -> dict:
         "forest": {
             "params": asdict(forest.params),
             "feature_dim": forest.feature_dim,
-            "trees": [_tree_to_json(t) for t in forest.trees],
+            "trees": _trees_to_json(forest),
         },
     }
-
-
-def _column_from_json(data: dict) -> ColumnModel:
-    # Trees stay pre-order lists as read until load_model has checked them.
-    forest = _object(data, "forest")
-    return ColumnModel(
-        selected_bands=data["selected_bands"],
-        filters=_array(data, "filters"),
-        forest=EtForest(
-            trees=[{name: tree[name] for name in TREE_FIELDS} for tree in _entries(forest, "trees", dict)],
-            params=EtParams(**{f.name: _object(forest, "params")[f.name] for f in fields(EtParams)}),
-            feature_dim=forest["feature_dim"],
-        ),
-    )
 
 
 def _to_json(value, indent: str = "") -> str:
@@ -445,34 +410,39 @@ def _array(data: dict, name: str) -> np.ndarray:
         raise ValueError(f"model bundle field {name!r}: {exc}") from None
 
 
-def _check_trees(trees: list[dict], j: int, feature_dim: int) -> None:
-    """Refuse column ``j``'s pre-order lists, checked chained, unless each tree is a binary tree
-    reading ``feature_dim`` features; of several faults, the first of attribute, cut and counts is named."""
+def _check_trees(trees: list[dict], j: int, feature_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Column ``j``'s level-order lists as the ``attribute``, ``cut``, ``counts`` and ``sizes`` arrays of an
+    :class:`~fingerbci.extratrees.EtForest`, checked chained: refused unless each tree is a binary tree reading
+    ``feature_dim`` features; of several faults, the first of attribute, cut and counts is named."""
     attributes, cuts, counts = ([tree[name] for tree in trees] for name in TREE_FIELDS)
     flat = list(itertools.chain.from_iterable(attributes)) if _is_list_of(attributes, list) else None
     _require(_is_list_of(flat, int) and all(attributes) and min(flat) >= -1 and max(flat) < feature_dim,
              "attribute", f"column {j} has a tree whose attributes are not integers in [-1, {feature_dim})")
-    sizes = np.array([len(a) for a in attributes])
+    attribute, sizes = np.array(flat), np.array([len(a) for a in attributes])
     ends = np.cumsum(sizes)
-    # Children owed after each node, from its tree's root: a pre-order binary tree owes none only after its last node.
-    steps = np.cumsum(np.where(np.array(flat) >= 0, 1, -1))
+    # Children owed after each node, from its tree's root: in level order as in pre-order, a binary tree
+    # owes none only after its last node.
+    steps = np.cumsum(np.where(attribute >= 0, 1, -1))
     owed = 1 + steps - np.repeat(np.r_[0, steps[ends[:-1] - 1]], sizes)
     _require(np.array_equal(np.flatnonzero(owed <= 0), ends - 1), "attribute",
-             f"column {j} has a tree whose attributes are not a binary tree in pre-order")
+             f"column {j} has a tree whose attributes are not a binary tree in level order")
     # A binary tree of n nodes has (n - 1) / 2 internal nodes and (n + 1) / 2 leaves.
     flat = list(itertools.chain.from_iterable(cuts)) if _is_list_of(cuts, list) else None
     _require(flat is not None and list(map(len, cuts)) == ((sizes - 1) // 2).tolist() and all(map(_is_number, flat)),
              "cut", f"column {j} has a tree without one finite numeric cut per internal node")
+    cut = np.array(flat, dtype=np.float64)
     flat = list(itertools.chain.from_iterable(counts)) if _is_list_of(counts, list) else None
-    _require(_is_list_of(flat, int) and list(map(len, counts)) == (sizes + 1).tolist() and min(flat) >= 0,
-             "counts", f"column {j} has a tree without two non-negative integer counts per leaf")
+    _require(_is_list_of(flat, int) and list(map(len, counts)) == (sizes + 1).tolist()
+             and min(flat) >= 0 and max(flat) < 2**63,
+             "counts", f"column {j} has a tree without two integer counts in [0, 2**63) per leaf")
+    return attribute, cut, np.array(flat, dtype=np.int64).reshape(-1, 2), sizes
 
 
 def _check_model(model: EcocModel) -> None:
-    """Raise ``ValueError`` naming the first field that cannot serve predictions.
+    """Raise ``ValueError`` naming the first field outside the columns that cannot serve predictions.
 
     Values are checked as read, so a wrong type is reported, not converted.
-    Trees are the pre-order lists of the bundle.
+    The columns are the objects of the bundle; :func:`_column_from_json` checks each.
     """
     try:
         check_code(model.code)
@@ -496,27 +466,32 @@ def _check_model(model: EcocModel) -> None:
         "classes", f"{classes} are not distinct indices into {len(model.class_names)} class_names",
     )
     _require(code.shape[1] == len(model.columns), "columns", f"{len(model.columns)} for {code.shape[1]} code columns")
-    n_channels = len(model.channel_names)
-    for j, column in enumerate(model.columns):
-        bands = column.selected_bands
-        _require(_is_list_of(bands, int) and all(0 <= b < len(model.bands) for b in bands), "selected_bands",
-                 f"column {j} selects {bands} of {len(model.bands)} bands")
-        filters = column.filters
-        kept = filters.shape[1] if filters.ndim == 3 else 0
-        # Entries of at most 1e100 keep the variance of any finite float32 trial's projection inside float64's range.
-        _require(kept >= 2 and kept % 2 == 0 and filters.dtype == np.float64
-                 and filters.shape == (len(bands), kept, n_channels) and bool((abs(filters) <= 1e100).all()), "filters",
-                 f"column {j} has {filters.dtype} CSP filters of shape {filters.shape}, not floats in [-1e100, 1e100] "
-                 f"of shape ({len(bands)}, 2m, {n_channels}) with m >= 1")
-        forest = column.forest
-        expected_dim = kept * len(bands)
-        _require(type(forest.feature_dim) is int and forest.feature_dim == expected_dim, "feature_dim",
-                 f"column {j} reads {forest.feature_dim!r} features, its bands give {expected_dim}")
-        for name, value in asdict(forest.params).items():
-            _require(type(value) is int, name, f"column {j} has a forest with {name} {value!r}, not an integer")
-        _require(len(forest.trees) == forest.params.n_estimators >= 1, "trees",
-                 f"column {j} has {len(forest.trees)} trees for n_estimators {forest.params.n_estimators}")
-        _check_trees(forest.trees, j, expected_dim)
+
+
+def _column_from_json(data: dict, j: int, model: EcocModel) -> ColumnModel:
+    """Column ``j`` of a bundle whose other fields ``model`` holds, refused naming the first field that
+    cannot serve predictions."""
+    bands = data["selected_bands"]
+    _require(_is_list_of(bands, int) and all(0 <= b < len(model.bands) for b in bands), "selected_bands",
+             f"column {j} selects {bands} of {len(model.bands)} bands")
+    filters, n_channels = _array(data, "filters"), len(model.channel_names)
+    kept = filters.shape[1] if filters.ndim == 3 else 0
+    # Entries of at most 1e100 keep the variance of any finite float32 trial's projection inside float64's range.
+    _require(kept >= 2 and kept % 2 == 0 and filters.dtype == np.float64
+             and filters.shape == (len(bands), kept, n_channels) and bool((abs(filters) <= 1e100).all()), "filters",
+             f"column {j} has {filters.dtype} CSP filters of shape {filters.shape}, not floats in [-1e100, 1e100] "
+             f"of shape ({len(bands)}, 2m, {n_channels}) with m >= 1")
+    forest = _object(data, "forest")
+    params = EtParams(**{f.name: _object(forest, "params")[f.name] for f in fields(EtParams)})
+    feature_dim, expected_dim = forest["feature_dim"], kept * len(bands)
+    _require(type(feature_dim) is int and feature_dim == expected_dim, "feature_dim",
+             f"column {j} reads {feature_dim!r} features, its bands give {expected_dim}")
+    for name, value in asdict(params).items():
+        _require(type(value) is int, name, f"column {j} has a forest with {name} {value!r}, not an integer")
+    trees = _entries(forest, "trees", dict)
+    _require(len(trees) == params.n_estimators >= 1, "trees",
+             f"column {j} has {len(trees)} trees for n_estimators {params.n_estimators}")
+    return ColumnModel(bands, filters, EtForest(*_check_trees(trees, j, expected_dim), params, feature_dim))
 
 
 def load_model(path: str | Path) -> EcocModel:
@@ -540,16 +515,15 @@ def load_model(path: str | Path) -> EcocModel:
         model = EcocModel(
             code=bits,
             classes=data["classes"],
-            columns=[_column_from_json(c) for c in _entries(data, "columns", dict)],
+            columns=_entries(data, "columns", dict),  # the objects as read until the other fields are checked
             class_names=data["class_names"],
             channel_names=data["channel_names"],
             sample_rate=data["sample_rate"],
             bands=[tuple(b) for b in _entries(data, "bands", list)],
             taps=data["taps"],
         )
+        _check_model(model)
+        model.columns = [_column_from_json(column, j, model) for j, column in enumerate(model.columns)]
     except KeyError as exc:
         raise ValueError(f"model bundle {bundle} lacks field {exc}") from None
-    _check_model(model)
-    for column in model.columns:
-        column.forest.trees = [_tree_from_json(tree) for tree in column.forest.trees]
     return model

@@ -54,7 +54,7 @@ class EtParams:
 
 
 class EtNode:
-    """Internal node (attribute, cut, children) or leaf (class counts)."""
+    """Internal node (attribute, cut, children) or leaf (class counts) of :attr:`EtForest.trees`."""
 
     __slots__ = ("attribute", "cut", "left", "right", "counts")
 
@@ -72,9 +72,23 @@ class EtNode:
 
 @dataclass
 class EtForest:
-    trees: list[EtNode]
+    """Trees one after another, each in the grower's level order: ``attribute`` of every node (-1 for a
+    leaf), ``cut`` of every internal node, the two class ``counts`` of every leaf, ``(n_leaves, 2)``, and
+    ``sizes``, the node count of each tree.  A tree's k-th internal node sends values at most its cut to
+    the tree's node 2k + 1 and others to node 2k + 2, so no child index is stored (Louppe,
+    arXiv:1407.7502, ch. 5)."""
+
+    attribute: np.ndarray
+    cut: np.ndarray
+    counts: np.ndarray
+    sizes: np.ndarray
     params: EtParams
     feature_dim: int
+
+    @property
+    def trees(self) -> list[EtNode]:
+        """Each tree as linked nodes, linked anew at every call, for walking one node at a time."""
+        return _link(self)
 
 
 def mix(keys, values) -> np.ndarray:
@@ -110,12 +124,14 @@ def _draw(keys: np.ndarray, lows: np.ndarray, highs: np.ndarray, max_features: n
 class _Nodes(NamedTuple):
     """Every node of a batch of trees, parents before children: the split
     attribute (-1 for a leaf), its cut, the left child's index (the right
-    child follows it) and the class counts, internal nodes included."""
+    child follows it), the class counts, internal nodes included, and its
+    tree's root."""
 
     attribute: np.ndarray
     cut: np.ndarray
     left: np.ndarray
     counts: np.ndarray  # (n_nodes, 2)
+    root: np.ndarray
     roots: np.ndarray  # node index of each tree's root
 
 
@@ -129,7 +145,7 @@ def _grow_levels(x, y, masks, max_features, keys, min_samples_split, xlogx, firs
     candidates as their information gain does, summed from ``xlogx[c] =
     c log2 c`` of the integer counts.
     """
-    roots = first + np.arange(len(keys))
+    roots = root = first + np.arange(len(keys))
     pair_node, pair_sample = np.nonzero(masks)
     pair_node, levels = roots[pair_node], []
     while len(keys):
@@ -141,7 +157,7 @@ def _grow_levels(x, y, masks, max_features, keys, min_samples_split, xlogx, firs
         lows, highs = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
         split = (sizes >= min_samples_split) & (ones > 0) & (ones < sizes) & (lows < highs).any(axis=1)
         attribute, cut, left = np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -1)
-        levels.append((attribute, cut, left, np.stack([sizes - ones, ones], axis=1)))
+        levels.append((attribute, cut, left, np.stack([sizes - ones, ones], axis=1), root))
         rows = np.flatnonzero(split)
         if not len(rows):
             break
@@ -167,7 +183,7 @@ def _grow_levels(x, y, masks, max_features, keys, min_samples_split, xlogx, firs
         order = np.argsort(child, kind="stable")
         pair_node, pair_sample = first + child[order], pair_sample[order]
         keys = mix(keys[:, np.newaxis], np.arange(2)).ravel()
-        max_features = np.repeat(max_features[rows], 2)
+        max_features, root = np.repeat(max_features[rows], 2), np.repeat(root[rows], 2)
     return _Nodes(*(np.concatenate(parts) for parts in zip(*levels)), roots)
 
 
@@ -189,24 +205,15 @@ def _root_keys(seed: int, n_trees: int) -> np.ndarray:
     return mix(np.full(n_trees, seed, dtype=np.uint64), np.arange(n_trees))
 
 
-def _link(nodes: _Nodes, min_samples_split: int) -> list[EtNode]:
-    """The trees as linked nodes, with every node of fewer than
-    ``min_samples_split`` samples made a leaf; one pass, parents first."""
-    attribute = np.where(nodes.counts.sum(axis=1) < min_samples_split, -1, nodes.attribute).tolist()
-    cut, left, counts = nodes.cut.tolist(), nodes.left.tolist(), nodes.counts.tolist()
-    linked: list[EtNode | None] = [None] * len(attribute)
-    for root in nodes.roots.tolist():
-        linked[root] = EtNode()
-    for i, node in enumerate(linked):
-        if node is None:  # below a node made a leaf
-            continue
-        if attribute[i] < 0:
-            node.counts = tuple(counts[i])
-        else:
-            node.attribute, node.cut = attribute[i], cut[i]
-            node.left = linked[left[i]] = EtNode()
-            node.right = linked[left[i] + 1] = EtNode()
-    return [linked[root] for root in nodes.roots.tolist()]
+def _link(forest: EtForest) -> list[EtNode]:
+    """The trees of ``forest`` as linked nodes, children found through its node table."""
+    table = node_table([forest])
+    cuts, counts = iter(forest.cut.tolist()), iter(map(tuple, forest.counts.tolist()))
+    nodes = [EtNode(a, next(cuts)) if a >= 0 else EtNode(counts=next(counts)) for a in forest.attribute.tolist()]
+    for node, i in zip(nodes, table.left.tolist()):
+        if not node.is_leaf:
+            node.left, node.right = nodes[i], nodes[i + 1]
+    return [nodes[r] for r in table.roots.tolist()]
 
 
 def _training_set(features, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -232,18 +239,22 @@ def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
         x, y, np.ones((n, len(y)), dtype=bool), np.full(n, params.max_features), _root_keys(params.seed, n),
         params.min_samples_split,
     )
-    return EtForest(trees=_link(nodes, params.min_samples_split), params=params, feature_dim=x.shape[1])
+    order = np.argsort(nodes.root, kind="stable")  # tree after tree, each in level order
+    attribute = nodes.attribute[order]
+    leaf = attribute < 0
+    sizes = np.bincount(nodes.root)[nodes.roots]
+    return EtForest(attribute, nodes.cut[order][~leaf], nodes.counts[order][leaf], sizes, params, x.shape[1])
 
 
 class NodeTable(NamedTuple):
-    """Trees of one or more forests in one pre-order node table, tree after
-    tree and forest after forest.
+    """Trees of one or more forests in one node table, tree after tree and
+    forest after forest, each tree in level order.
 
-    Node ``i`` sends a row whose feature ``attribute[i]`` is at most ``cut[i]`` to node ``left[i] = i + 1``
-    and any other row to ``right[i]``.  A leaf has a NaN cut and itself as right child, so every row that
-    reaches it stays, and votes ``vote[i]``: 1 when it holds more class-1 samples.  ``roots`` is the first
-    node of each tree, ``trees`` the number of trees of each forest, ``first_trees`` the first tree of each
-    forest and ``depth`` the most splits on any path.
+    Node ``i`` sends a row whose feature ``attribute[i]`` is at most ``cut[i]`` to node ``left[i]`` and any
+    other row to ``right[i] = left[i] + 1``.  A leaf has a NaN cut and itself as both children, so every row
+    that reaches it stays, and votes ``vote[i]``: 1 when it holds more class-1 samples.  ``roots`` is the
+    first node of each tree, ``trees`` the number of trees of each forest, ``first_trees`` the first tree of
+    each forest and ``depth`` the most splits on any path.
     """
 
     attribute: np.ndarray
@@ -258,35 +269,29 @@ class NodeTable(NamedTuple):
 
 
 def node_table(forests: list[EtForest]) -> NodeTable:
-    """The table of ``forests``, walked with a stack; the attributes of each
-    forest are offset by the ``feature_dim`` of the forests before it, so the
-    table reads their features side by side."""
-    attribute, cut, right, vote, roots = [], [], [], [], []
-    depth, offset = 0, 0
-    for forest in forests:
-        for tree in forest.trees:
-            roots.append(len(attribute))
-            stack = [(tree, 0, -1)]  # node, its level, and the split whose right child it is
-            while stack:
-                node, level, parent = stack.pop()
-                i = len(attribute)
-                if parent >= 0:
-                    right[parent] = i
-                leaf = node.is_leaf
-                attribute.append(0 if leaf else offset + node.attribute)
-                cut.append(math.nan if leaf else node.cut)
-                right.append(i)  # a split's is set when its right child is reached
-                vote.append(leaf and node.counts[1] > node.counts[0])
-                depth = max(depth, level)
-                if not leaf:
-                    stack += [(node.right, level + 1, i), (node.left, level + 1, -1)]
-        offset += forest.feature_dim
-    trees = np.array([len(forest.trees) for forest in forests], dtype=np.intp)
-    return NodeTable(
-        np.array(attribute, dtype=np.intp), np.array(cut, dtype=np.float64), np.arange(1, len(attribute) + 1),
-        np.array(right, dtype=np.intp), np.array(vote, dtype=np.int64), np.array(roots, dtype=np.intp),
-        trees, np.cumsum(trees) - trees, depth,
-    )
+    """The table of ``forests``, their arrays concatenated; the attributes of
+    each forest are offset by the ``feature_dim`` of the forests before it,
+    so the table reads their features side by side."""
+    attribute = np.concatenate([forest.attribute for forest in forests])
+    inner = attribute >= 0
+    offsets = np.cumsum([0] + [forest.feature_dim for forest in forests[:-1]])
+    attribute = np.where(inner, attribute + np.repeat(offsets, [len(forest.attribute) for forest in forests]), 0)
+    cut = np.full(len(attribute), np.nan)
+    cut[inner] = np.concatenate([forest.cut for forest in forests])
+    counts = np.concatenate([forest.counts for forest in forests])
+    vote = np.zeros(len(attribute), dtype=np.int64)
+    vote[~inner] = counts[:, 1] > counts[:, 0]
+    sizes = np.concatenate([forest.sizes for forest in forests])
+    roots = np.cumsum(sizes) - sizes
+    # The k-th internal node of the tree from ``root`` has its left child at root + 2k + 1.
+    before, root = np.cumsum(inner) - inner, np.repeat(roots, sizes)
+    left = np.where(inner, root + 1 + 2 * (before - before[root]), np.arange(len(inner)))
+    depth, level = 0, roots
+    while inner[level].any():
+        level = left[level[inner[level]]]
+        level, depth = np.concatenate([level, level + 1]), depth + 1
+    trees = np.array([len(forest.sizes) for forest in forests], dtype=np.intp)
+    return NodeTable(attribute, cut, left, left + inner, vote, roots, trees, np.cumsum(trees) - trees, depth)
 
 
 def majority(table: NodeTable, features: np.ndarray) -> np.ndarray:

@@ -9,18 +9,76 @@ seeded ``child_seed(seed, 1, max_features, fold)`` as
 :func:`fingerbci.extratrees.tune` seeds the forest it truncates and
 prefix-scores.  :func:`predict` votes tree by tree and sample by sample
 through :func:`tree_predict`, the scalar walk that the package's node
-table replaces.
+table replaces.  Trees here are linked :class:`Node` objects;
+:func:`array_forest` lays them out as the package's array forest, and
+:func:`link` links a grown batch of package nodes.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
 from fingerbci.crossval import stratified_folds
-from fingerbci.extratrees import EtForest, EtNode, EtParams
+from fingerbci.extratrees import EtForest, EtParams
 from fingerbci.rng import child_seed, stream
 
 MASK = (1 << 64) - 1
+
+
+class Node:
+    """Internal node (attribute, cut, children) or leaf (class counts)."""
+
+    __slots__ = ("attribute", "cut", "left", "right", "counts")
+
+    def __init__(self, attribute=None, cut=None, left=None, right=None, counts=None):
+        self.attribute, self.cut, self.left, self.right, self.counts = attribute, cut, left, right, counts
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.attribute is None
+
+
+def array_forest(trees: list, params: EtParams, feature_dim: int) -> EtForest:
+    """The package's array forest of linked ``trees``: each tree's nodes
+    breadth first, left child before right, walked with a queue."""
+    attribute, cut, counts, sizes = [], [], [], []
+    for tree in trees:
+        queue = deque([tree])
+        sizes.append(0)
+        while queue:
+            node = queue.popleft()
+            sizes[-1] += 1
+            if node.is_leaf:
+                attribute.append(-1)
+                counts.append(node.counts)
+            else:
+                attribute.append(node.attribute)
+                cut.append(node.cut)
+                queue += [node.left, node.right]
+    return EtForest(np.array(attribute, dtype=np.int64), np.array(cut, dtype=np.float64),
+                    np.array(counts, dtype=np.int64).reshape(-1, 2), np.array(sizes), params, feature_dim)
+
+
+def link(nodes, min_samples_split: int) -> list:
+    """The trees of a batch grown by ``fingerbci.extratrees._grow`` as linked
+    nodes, every node of fewer than ``min_samples_split`` samples made a
+    leaf; one pass, parents first."""
+    attribute = np.where(nodes.counts.sum(axis=1) < min_samples_split, -1, nodes.attribute).tolist()
+    cut, left, counts = nodes.cut.tolist(), nodes.left.tolist(), nodes.counts.tolist()
+    linked = [None] * len(attribute)
+    for root in nodes.roots.tolist():
+        linked[root] = Node()
+    for i, node in enumerate(linked):
+        if node is None:  # below a node made a leaf
+            continue
+        if attribute[i] < 0:
+            node.counts = tuple(counts[i])
+        else:
+            node.attribute, node.cut = attribute[i], cut[i]
+            node.left = linked[left[i]] = Node()
+            node.right = linked[left[i] + 1] = Node()
+    return [linked[root] for root in nodes.roots.tolist()]
 
 
 def mix(key: int, value: int) -> int:
@@ -38,12 +96,12 @@ def xlogx(count: int) -> float:
     return count * math.log2(count) if count else 0.0
 
 
-def grow(x: np.ndarray, y: np.ndarray, key: int, max_features: int, min_samples_split: int) -> EtNode:
+def grow(x: np.ndarray, y: np.ndarray, key: int, max_features: int, min_samples_split: int) -> Node:
     n, ones = len(y), int(y.sum())
     lows, highs = x.min(axis=0).tolist(), x.max(axis=0).tolist()
     varying = [a for a in range(x.shape[1]) if lows[a] < highs[a]]
     if n < min_samples_split or ones in (0, n) or not varying:
-        return EtNode(counts=(n - ones, ones))
+        return Node(counts=(n - ones, ones))
 
     drawn = sorted(varying, key=lambda a: (mix(key, 2 + 2 * a), a))[:max_features]
     best = None  # (score, attribute, cut, mask)
@@ -64,7 +122,7 @@ def grow(x: np.ndarray, y: np.ndarray, key: int, max_features: int, min_samples_
             best = (score, attribute, cut, mask)
 
     _, attribute, cut, mask = best
-    return EtNode(
+    return Node(
         attribute=attribute,
         cut=cut,
         left=grow(x[mask], y[mask], mix(key, 0), max_features, min_samples_split),
@@ -72,8 +130,9 @@ def grow(x: np.ndarray, y: np.ndarray, key: int, max_features: int, min_samples_
     )
 
 
-def tree_predict(node: EtNode, x) -> int:
-    """Single tree vote for one sample; leaf ties go to class 0."""
+def tree_predict(node, x) -> int:
+    """Single tree vote for one sample; leaf ties go to class 0.  ``node``
+    is a :class:`Node` or a node of the package's ``EtForest.trees``."""
     while not node.is_leaf:
         node = node.left if x[node.attribute] <= node.cut else node.right
     return 1 if node.counts[1] > node.counts[0] else 0
@@ -87,7 +146,7 @@ def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
         grow(x, y, mix(params.seed, t), params.max_features, params.min_samples_split)
         for t in range(params.n_estimators)
     ]
-    return EtForest(trees=trees, params=params, feature_dim=x.shape[1])
+    return array_forest(trees, params, x.shape[1])
 
 
 def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:

@@ -75,20 +75,6 @@ def _cv_accuracies(features, labels, max_features_grid, min_samples_split_grid, 
     return accuracies
 
 
-def _tree_size(tree) -> tuple[int, int]:
-    """(nodes, leaves) of one linked tree."""
-    nodes = leaves = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        if node.is_leaf:
-            leaves += 1
-        else:
-            stack += [node.left, node.right]
-    return nodes, leaves
-
-
 @contextmanager
 def _columns_recorded():
     """Yield a list that gains one decision record per ECOC column fitted.
@@ -116,8 +102,8 @@ def _columns_recorded():
 
     def fitted(*args, **kwargs):
         column = fit_column(*args, **kwargs)
-        sizes = np.array([_tree_size(tree) for tree in column.forest.trees]).sum(axis=0)
-        pending.update(selected_bands=list(column.selected_bands), nodes=int(sizes[0]), leaves=int(sizes[1]))
+        nodes, leaves = len(column.forest.attribute), len(column.forest.counts)
+        pending.update(selected_bands=list(column.selected_bands), nodes=nodes, leaves=leaves)
         columns.append({name: pending.pop(name) for name in COLUMN_FIELDS})
         return column
 

@@ -183,6 +183,23 @@ class TestScoreBands:
         assert np.array_equal(base[2], perturbed[2])
         assert np.array_equal(base[3], perturbed[3])
 
+    def test_fold_fit_ignores_non_finite_heldout_trials(self, scored_decomposition):
+        # Held-out trials enter no sum: a NaN trial that no training set reads leaves every fit as it is.
+        covariances = scored_decomposition.subset(list(range(20))).feature_covariances[:1]
+        labels = np.array([0, 1] * 10)
+        train_mask = np.stack([np.arange(20) % 10 < 6, np.arange(20) % 10 >= 6])[np.newaxis]
+        train_mask[..., 5] = False
+        corrupted = covariances.copy()
+        corrupted[:, 5] = np.nan
+        base = fit_folds(covariances, labels, train_mask, 1, 1e-3)
+        perturbed = fit_folds(corrupted, labels, train_mask, 1, 1e-3)
+        for i in (0, 2, 3):
+            assert np.array_equal(base[i], perturbed[i])
+        assert np.array_equal(np.delete(base[1], 5, axis=2), np.delete(perturbed[1], 5, axis=2))
+        train_mask[0, 1, 5] = True  # a training trial is still read, NaN and all
+        with pytest.raises(ValueError, match="CSP class covariances are not finite"):
+            fit_folds(corrupted, labels, train_mask, 1, 1e-3)
+
 
 class TestSelectBands:
     def score_list(self, values):

@@ -21,6 +21,16 @@ def test_refusal_names_its_field_briefly(field, value):
     assert len(str(caught.value)) < 200
 
 
+def test_band_grid_of_more_bands_than_taps_refused():
+    # 100,000 bands of 2 Hz were listed before any check; a stop of 1e300 would never have returned.
+    fields = r"band grid \(band_start, band_stop, band_width, fir_taps\)"
+    with pytest.raises(ValueError, match=fields + ".*100000 bands of 2.0 Hz, more than 257 taps"):
+        PipelineConfig(band_stop=2e5 + 5)
+    assert len(PipelineConfig(band_start=1.0, band_stop=32.5, band_width=0.5, fir_taps=63).bank().bands) == 63
+    with pytest.raises(ValueError, match="band grid.*64 bands of 0.5 Hz, more than 63 taps"):
+        PipelineConfig(band_start=1.0, band_stop=33.0, band_width=0.5, fir_taps=63)
+
+
 # Settings that construction refuses, each with a fragment of its message.
 REJECTED = {
     "zero band width": ({"band_width": 0.0}, "band grid"),

@@ -38,7 +38,9 @@ from fingerbci.ecoc import (
     predict_trials,
     resolve_feature_grid,
 )
-from fingerbci.extratrees import EtForest, EtNode, EtParams, fit as et_fit, predict as et_predict
+from fingerbci import extratrees
+from fingerbci.evaluation import repeated_holdout
+from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
 
 import bundle_reference
 import extratrees_reference as reference
@@ -550,7 +552,8 @@ class TestVote:
         rng = np.random.default_rng(90)
         model = voting_model(rng, dims=(4, 1, 8, 2, 4, 3, 6), n_estimators=(3, 9, 4, 1, 6, 2, 5))
         # A tied column: one tree votes 1 everywhere and one 0 everywhere.
-        tied = EtForest([EtNode(counts=(0, 2)), EtNode(counts=(2, 0))], EtParams(1, 2, 2), 3)
+        leaves = [reference.Node(counts=(0, 2)), reference.Node(counts=(2, 0))]
+        tied = reference.array_forest(leaves, EtParams(1, 2, 2), 3)
         model.columns[5] = ColumnModel(selected_bands=[], filters=np.empty((0, 2, 1)), forest=tied)
         features = rng.standard_normal((60, 28))
         expected = reference_classes(model, features)
@@ -609,6 +612,33 @@ class TestModelBundle:
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path)
 
+    def test_loaded_forests_vote_as_the_scalar_walk(self, saved_dataset, mini_decomp):
+        # Trial features and random rows, through the loaded arrays and through the scalar walk of their trees view.
+        model, rng = saved_dataset[1], np.random.default_rng(93)
+        real = ecoc._trial_features(model, mini_decomp[0].trials, None)
+        features = np.vstack([real, rng.standard_normal((40, real.shape[1])) * real.std(axis=0) + real.mean(axis=0)])
+        assert np.array_equal(ecoc._vote(model, features), reference_classes(model, features))
+        start = 0
+        for column in model.columns:
+            block = features[:, start : start + column.forest.feature_dim]
+            assert np.array_equal(et_predict(column.forest, block), reference.predict(column.forest, block))
+            start += column.forest.feature_dim
+
+    def test_no_program_path_links_a_tree(self, mini_decomp, tmp_path, monkeypatch):
+        # fit, save_model, load_model, predict_trials and repeated_holdout read the forests' arrays only.
+        def linked(*args, **kwargs):
+            raise AssertionError("a tree was linked")
+
+        monkeypatch.setattr(extratrees, "EtNode", linked)
+        dataset, decomp = mini_decomp
+        model = fit_small_ecoc(decomp)
+        save_model(model, tmp_path)
+        loaded = load_model(tmp_path)
+        assert np.array_equal(predict_trials(loaded, dataset.trials), predict_trials(model, dataset.trials))
+        assert repeated_holdout(decomp, replace(SMALL, repetitions=1, test_fraction=0.25)).kappas
+        with pytest.raises(AssertionError, match="linked"):
+            loaded.columns[0].forest.trees
+
     def test_older_layouts_load_and_resave_to_new_bytes(self, small_bundle, saved_dataset, mini_decomp, tmp_path):
         # The earlier printer (five lines per tree) and a plain two-space re-indent hold the same content.
         data = json.loads(small_bundle)
@@ -661,6 +691,13 @@ def _as_format_2(data):
             for b, block in zip(column["selected_bands"], column.pop("filters"))
         ]
     data.update(format_version=2, n_pairs=1)
+
+
+def _as_format_3(data):
+    """The previous layout: each tree in pre-order."""
+    for column in data["columns"]:
+        column["forest"]["trees"] = [bundle_reference.pre_order(tree) for tree in column["forest"]["trees"]]
+    data.update(format_version=3)
 
 
 class TextEdit:
@@ -775,7 +812,8 @@ BUNDLE_EDITS = {
     "sample_rate not a number": (lambda d: d.update(sample_rate="x"), "'sample_rate'"),
     "classes not a list": (lambda d: d.update(classes="x"), "'classes'"),
     "channel name not a string": (lambda d: d["channel_names"].__setitem__(0, 5), "'channel_names'"),
-    "format 2 bundle": (_as_format_2, "'format_version': 2 is not 3; retrain the model"),
+    "format 2 bundle": (_as_format_2, "'format_version': 2 is not 4; retrain the model"),
+    "format 3 bundle": (_as_format_3, "'format_version': 3 is not 4; retrain the model"),
     "code not a list of rows": (lambda d: d.update(code="x"), "'code'"),
     "forest not an object": (lambda d: d["columns"][0].update(forest=5), "'forest'"),
     "params not an object": (lambda d: _forest(d).update(params=5), "'params'"),
@@ -846,6 +884,18 @@ class TestBundleChecks:
         save_model(loaded, tmp_path / "second")
         assert (tmp_path / "first" / "model.json").read_bytes() == (tmp_path / "second" / "model.json").read_bytes()
         assert np.array_equal(et_predict(loaded.columns[0].forest, features), et_predict(forest, features))
+        probes = features[::40]
+        assert np.array_equal(et_predict(loaded.columns[0].forest, probes), reference.predict(forest, probes))
+
+    def test_format_3_bundle_has_the_same_length_and_is_refused(self, small_bundle, tmp_path):
+        # The same numbers with each tree in pre-order: bundle format 3, which is not read.
+        data = json.loads(small_bundle)
+        _as_format_3(data)
+        text = ecoc._to_json(data) + "\n"
+        assert text != small_bundle and len(text) == len(small_bundle)
+        (tmp_path / "model.json").write_text(text)
+        with pytest.raises(ValueError, match=re.escape("'format_version': 3 is not 4; retrain the model")):
+            load_model(tmp_path)
 
     def test_any_field_of_another_type_fails_with_value_error(self, small_bundle, tmp_path):
         # Every field along the first and last entry of each list, replaced

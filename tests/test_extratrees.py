@@ -6,12 +6,11 @@ import pytest
 from scipy import stats
 
 import extratrees_reference as reference
-from extratrees_reference import tree_predict
+from extratrees_reference import Node, array_forest, tree_predict
 from fingerbci import extratrees
 from fingerbci.crossval import stratified_folds
 from fingerbci.extratrees import (
-    EtForest, EtNode, EtParams, _draw, _fold_votes, _grow, _link, _root_keys, fit, majority, mix, node_table, predict,
-    tune,
+    EtParams, _draw, _fold_votes, _grow, _root_keys, fit, majority, mix, node_table, predict, tune,
 )
 from fingerbci.rng import child_seed, stream
 
@@ -24,7 +23,7 @@ def separable_clusters(rng, n=30, margin=20.0):
     return features, labels
 
 
-def nodes_equal(a: EtNode, b: EtNode) -> bool:
+def nodes_equal(a, b) -> bool:
     """Equal shape, attributes, cuts and leaf counts (Python ints), walked with a stack."""
     stack = [(a, b)]
     while stack:
@@ -41,7 +40,7 @@ def nodes_equal(a: EtNode, b: EtNode) -> bool:
     return True
 
 
-def depth(tree: EtNode) -> int:
+def depth(tree) -> int:
     deepest, stack = 0, [(tree, 0)]
     while stack:
         node, level = stack.pop()
@@ -51,7 +50,7 @@ def depth(tree: EtNode) -> int:
     return deepest
 
 
-def leaf_count_total(node: EtNode) -> int:
+def leaf_count_total(node) -> int:
     if node.is_leaf:
         return node.counts[0] + node.counts[1]
     return leaf_count_total(node.left) + leaf_count_total(node.right)
@@ -145,9 +144,9 @@ class TestPredict:
         assert predict(forest, np.array([[5.0]]))[0] == 1
 
     def test_leaf_tie_votes_class_zero(self):
-        leaf = EtNode(counts=(3, 3))
+        leaf = Node(counts=(3, 3))
         assert tree_predict(leaf, np.zeros(1)) == 0
-        assert predict(EtForest([leaf], EtParams(1, 2, 1), 1), np.zeros((1, 1)))[0] == 0
+        assert predict(array_forest([leaf], EtParams(1, 2, 1), 1), np.zeros((1, 1)))[0] == 0
 
     def test_dimension_mismatch_rejected(self):
         features, labels = separable_clusters(np.random.default_rng(19), n=5)
@@ -156,13 +155,13 @@ class TestPredict:
             predict(forest, np.zeros((2, 5)))
 
 
-def chain(length: int, feature_dim: int = 1) -> EtNode:
+def chain(length: int, feature_dim: int = 1) -> Node:
     """A tree of ``length`` splits, each with a leaf on the left: node ``k``
     sends values up to ``k`` of feature ``k % feature_dim`` to a leaf voting
     ``k % 2``; built bottom-up, without recursion."""
-    node = EtNode(counts=(0, 1))
+    node = Node(counts=(0, 1))
     for k in reversed(range(length)):
-        node = EtNode(attribute=k % feature_dim, cut=float(k), left=EtNode(counts=(1 - k % 2, k % 2)), right=node)
+        node = Node(attribute=k % feature_dim, cut=float(k), left=Node(counts=(1 - k % 2, k % 2)), right=node)
     return node
 
 
@@ -192,13 +191,13 @@ class TestNodeTable:
 
     def test_single_leaf_tree(self):
         for counts, vote in (((1, 2), 1), ((2, 1), 0), ((0, 0), 0)):
-            forest = EtForest([EtNode(counts=counts)], EtParams(1, 2, 1), 2)
+            forest = array_forest([Node(counts=counts)], EtParams(1, 2, 1), 2)
             assert node_table([forest]).depth == 0
             assert np.array_equal(predict(forest, np.zeros((3, 2))), [vote] * 3)
 
     def test_tied_forest_votes_zero(self):
-        trees = [EtNode(counts=(0, 4)), EtNode(0, 0.0, EtNode(counts=(5, 0)), EtNode(counts=(0, 5)))]
-        forest = EtForest(trees, EtParams(1, 2, 2), 1)
+        trees = [Node(counts=(0, 4)), Node(0, 0.0, Node(counts=(5, 0)), Node(counts=(0, 5)))]
+        forest = array_forest(trees, EtParams(1, 2, 2), 1)
         # -1 splits left (two votes 1 and 0: a tie), 1 splits right (two votes 1).
         assert np.array_equal(predict(forest, np.array([[-1.0], [1.0]])), [0, 1])
         assert np.array_equal(reference.predict(forest, np.array([[-1.0], [1.0]])), [0, 1])
@@ -206,7 +205,7 @@ class TestNodeTable:
     def test_chain_deeper_than_recursion_limit(self):
         length = 2000
         assert length > sys.getrecursionlimit()
-        forest = EtForest([chain(length)], EtParams(1, 2, 1), 1)
+        forest = array_forest([chain(length)], EtParams(1, 2, 1), 1)
         table = node_table([forest])
         assert table.depth == length and len(table.attribute) == 2 * length + 1
         rows = np.array([[-1.0], [0.5], [1.0], [1000.5], [1998.0], [1999.0], [1999.5], [np.inf]])
@@ -223,7 +222,7 @@ class TestNodeTable:
             labels[:2] = [0, 1]
             forests.append(fit(features, labels, EtParams(max_features=dim, min_samples_split=2, n_estimators=5 + i,
                                                           seed=i)))
-        forests.append(EtForest([chain(40, feature_dim=2)], EtParams(1, 2, 1), 2))
+        forests.append(array_forest([chain(40, feature_dim=2)], EtParams(1, 2, 1), 2))
         rows = rng.standard_normal((25, 13)) * np.r_[np.ones(11), 20.0, 20.0]
         table = node_table(forests)
         assert list(table.trees) == [5, 6, 7, 8, 1]
@@ -242,6 +241,37 @@ class TestNodeTable:
         monkeypatch.setattr(extratrees, "BATCH_PAIRS", 4 * len(node_table([forest]).attribute))  # four rows a chunk
         assert np.array_equal(predict(forest, rows), whole)
         assert np.array_equal(whole, reference.predict(forest, rows))
+
+
+class TestArrayForest:
+    """Forests hold each tree's arrays in level order; ``trees`` links them."""
+
+    def test_hand_made_tree_in_level_order(self):
+        # A split on feature 0 whose right child splits feature 1: the k-th
+        # internal node's children are nodes 2k + 1 and 2k + 2.
+        tree = Node(0, 0.5, Node(counts=(1, 0)), Node(1, 2.5, Node(counts=(0, 2)), Node(counts=(3, 0))))
+        forest = array_forest([Node(counts=(4, 1)), tree], EtParams(1, 2, 2), 2)
+        assert forest.attribute.tolist() == [-1, 0, -1, 1, -1, -1]
+        assert forest.cut.tolist() == [0.5, 2.5]
+        assert forest.counts.tolist() == [[4, 1], [1, 0], [0, 2], [3, 0]]
+        assert forest.sizes.tolist() == [1, 5]
+        assert all(nodes_equal(a, b) for a, b in zip(forest.trees, [Node(counts=(4, 1)), tree]))
+        table = node_table([forest])
+        assert table.left.tolist() == [0, 2, 2, 4, 4, 5] and table.right.tolist() == [0, 3, 2, 5, 4, 5]
+        assert table.roots.tolist() == [0, 1] and table.depth == 2
+        rows = np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 3.0]])
+        assert np.array_equal(predict(array_forest([tree], EtParams(1, 2, 1), 2), rows), [0, 1, 0])
+
+    def test_trees_view_lays_out_as_the_arrays(self):
+        # The view, laid out again breadth first by the reference, gives the arrays back.
+        rng = np.random.default_rng(83)
+        for i in range(40):
+            features, labels, params = random_problem(rng, i)
+            forest = fit(features, labels, params)
+            again = array_forest(forest.trees, params, features.shape[1])
+            for name in ("attribute", "cut", "counts", "sizes"):
+                assert np.array_equal(getattr(forest, name), getattr(again, name)), f"problem {i}: {name}"
+            assert forest.trees[0] is not forest.trees[0]  # linked anew at every call
 
 
 class TestTune:
@@ -365,6 +395,8 @@ class TestReferenceEquivalence:
         for i in range(240):
             features, labels, params = random_problem(rng, i)
             fast, slow = fit(features, labels, params), reference.fit(features, labels, params)
+            for name in ("attribute", "cut", "counts", "sizes"):
+                assert np.array_equal(getattr(fast, name), getattr(slow, name)), f"problem {i}: {name}"
             assert all(nodes_equal(a, b) for a, b in zip(fast.trees, slow.trees)), f"problem {i}: {params}"
             probes = np.vstack([features, rng.standard_normal((10, features.shape[1]))])
             assert np.array_equal(predict(fast, probes), reference.predict(slow, probes)), f"problem {i}"
@@ -378,7 +410,8 @@ class TestReferenceEquivalence:
                           _root_keys(params.seed, n), 2)
             for m in (2, 3, 5, 9, 60):
                 grown = fit(features, labels, replace(params, min_samples_split=m))
-                assert all(nodes_equal(a, b) for a, b in zip(_link(nodes, m), grown.trees)), f"problem {i}, m {m}"
+                linked = reference.link(nodes, m)
+                assert all(nodes_equal(a, b) for a, b in zip(linked, grown.trees)), f"problem {i}, m {m}"
 
     @pytest.mark.parametrize("seed", range(3))
     def test_tune_votes_equal_the_fitted_fold_forests(self, seed):
@@ -422,5 +455,6 @@ class TestReferenceEquivalence:
         forest = fit(features, labels, params)
         assert depth(forest.trees[0]) > sys.getrecursionlimit()
         assert np.array_equal(predict(forest, features), labels)
+        assert np.array_equal(predict(forest, features[::40]), reference.predict(forest, features[::40]))
         with pytest.raises(RecursionError):
             reference.fit(features, labels, params)
