@@ -5,11 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from sys import float_info
 
 from .bandselect import DEFAULT_SHRINKAGE
 from .dsp import DEFAULT_TAPS, FilterBank, make_bank
-from .trialstore import describe
+from .trialstore import describe, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an integer, got {describe(value)}")
         for name in ("band_start", "band_stop", "band_width", "lda_shrinkage", "test_fraction"):
             value = getattr(self, name)
-            if type(value) not in (int, float) or not abs(value) <= float_info.max:  # an int may exceed float64
+            if not is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {describe(value)}")
         for name in ("et_max_features", "et_min_samples_split", "et_n_estimators"):
             values = getattr(self, name)

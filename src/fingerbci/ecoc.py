@@ -14,9 +14,7 @@ rows mapped to the pair's classes.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -27,14 +25,13 @@ from .bandselect import score_bands_for_labels, select_bands
 from .config import PipelineConfig
 from .csp import class_covariances, fit_csp_stack, kept_filters, log_ratios, log_variance_features
 from .dsp import BandDecomposition, BankError, RowPlan, check_bank, row_plan, row_variances
-from .extratrees import EtForest, EtParams, NodeTable, fit as et_fit, majority, node_table, tune as et_tune
+from .extratrees import EtForest, EtParams, NodeTable, fit as et_fit, majority, node_table, tree_sizes, tune as et_tune
 from .rng import child_seed
-from .trialstore import Trial, describe, replacing
+from .trialstore import Trial, describe, is_finite_number, replacing
 
 MODEL_NAME = "model.json"
-# Bundle layout 4: each column's kept CSP filters as one 3-D list, each tree as level-order lists.
-FORMAT_VERSION = 4
-TREE_FIELDS = ("attribute", "cut", "counts")
+# Bundle layout 5: each column's kept CSP filters as one 3-D list, its forest as the three level-order lists.
+FORMAT_VERSION = 5
 
 
 def check_code(bits: np.ndarray) -> None:
@@ -317,19 +314,6 @@ def predict_ecoc(
 # --- model bundle serialization -------------------------------------------
 
 
-def _trees_to_json(forest: EtForest) -> list[dict]:
-    """Each tree's level-order lists: ``attribute`` of every node (-1 for a
-    leaf), ``cut`` of every internal node and the two class ``counts`` of
-    every leaf."""
-    ends = np.cumsum(forest.sizes)[:-1]
-    inner = np.cumsum(forest.attribute >= 0)[ends - 1]  # internal nodes before each tree after the first
-    return [
-        {"attribute": a.tolist(), "cut": c.tolist(), "counts": n.ravel().tolist()}
-        for a, c, n in zip(np.split(forest.attribute, ends), np.split(forest.cut, inner),
-                           np.split(forest.counts, ends - inner))
-    ]
-
-
 def _column_to_json(column: ColumnModel) -> dict:
     forest = column.forest
     return {
@@ -338,7 +322,9 @@ def _column_to_json(column: ColumnModel) -> dict:
         "forest": {
             "params": asdict(forest.params),
             "feature_dim": forest.feature_dim,
-            "trees": _trees_to_json(forest),
+            "attribute": forest.attribute.tolist(),
+            "cut": forest.cut.tolist(),
+            "counts": forest.counts.ravel().tolist(),
         },
     }
 
@@ -381,10 +367,6 @@ def _require(ok: bool, name: str, message: str) -> None:
         raise ValueError(f"model bundle field {name!r}: {message}")
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max  # finite, and within float64's range
-
-
 def _is_list_of(values, kind: type) -> bool:
     return type(values) is list and {kind}.issuperset(map(type, values))
 
@@ -410,32 +392,26 @@ def _array(data: dict, name: str) -> np.ndarray:
         raise ValueError(f"model bundle field {name!r}: {exc}") from None
 
 
-def _check_trees(trees: list[dict], j: int, feature_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Column ``j``'s level-order lists as the ``attribute``, ``cut``, ``counts`` and ``sizes`` arrays of an
-    :class:`~fingerbci.extratrees.EtForest`, checked chained: refused unless each tree is a binary tree reading
-    ``feature_dim`` features; of several faults, the first of attribute, cut and counts is named."""
-    attributes, cuts, counts = ([tree[name] for tree in trees] for name in TREE_FIELDS)
-    flat = list(itertools.chain.from_iterable(attributes)) if _is_list_of(attributes, list) else None
-    _require(_is_list_of(flat, int) and all(attributes) and min(flat) >= -1 and max(flat) < feature_dim,
-             "attribute", f"column {j} has a tree whose attributes are not integers in [-1, {feature_dim})")
-    attribute, sizes = np.array(flat), np.array([len(a) for a in attributes])
-    ends = np.cumsum(sizes)
-    # Children owed after each node, from its tree's root: in level order as in pre-order, a binary tree
-    # owes none only after its last node.
-    steps = np.cumsum(np.where(attribute >= 0, 1, -1))
-    owed = 1 + steps - np.repeat(np.r_[0, steps[ends[:-1] - 1]], sizes)
-    _require(np.array_equal(np.flatnonzero(owed <= 0), ends - 1), "attribute",
-             f"column {j} has a tree whose attributes are not a binary tree in level order")
-    # A binary tree of n nodes has (n - 1) / 2 internal nodes and (n + 1) / 2 leaves.
-    flat = list(itertools.chain.from_iterable(cuts)) if _is_list_of(cuts, list) else None
-    _require(flat is not None and list(map(len, cuts)) == ((sizes - 1) // 2).tolist() and all(map(_is_number, flat)),
-             "cut", f"column {j} has a tree without one finite numeric cut per internal node")
-    cut = np.array(flat, dtype=np.float64)
-    flat = list(itertools.chain.from_iterable(counts)) if _is_list_of(counts, list) else None
-    _require(_is_list_of(flat, int) and list(map(len, counts)) == (sizes + 1).tolist()
-             and min(flat) >= 0 and max(flat) < 2**63,
-             "counts", f"column {j} has a tree without two integer counts in [0, 2**63) per leaf")
-    return attribute, cut, np.array(flat, dtype=np.int64).reshape(-1, 2), sizes
+def _check_trees(forest: dict, j: int, params: EtParams, feature_dim: int) -> EtForest:
+    """Column ``j``'s ``forest`` object as an :class:`~fingerbci.extratrees.EtForest`, refused unless its
+    level-order lists hold ``params.n_estimators`` binary trees reading ``feature_dim`` features; of several
+    faults, the first of attribute, n_estimators, cut and counts is named."""
+    values = forest["attribute"]
+    _require(_is_list_of(values, int) and min(values, default=-1) >= -1 and max(values, default=-1) < feature_dim,
+             "attribute", f"column {j} has attributes that are not integers in [-1, {feature_dim})")
+    attribute = np.array(values, dtype=np.int64)
+    sizes = tree_sizes(attribute)
+    _require(sizes.sum() == len(attribute), "attribute", f"column {j} has attributes that end inside a binary tree")
+    _require(len(sizes) == params.n_estimators >= 1, "n_estimators",
+             f"column {j} has {len(sizes)} trees for n_estimators {params.n_estimators}")
+    cut, counts, inner = forest["cut"], forest["counts"], int(np.count_nonzero(attribute >= 0))
+    _require(type(cut) is list and len(cut) == inner and all(map(is_finite_number, cut)), "cut",
+             f"column {j} has not one finite numeric cut per internal node")
+    _require(_is_list_of(counts, int) and len(counts) == 2 * (len(attribute) - inner)
+             and min(counts, default=0) >= 0 and max(counts, default=0) < 2**63,
+             "counts", f"column {j} has not two integer counts in [0, 2**63) per leaf")
+    cut, counts = np.array(cut, dtype=np.float64), np.array(counts, dtype=np.int64).reshape(-1, 2)
+    return EtForest(attribute, cut, counts, sizes, params, feature_dim)
 
 
 def _check_model(model: EcocModel) -> None:
@@ -450,9 +426,9 @@ def _check_model(model: EcocModel) -> None:
         raise ValueError(f"model bundle field 'code': {exc}") from None
     for name in ("class_names", "channel_names"):
         _require(_is_list_of(getattr(model, name), str), name, "must be a list of strings")
-    _require(_is_number(model.sample_rate), "sample_rate", f"{describe(model.sample_rate)} is not a finite number")
+    _require(is_finite_number(model.sample_rate), "sample_rate", f"{describe(model.sample_rate)} is not a finite number")
     for band in model.bands:
-        ok = len(band) == 2 and all(_is_number(f) for f in band)
+        ok = len(band) == 2 and all(map(is_finite_number, band))
         _require(ok, "bands", f"{describe(list(band))} is not a (low, high) pair")
     try:
         check_bank(model.bands, model.sample_rate, model.taps)
@@ -488,10 +464,7 @@ def _column_from_json(data: dict, j: int, model: EcocModel) -> ColumnModel:
              f"column {j} reads {feature_dim!r} features, its bands give {expected_dim}")
     for name, value in asdict(params).items():
         _require(type(value) is int, name, f"column {j} has a forest with {name} {value!r}, not an integer")
-    trees = _entries(forest, "trees", dict)
-    _require(len(trees) == params.n_estimators >= 1, "trees",
-             f"column {j} has {len(trees)} trees for n_estimators {params.n_estimators}")
-    return ColumnModel(bands, filters, EtForest(*_check_trees(trees, j, expected_dim), params, feature_dim))
+    return ColumnModel(bands, filters, _check_trees(forest, j, params, feature_dim))
 
 
 def load_model(path: str | Path) -> EcocModel:

@@ -91,6 +91,16 @@ class EtForest:
         return _link(self)
 
 
+def tree_sizes(attribute: np.ndarray) -> np.ndarray:
+    """The node count of each whole tree of level-order ``attribute`` arrays laid end to end, as in
+    :class:`EtForest`: a binary tree ends at the node where its leaves first outnumber its internal nodes.
+    Nodes after the last whole tree are not counted."""
+    # Leaves minus internal nodes so far moves by one per node, so tree k ends where its running maximum
+    # first reaches k + 1.
+    record = np.maximum.accumulate(np.cumsum(np.where(attribute < 0, 1, -1)))
+    return np.diff(np.searchsorted(record, np.arange(1, record.max(initial=0) + 1)), prepend=-1)
+
+
 def mix(keys, values) -> np.ndarray:
     """splitmix64 output ``values + 1`` of the generator started at ``keys``,
     broadcast as ``uint64`` arrays of at least one dimension, whose

@@ -178,7 +178,7 @@ def load_dataset(path: str | Path) -> Dataset:
             raise ValueError(f"corrupt manifest: {exc}") from exc
     if type(manifest) is not dict:
         raise ValueError("corrupt manifest: not a JSON object")
-    sample_rate = float(_field(manifest, "sample_rate", lambda v: type(v) in (int, float) and 0 < v <= float_info.max,
+    sample_rate = float(_field(manifest, "sample_rate", lambda v: is_finite_number(v) and v > 0,
                                "a positive finite number"))
     channel_names = _entries(manifest, "channel_names", str, "a list of strings")
     class_names = _entries(manifest, "class_names", str, "a list of strings")
@@ -212,6 +212,11 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ValueError(f"{TRIALS_NAME} has {size} bytes, manifest accounts for {expected_offset}")
 
     return Dataset(sample_rate=sample_rate, channel_names=channel_names, class_names=class_names, trials=trials)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an ``int`` or ``float``, finite and within float64's range (an ``int`` may exceed it)."""
+    return type(value) in (int, float) and abs(value) <= float_info.max
 
 
 def describe(value) -> str:

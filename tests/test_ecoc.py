@@ -640,7 +640,7 @@ class TestModelBundle:
             loaded.columns[0].forest.trees
 
     def test_older_layouts_load_and_resave_to_new_bytes(self, small_bundle, saved_dataset, mini_decomp, tmp_path):
-        # The earlier printer (five lines per tree) and a plain two-space re-indent hold the same content.
+        # The earlier printer (every object across lines) and a plain two-space re-indent hold the same content.
         data = json.loads(small_bundle)
         trials = mini_decomp[0].trials
         expected = predict_trials(saved_dataset[1], trials)
@@ -693,8 +693,19 @@ def _as_format_2(data):
     data.update(format_version=2, n_pairs=1)
 
 
+def _as_format_4(data):
+    """The previous layout: one object of level-order lists per tree."""
+    for j, column in enumerate(data["columns"]):
+        forest = column["forest"]
+        forest["trees"] = bundle_reference.split_trees(forest, j, forest["feature_dim"])
+        for name in TREE_LISTS:
+            del forest[name]
+    data.update(format_version=4)
+
+
 def _as_format_3(data):
-    """The previous layout: each tree in pre-order."""
+    """The layout before that: each tree in pre-order."""
+    _as_format_4(data)
     for column in data["columns"]:
         column["forest"]["trees"] = [bundle_reference.pre_order(tree) for tree in column["forest"]["trees"]]
     data.update(format_version=3)
@@ -715,32 +726,38 @@ def _set_filter_entry(value):
     return lambda data: _filters(data)[0][0].__setitem__(0, value)
 
 
+# The level-order lists of a forest in the bundle, each tree's after the one before.
+TREE_LISTS = ("attribute", "cut", "counts")
+
+
 def _forest(data):
     return data["columns"][0]["forest"]
 
 
-def _split_tree(data):
-    """The first tree of column 0 with an internal node."""
-    return next(t for t in _forest(data)["trees"] if max(t["attribute"]) >= 0)
-
-
-def _set_tree(field, index, value):
-    """Set entry ``index`` of a tree list (for ``attribute``, of the
-    ``index``-th internal node)."""
+def _set_entry(field, index, value):
+    """Set entry ``index`` of one of column 0's forest lists (for
+    ``attribute``, of the ``index``-th internal node)."""
     def edit(data):
-        tree = _split_tree(data)
-        if field == "attribute":
-            index_of = [i for i, a in enumerate(tree["attribute"]) if a >= 0][index]
-            tree["attribute"][index_of] = value
-        else:
-            tree[field][index] = value
+        values = _forest(data)[field]
+        values[[i for i, a in enumerate(values) if a >= 0][index] if field == "attribute" else index] = value
     return edit
 
 
 def _drop_last_leaf(data):
-    tree = _split_tree(data)
-    tree["attribute"].pop()
-    del tree["counts"][-2:]
+    """Drop column 0's last node, a leaf of a tree with internal nodes, and its two counts."""
+    forest = _forest(data)
+    forest["attribute"].pop()
+    del forest["counts"][-2:]
+
+
+def _one_tree_fewer(data):
+    _forest(data)["params"]["n_estimators"] += 1
+
+
+def _drop_last_tree(data):
+    forest = _forest(data)
+    trees = bundle_reference.split_trees(forest, 0, forest["feature_dim"])[:-1]
+    forest.update({name: [v for tree in trees for v in tree[name]] for name in TREE_LISTS})
 
 
 # Hand edits of a valid 4-class bundle, each with the field its error must name.
@@ -757,22 +774,24 @@ BUNDLE_EDITS = {
     "channel dropped": (lambda d: d["channel_names"].pop(), "'filters'"),
     "feature_dim off by one": (_feature_dim_off_by_one, "'feature_dim'"),
     "classes field missing": (lambda d: d.pop("classes"), "lacks field 'classes'"),
-    "attribute beyond feature_dim": (_set_tree("attribute", 0, 999), "'attribute'"),
-    "negative attribute": (_set_tree("attribute", 0, -2), "'attribute'"),
-    "internal node made a leaf": (_set_tree("attribute", 0, -1), "'attribute'"),
-    "fractional attribute": (_set_tree("attribute", 0, 1.5), "'attribute'"),
-    "attribute not a number": (_set_tree("attribute", 0, "1"), "'attribute'"),
+    "attribute beyond feature_dim": (_set_entry("attribute", 0, 999), "'attribute'"),
+    "negative attribute": (_set_entry("attribute", 0, -2), "'attribute'"),
+    "internal node made a leaf": (_set_entry("attribute", 0, -1), "'n_estimators'"),  # two more whole trees
+    "fractional attribute": (_set_entry("attribute", 0, 1.5), "'attribute'"),
+    "attribute not a number": (_set_entry("attribute", 0, "1"), "'attribute'"),
     "leaf dropped": (_drop_last_leaf, "'attribute'"),
-    "cut not a number": (_set_tree("cut", 0, float("nan")), "'cut'"),
-    "infinite cut": (_set_tree("cut", 0, float("inf")), "'cut'"),
-    "cut missing": (lambda d: _split_tree(d)["cut"].pop(), "'cut'"),
-    "tree lacks cut": (lambda d: _split_tree(d).pop("cut"), "lacks field 'cut'"),
-    "leaf with three counts": (lambda d: _split_tree(d)["counts"].insert(0, 1), "'counts'"),
-    "leaf with one count": (lambda d: _split_tree(d)["counts"].pop(0), "'counts'"),
-    "negative count": (_set_tree("counts", 0, -1), "'counts'"),
-    "fractional count": (_set_tree("counts", 0, 1.5), "'counts'"),
-    "cut not numeric": (_set_tree("cut", 0, "x"), "'cut'"),
-    "counts not a list": (lambda d: _split_tree(d).update(counts=3), "'counts'"),
+    "attribute ends inside a tree": (lambda d: _forest(d)["attribute"].append(0), "'attribute'"),
+    "cut not a number": (_set_entry("cut", 0, float("nan")), "'cut'"),
+    "infinite cut": (_set_entry("cut", 0, float("inf")), "'cut'"),
+    "cut missing": (lambda d: _forest(d)["cut"].pop(), "'cut'"),
+    "tree lacks cut": (lambda d: _forest(d).pop("cut"), "lacks field 'cut'"),
+    "leaf with three counts": (lambda d: _forest(d)["counts"].insert(0, 1), "'counts'"),
+    "leaf with one count": (lambda d: _forest(d)["counts"].pop(0), "'counts'"),
+    "counts one entry short": (lambda d: _forest(d)["counts"].pop(), "'counts'"),
+    "negative count": (_set_entry("counts", 0, -1), "'counts'"),
+    "fractional count": (_set_entry("counts", 0, 1.5), "'counts'"),
+    "cut not numeric": (_set_entry("cut", 0, "x"), "'cut'"),
+    "counts not a list": (lambda d: _forest(d).update(counts=3), "'counts'"),
     "format_version missing": (lambda d: d.pop("format_version"), "lacks field 'format_version'"),
     "format_version 1": (lambda d: d.update(format_version=1), "'format_version'"),
     "code row one entry short": (lambda d: d["code"][1].pop(), "'code'"),
@@ -785,7 +804,7 @@ BUNDLE_EDITS = {
     "integer CSP filters": (_edit_blocks(lambda block: [[round(v) for v in row] for row in block]), "'filters'"),
     "infinite CSP filter entry": (_set_filter_entry(float("inf")), "'filters'"),
     "column lacks filters": (lambda d: d["columns"][0].pop("filters"), "lacks field 'filters'"),
-    "trees not a list": (lambda d: _forest(d).update(trees=5), "'trees'"),
+    "attribute not a list": (lambda d: _forest(d).update(attribute=5), "'attribute'"),
     "columns not a list": (lambda d: d.update(columns=5), "'columns'"),
     "band not a list": (lambda d: d["bands"].__setitem__(0, 5), "'bands'"),
     "even taps": (lambda d: d.update(taps=64), "'taps'"),
@@ -804,16 +823,17 @@ BUNDLE_EDITS = {
     "feature_dim a string": (lambda d: _forest(d).update(feature_dim=str(_forest(d)["feature_dim"])), "'feature_dim'"),
     "NaN CSP filter entry": (_set_filter_entry(float("nan")), "'filters'"),
     "CSP filter entry whose projections overflow": (_set_filter_entry(-1e308), "'filters'"),
-    "integer cut beyond float64": (_set_tree("cut", 0, 10**400), "'cut'"),
+    "integer cut beyond float64": (_set_entry("cut", 0, 10**400), "'cut'"),
     "integer sample_rate beyond float64": (lambda d: d.update(sample_rate=10**400), "'sample_rate'"),
     "CSP filter entry not a number": (_set_filter_entry("x"), "'filters'"),
-    "empty forest": (lambda d: _forest(d).update(trees=[]), "'trees'"),
-    "tree missing": (lambda d: _forest(d)["trees"].pop(), "'trees'"),
+    "empty forest": (lambda d: _forest(d).update(attribute=[], cut=[], counts=[]), "'n_estimators'"),
+    "tree missing": (_drop_last_tree, "'n_estimators'"),
+    "one tree fewer than n_estimators": (_one_tree_fewer, "'n_estimators'"),
     "sample_rate not a number": (lambda d: d.update(sample_rate="x"), "'sample_rate'"),
     "classes not a list": (lambda d: d.update(classes="x"), "'classes'"),
     "channel name not a string": (lambda d: d["channel_names"].__setitem__(0, 5), "'channel_names'"),
-    "format 2 bundle": (_as_format_2, "'format_version': 2 is not 4; retrain the model"),
-    "format 3 bundle": (_as_format_3, "'format_version': 3 is not 4; retrain the model"),
+    "format 2 bundle": (_as_format_2, "'format_version': 2 is not 5; retrain the model"),
+    "format 3 bundle": (_as_format_3, "'format_version': 3 is not 5; retrain the model"),
     "code not a list of rows": (lambda d: d.update(code="x"), "'code'"),
     "forest not an object": (lambda d: d["columns"][0].update(forest=5), "'forest'"),
     "params not an object": (lambda d: _forest(d).update(params=5), "'params'"),
@@ -837,16 +857,27 @@ class TestBundleChecks:
         assert load_model(tmp_path).classes == [0, 1, 2, 3]
 
     def test_bundle_writes_number_lists_on_one_line(self, small_bundle):
-        tree = json.loads(small_bundle)["columns"][0]["forest"]["trees"][0]
-        assert f'"attribute": {json.dumps(tree["attribute"])}' in small_bundle
+        # Each forest holds its three level-order lists, each on one line, and no object per tree.
+        lines = [line.strip().rstrip(",") for line in small_bundle.splitlines()]
+        for column in json.loads(small_bundle)["columns"]:
+            forest = column["forest"]
+            assert sorted(forest) == sorted(("params", "feature_dim", *TREE_LISTS))
+            for name in TREE_LISTS:
+                assert f'"{name}": {json.dumps(forest[name])}' in lines
+        assert '"trees"' not in small_bundle
 
     def test_each_tree_is_one_line(self, small_bundle):
+        # Each tree's level-order lists run, one tree after the other, inside its forest's one line per list.
         lines = [line.strip().rstrip(",") for line in small_bundle.splitlines()]
-        trees = [tree for column in json.loads(small_bundle)["columns"] for tree in column["forest"]["trees"]]
-        assert [json.loads(line) for line in lines if line.startswith('{"attribute"')] == trees
+        for j, column in enumerate(json.loads(small_bundle)["columns"]):
+            forest = column["forest"]
+            trees = bundle_reference.split_trees(forest, j, forest["feature_dim"])
+            assert len(trees) == forest["params"]["n_estimators"]
+            for name in TREE_LISTS:
+                assert f'"{name}": {json.dumps([v for tree in trees for v in tree[name]])}' in lines
 
     def test_containers_of_numbers_on_one_line(self, small_bundle):
-        # params, code, bands, each band's filter block and each tree; every other container spans lines.
+        # params, code, bands, each band's filter block and each forest list; every other container spans lines.
         def containers(value):
             if type(value) in (dict, list):
                 yield value
@@ -864,7 +895,7 @@ class TestBundleChecks:
                 assert one_line in small_bundle
             else:
                 assert one_line not in small_bundle
-        assert flat > 7 * SMALL.et_n_estimators[0]
+        assert flat >= 7 * (1 + len(TREE_LISTS) + 1)  # per column: params, the forest lists, a filter block
 
     def test_tree_deeper_than_recursion_limit_round_trips(self, tmp_path):
         # The deep chain of the extra-trees tests, beside a constant second
@@ -887,14 +918,19 @@ class TestBundleChecks:
         probes = features[::40]
         assert np.array_equal(et_predict(loaded.columns[0].forest, probes), reference.predict(forest, probes))
 
-    def test_format_3_bundle_has_the_same_length_and_is_refused(self, small_bundle, tmp_path):
-        # The same numbers with each tree in pre-order: bundle format 3, which is not read.
+    def test_format_4_bundle_is_refused(self, small_bundle, tmp_path):
+        # The same forests with one object of level-order lists per tree: bundle format 4, which is not read.
         data = json.loads(small_bundle)
-        _as_format_3(data)
+        _as_format_4(data)
+        for column, read in zip(json.loads(small_bundle)["columns"], data["columns"]):
+            trees = read["forest"]["trees"]
+            assert len(trees) == column["forest"]["params"]["n_estimators"]
+            for name in TREE_LISTS:
+                assert [v for tree in trees for v in tree[name]] == column["forest"][name]
         text = ecoc._to_json(data) + "\n"
-        assert text != small_bundle and len(text) == len(small_bundle)
+        assert len(text) > len(small_bundle)
         (tmp_path / "model.json").write_text(text)
-        with pytest.raises(ValueError, match=re.escape("'format_version': 3 is not 4; retrain the model")):
+        with pytest.raises(ValueError, match=re.escape("'format_version': 4 is not 5; retrain the model")):
             load_model(tmp_path)
 
     def test_any_field_of_another_type_fails_with_value_error(self, small_bundle, tmp_path):
@@ -984,7 +1020,7 @@ class TestPerColumnTreeChecks:
     @given(data=st.data())
     def test_mutants_judged_as_per_tree(self, small_bundle, saved_dataset, data):
         directory = saved_dataset[2]
-        within = data.draw(st.sampled_from([None, "trees"]), label="within")
+        within = data.draw(st.sampled_from([None, "forest"]), label="within")
         (directory / "model.json").write_text(mutated(small_bundle, data, within))
         assert judged(directory) == judged_per_tree(directory)
 

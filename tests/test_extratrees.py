@@ -10,7 +10,7 @@ from extratrees_reference import Node, array_forest, tree_predict
 from fingerbci import extratrees
 from fingerbci.crossval import stratified_folds
 from fingerbci.extratrees import (
-    EtParams, _draw, _fold_votes, _grow, _root_keys, fit, majority, mix, node_table, predict, tune,
+    EtParams, _draw, _fold_votes, _grow, _root_keys, fit, majority, mix, node_table, predict, tree_sizes, tune,
 )
 from fingerbci.rng import child_seed, stream
 
@@ -272,6 +272,17 @@ class TestArrayForest:
             for name in ("attribute", "cut", "counts", "sizes"):
                 assert np.array_equal(getattr(forest, name), getattr(again, name)), f"problem {i}: {name}"
             assert forest.trees[0] is not forest.trees[0]  # linked anew at every call
+
+    def test_tree_sizes_from_attributes_alone(self):
+        # Every fitted forest's sizes, from its attributes; nodes of a tree cut short are not counted.
+        rng = np.random.default_rng(84)
+        for i in range(40):
+            features, labels, params = random_problem(rng, i)
+            forest = fit(features, labels, params)
+            assert np.array_equal(tree_sizes(forest.attribute), forest.sizes), f"problem {i}"
+            assert np.array_equal(tree_sizes(forest.attribute[:-1]), forest.sizes[:-1]), f"problem {i}"
+        assert tree_sizes(np.array([-1, 0, -1, 1, -1, -1, 0, -1])).tolist() == [1, 5]
+        assert tree_sizes(np.array([0, 0])).tolist() == [] and tree_sizes(np.array([], dtype=np.int64)).tolist() == []
 
 
 class TestTune:
