@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 # Ridge added to a composite covariance whose Cholesky factorisation fails,
-# scaled by trace/N; guards rank deficiency from short trimmed trials.
+# scaled by trace/N; guards rank deficiency, as of few trials with many channels.
 RIDGE = 1e-8
 
 

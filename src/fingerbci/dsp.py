@@ -1,24 +1,23 @@
-"""FIR bandpass design and filter-bank decomposition.
+"""FIR bandpass design and the filter bank's band covariances.
 
 Filters are linear-phase windowed-sinc bandpasses (Hamming window),
-normalized to unit gain at the band center.  Application is zero-phase
-forward-backward filtering with the warm-up transients trimmed, so band
-power estimates downstream are not biased by edge effects.
+normalized to unit gain at the band center.  :func:`apply_filter` runs one
+filter over one trial's time series: zero-phase forward-backward filtering
+with the warm-up transients trimmed.
 
-:func:`apply_filter` runs one filter over one trial's time series.  The
-filter bank (:func:`band_covariances`, :func:`decompose`) computes the same
-output in one valid-mode convolution per band and keeps only the centred
-spatial covariance that training reads.  Serving (:func:`row_variances`) keeps
-only the centred variances of given spatial rows, each in its own band,
-and filters all bands in one pass: one product, one kernel multiply and
-one irfft over the rows or the channels, whichever are fewer.
+The decoder reads only second-order band statistics, and forward-backward
+filtering weights each frequency bin by ``|H_b(k)|^4``.  So every band
+covariance the decoder trains on (:func:`band_covariances`,
+:func:`decompose`) and every variance it serves (:func:`row_variances`) is
+a weighted sum over one rfft of the trial, mean-removed and tapered: the
+spectrally weighted view of CSP (Tomioka et al., 2006).  No band time series
+is formed, and serving has one path for any number of rows or trial length.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +25,15 @@ from .trialstore import Dataset, Trial, describe
 
 DEFAULT_TAPS = 257
 
-# Samples (channels x time, summed over trials) filtered together by the
+# Samples (channels x time, summed over trials) transformed together by the
 # bank: large enough to amortise per-call overhead, small enough that the
 # float64 and spectral temporaries of one batch stay near 2 MB each.
 BATCH_SAMPLES = 1 << 18
+
+# The share of a trial that the window's two half-cosine ramps cover (see _window).
+TAPER = 0.25
+# The share of a band's peak weight |H_b(k)|^4 that a bin of its support exceeds.
+WEIGHT_CUTOFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,12 @@ class FilterBank:
 
 @dataclass(frozen=True, eq=False)
 class BandDecomposition:
-    """Band covariances of a labelled dataset; band time series are not kept.
+    """Band covariances of a labelled dataset.
 
-    ``feature_covariances[b, i]`` is the centred covariance
-    ``(Y - mean)(Y - mean)^T / T`` of trial ``i`` filtered into band ``b``,
-    one ``(n_bands, n_trials, C, C)`` stack: the log-variance features read
-    it, and CSP averages it over a class divided by its trace.
+    ``feature_covariances[b, i]`` is trial ``i``'s covariance in band ``b``
+    (:func:`band_covariances`), one ``(n_bands, n_trials, C, C)`` stack: the
+    log-variance features read it, and CSP averages it over a class divided
+    by its trace.
     """
 
     bands: list[tuple[float, float]]
@@ -228,24 +232,39 @@ def make_bank(start: float, stop: float, width: float, taps: int = DEFAULT_TAPS)
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_spectra(bands: tuple, sample_rate: float, taps: int, n_fft: int) -> np.ndarray:
-    # The n_fft-point spectrum of each band kernel's autocorrelation, one row
-    # per band, built once per band list and length and shared read-only by
-    # every later call.  Each row is its own rfft, so a band's row does not
-    # depend on the list it is cached with.
+def _band_weights(bands: tuple, sample_rate: float, taps: int, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
+    # Forward-backward filtering weights the power in bin k by |H_b(k)|^4; a band's support is the bins whose
+    # weight exceeds WEIGHT_CUTOFF of its peak.  The union of the supports and the (n_bands, bins) weights there,
+    # zero off each band's own support, built once per band list and length and shared read-only.  Each row
+    # comes from its own kernel, so a band's weights do not depend on the list they are cached with.
     kernels = [design_bandpass(low, high, sample_rate, taps).coefficients for low, high in bands]
-    spectra = np.stack([np.fft.rfft(np.convolve(h, h[::-1]), n_fft) for h in kernels])
-    spectra.flags.writeable = False
-    return spectra
+    weights = np.abs(np.stack([np.fft.rfft(h, n_fft) for h in kernels])) ** 4
+    weights[weights <= WEIGHT_CUTOFF * weights.max(axis=1, keepdims=True)] = 0.0
+    bins = np.flatnonzero(weights.any(axis=0))
+    weights = weights[:, bins]
+    bins.flags.writeable = weights.flags.writeable = False
+    return bins, weights
 
 
-def _spectra(trials, sample_rate, taps, n_signals=0, fft_len=_next_fast_len):
-    """Yield ``(batch, length, n_fft, spectra)``: the ``n_fft = fft_len(length)``-point rfft of the
-    trials of ``batch``, each ``length`` samples long, ``(len(batch), C, n_fft // 2 + 1)``.
+@functools.lru_cache(maxsize=16)
+def _window(length: int) -> tuple[int, np.ndarray]:
+    # n_fft and the read-only window of length-sample trials: 1, with half-cosine ramps over TAPER / 2 of the
+    # trial at each end (a Tukey window), times sqrt(2 / (n_fft * length)).
+    n_fft, ramp = _next_fast_len(length), np.minimum(np.arange(length), np.arange(length)[::-1])
+    window = 0.5 - 0.5 * np.cos(np.pi * np.minimum(ramp / (TAPER * (length - 1) / 2), 1.0))
+    window *= np.sqrt(2.0 / (n_fft * length))
+    window.flags.writeable = False
+    return n_fft, window
 
-    Trials of equal length go through in batches of about ``BATCH_SAMPLES``
-    samples of the ``max(C, n_signals)`` signals that the caller filters per
-    trial, and each trial's spectrum does not depend on its batch.
+
+def _spectra(trials, sample_rate, bands, taps):
+    """Yield ``(batch, power, spectra, weights)``: each trial of ``batch``'s uncentred power ``trace(x x^T) / n``,
+    its spectrum ``(len(batch), C, bins)`` at the bins of ``bands`` and the bands' weights there.
+
+    The spectrum is the ``_next_fast_len(n)``-point rfft of the trial mean-removed and multiplied by
+    :func:`_window`, whose scale makes a signal's weighted power over a band's bins its variance in that band.
+    Trials of equal length go through in batches of about ``BATCH_SAMPLES`` samples, and each trial's spectrum
+    does not depend on its batch.
     """
     if not trials:
         raise ValueError("no trials to filter")
@@ -253,20 +272,23 @@ def _spectra(trials, sample_rate, taps, n_signals=0, fft_len=_next_fast_len):
     for i, trial in enumerate(trials):
         _check_filterable(trial, sample_rate, taps)
         same_length.setdefault(trial.n_samples, []).append(i)
-    for length in sorted(same_length):
-        n_fft, indices = fft_len(length), same_length[length]
-        step = max(1, BATCH_SAMPLES // (max(trials[0].n_channels, n_signals) * length))
+    for length, indices in sorted(same_length.items()):
+        n_fft, window = _window(length)
+        bins, weights = _band_weights(tuple(map(tuple, bands)), sample_rate, taps, n_fft)
+        step = max(1, BATCH_SAMPLES // (trials[0].n_channels * length))
         for batch in (indices[i : i + step] for i in range(0, len(indices), step)):
             samples = np.stack([trials[i].samples for i in batch], dtype=np.float64)
-            yield batch, length, n_fft, np.fft.rfft(samples, n_fft, axis=-1)
+            power = np.einsum("ict,ict->i", samples, samples) / length
+            samples -= samples.mean(axis=-1, keepdims=True)
+            samples *= window
+            yield batch, power, np.fft.rfft(samples, n_fft, axis=-1).take(bins, axis=-1), weights
 
 
-def _refuse_silent(centred: np.ndarray, power: np.ndarray, batch: list[int], bands) -> None:
-    # ``centred[i, b]``, ``power[i, b]``: trial ``batch[i]``'s total centred and uncentred power in ``bands[b]``.
-    # A trial is all zero in a band where centring leaves at most 1e-12 of its power: an all-zero trial, or a
-    # constant one, whose band output is its filtered offset and whose centred power is rounding of either sign.
-    # Names the first band with a silent trial, and its first such trial.
-    silent = centred <= 1e-12 * power
+def _refuse_silent(band_power: np.ndarray, power: np.ndarray, batch: list[int], bands) -> None:
+    # A trial keeping at most 1e-12 of its uncentred power (``power[i, b]``, as the band's rows see it) in band b is
+    # all zero there: an all-zero trial, or a constant one that mean removal leaves as rounding.  Names the first
+    # band with a silent trial, and its first such trial.
+    silent = band_power <= 1e-12 * power
     if np.any(silent):
         b = int(np.argmax(silent.any(axis=0)))
         raise ValueError(f"trial {int(batch[np.argmax(silent[:, b])])} is all zero in band {bands[b]}")
@@ -275,97 +297,49 @@ def _refuse_silent(centred: np.ndarray, power: np.ndarray, batch: list[int], ban
 def band_covariances(
     trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int
 ) -> np.ndarray:
-    """Filter each trial into each band and reduce it straight to its centred
-    covariance: the ``(n_bands, n_trials, C, C)`` stack of :class:`BandDecomposition`.
-
-    Zero-phase forward-backward filtering with ``taps - 1`` samples trimmed
-    at each end is a valid-mode convolution with the kernel's
-    autocorrelation ``h * h[::-1]`` (length ``2 * taps - 1``).  So each
-    trial takes one rfft, and each band multiplies it by that kernel's
-    spectrum, inverts and keeps the valid part.  A trial that is all zero in
-    a band after centring (its trace, which CSP divides by, is at most 1e-12
-    of the uncentred one) is refused by name.
+    """Each trial's covariance in each band, the ``(n_bands, n_trials, C, C)`` stack of :class:`BandDecomposition`:
+    ``S_b = 2 Re sum_k w_b(k) X_k X_k^H / (n_fft * n)`` over the support of band ``b``, from the spectrum ``X`` and
+    weights ``w_b = |H_b|^4`` of :func:`_spectra`.  A trial whose trace in a band is at most 1e-12 of its
+    uncentred power is refused by name.
     """
     shape = (len(bands), len(trials), trials[0].n_channels, trials[0].n_channels) if trials else ()
     covariances = np.empty(shape)
-    for batch, length, n_fft, spectra in _spectra(trials, sample_rate, taps):
-        kernels = _kernel_spectra(tuple(map(tuple, bands)), sample_rate, taps, n_fft)
-        for b, (low, high) in enumerate(bands):
-            y = np.fft.irfft(spectra * kernels[b], n_fft, axis=-1)[..., 2 * (taps - 1) : length]
-            means, products = y.mean(axis=-1), y @ y.swapaxes(-1, -2) / y.shape[-1]
-            centred = products - means[:, :, np.newaxis] * means[:, np.newaxis, :]
-            traces = [np.trace(m, axis1=-2, axis2=-1)[:, np.newaxis] for m in (centred, products)]
-            _refuse_silent(*traces, batch, [(low, high)])
-            covariances[b, batch] = centred
+    for batch, power, spectra, weights in _spectra(trials, sample_rate, bands, taps):
+        traces = np.empty((len(batch), len(bands)))
+        for b, weight in enumerate(weights):
+            support = np.flatnonzero(weight)
+            # Each bin as its (re, im) pair, so that the real product is Re(Y Y^H).
+            y = (spectra.take(support, axis=-1) * np.sqrt(weight[support])).view(np.float64)
+            covariances[b, batch] = covariance = y @ y.swapaxes(-1, -2)
+            traces[:, b] = np.trace(covariance, axis1=-2, axis2=-1)
+        _refuse_silent(traces, power[:, np.newaxis], batch, bands)
     return covariances
-
-
-class RowPlan(NamedTuple):
-    """What :func:`row_variances` reads for trials of one length: ``n_fft``, the ``valid`` samples, whether the rows
-    ``project`` the spectra, the ``kernels`` laid out for that branch and the mask ``in_band`` of each row's band."""
-
-    n_fft: int
-    valid: slice
-    project: bool
-    kernels: np.ndarray
-    in_band: np.ndarray
-
-
-def row_plan(sample_rate: float, bands, taps: int, rows: np.ndarray, row_bands, length: int) -> RowPlan:
-    """The :class:`RowPlan` of ``length``-sample trials; arguments as for :func:`row_variances`."""
-    n_fft, row_bands = _next_fast_len(length), np.asarray(row_bands, dtype=np.intp)
-    kernels = _kernel_spectra(tuple(map(tuple, bands)), sample_rate, taps, n_fft)
-    project = len(rows) < len(bands) * rows.shape[1]
-    in_band = (row_bands[:, np.newaxis] == np.arange(len(bands))).astype(np.float64)
-    valid = slice(2 * (taps - 1), length)  # the outputs that the n_fft-point circular convolution does not wrap
-    return RowPlan(n_fft, valid, project, kernels[row_bands] if project else kernels[:, np.newaxis], in_band)
 
 
 def row_variances(
     trials: list[Trial], sample_rate: float, bands: list[tuple[float, float]], taps: int,
-    rows: np.ndarray, row_bands: np.ndarray, plans=None,
+    rows: np.ndarray, row_bands: np.ndarray,
 ) -> np.ndarray:
-    """``(n_trials, R)`` centred variances of each trial filtered into band
-    ``bands[row_bands[r]]`` and projected through ``rows[r]``, a ``(R, C)``
-    stack of spatial rows: ``diag(W S W^T)`` of the centred covariances ``S``
-    of :func:`band_covariances`, up to rounding.
-
-    A spatial projection commutes with the filter, so all bands take one product, one
-    kernel multiply, one irfft and one reduction, on whichever signals are fewer.  With
-    fewer rows than ``len(bands) * C``, each row projects the trial's spectrum and gives
-    its variance; otherwise every band filters the ``C`` channels, and each row reads its
-    variance from its band's centred covariance.  A trial whose rows of one band have in total
-    at most 1e-12 of their uncentred power as variance is refused by name.  ``plans`` maps a trial length to its
-    :func:`row_plan`, which a caller may keep for the same rows.
+    """``(n_trials, R)`` variance of each trial in band ``bands[row_bands[r]]`` through spatial row ``rows[r]``
+    (``rows`` is ``(R, C)``): ``diag(W S W^T)`` of :func:`band_covariances`' ``S`` up to rounding, from one
+    product of all rows with the spectrum.  A trial is refused as there, with a band's rows in place of the
+    channels: where their variances sum to at most 1e-12 of its power times their mean squared norm.
     """
-    plans = plans or functools.partial(row_plan, sample_rate, bands, taps, rows, row_bands)
+    row_bands = np.asarray(row_bands)
+    in_band = (row_bands[:, np.newaxis] == np.arange(len(bands))).astype(np.float64)
+    scale = np.einsum("rc,rc->r", rows, rows) @ in_band / rows.shape[1]
     variances = np.empty((len(trials), len(rows)))
-    n_signals = min(len(rows), len(bands) * rows.shape[1])
-    for batch, length, n_fft, spectra in _spectra(trials, sample_rate, taps, n_signals, lambda n: plans(n).n_fft):
-        plan = plans(length)
-        if plan.project:
-            # Projected as one real product over (re, im) pairs.
-            projected = (rows @ spectra.view(np.float64)).view(np.complex128)
-            y = np.fft.irfft(projected * plan.kernels, n_fft, axis=-1)[..., plan.valid]
-            power = np.einsum("...t,...t->...", y, y) / y.shape[-1]
-            variance = power - y.mean(axis=-1) ** 2
-        else:
-            y = np.fft.irfft(spectra[:, np.newaxis] * plan.kernels, n_fft, axis=-1)[..., plan.valid]
-            means = y.mean(axis=-1)
-            covariances = y @ y.swapaxes(-1, -2) / y.shape[-1] - means[..., :, np.newaxis] * means[..., np.newaxis, :]
-            variance = np.einsum("rc,nrcd,rd->nr", rows, covariances[:, row_bands], rows)
-            power = variance + np.einsum("rc,nrc->nr", rows, means[:, row_bands]) ** 2
-        _refuse_silent(variance @ plan.in_band, power @ plan.in_band, batch, bands)
-        variances[batch] = variance
+    for batch, power, spectra, weights in _spectra(trials, sample_rate, bands, taps):
+        projected = rows @ spectra.view(np.float64)  # (re, im) pairs
+        projected *= projected
+        variances[batch] = variance = np.sum(weights[row_bands] * (projected[..., ::2] + projected[..., 1::2]), -1)
+        _refuse_silent(variance @ in_band, power[:, np.newaxis] * scale, batch, bands)
     return variances
 
 
 def decompose(dataset: Dataset, bank: FilterBank) -> BandDecomposition:
-    """Run every trial through the filter bank (see :func:`band_covariances`).
-
-    Trial order and labels are preserved; each trial loses
-    ``2 * (taps - 1)`` samples to edge trimming.
-    """
+    """Every trial's covariance in every band of ``bank`` (see :func:`band_covariances`),
+    trial order and labels preserved."""
     return BandDecomposition(
         bands=list(bank.bands),
         taps=bank.taps,

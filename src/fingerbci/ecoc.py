@@ -17,14 +17,13 @@ import functools
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
 from .config import PipelineConfig
 from .csp import class_covariances, fit_csp_stack, kept_filters, log_ratios, log_variance_features
-from .dsp import BandDecomposition, BankError, RowPlan, check_bank, row_plan, row_variances
+from .dsp import BandDecomposition, BankError, check_bank, row_variances
 from .extratrees import EtForest, EtParams, NodeTable, fit as et_fit, majority, node_table, tree_sizes, tune as et_tune
 from .rng import child_seed
 from .trialstore import Trial, describe, is_finite_number, replacing
@@ -151,9 +150,9 @@ class EcocModel:
     the dataset class index of each code row: ``range(p)`` for the exhaustive
     code, ``[a, b]`` for :data:`PAIR_CODE` fitted on the view of pair (a, b).
 
-    Serving derives the stacked filter rows, the node table and a plan per
-    trial length when first needed and keeps them: a model is not edited
-    after it has predicted, and ``dataclasses.replace`` builds a new one.
+    Serving derives the stacked filter rows and the node table when first
+    needed and keeps them: a model is not edited after it has predicted, and
+    ``dataclasses.replace`` builds a new one.
     """
 
     code: np.ndarray
@@ -180,12 +179,6 @@ class EcocModel:
         starts = np.cumsum(sizes) - sizes
         blocks = [starts[sizes == k, np.newaxis] + np.arange(k) for k in np.unique(sizes)]
         return [self.bands[b] for b in needed], np.vstack(filters), np.repeat(row_bands, sizes), blocks
-
-    @functools.cached_property
-    def _plans(self) -> Callable[[int], RowPlan]:
-        """The :class:`~fingerbci.dsp.RowPlan` of the rows for each trial length, the last 16 kept."""
-        bands, rows, row_bands, _ = self._rows
-        return functools.lru_cache(16)(functools.partial(row_plan, self.sample_rate, bands, self.taps, rows, row_bands))
 
     @functools.cached_property
     def _trees(self) -> tuple[NodeTable, np.ndarray]:
@@ -244,7 +237,7 @@ def fit_ecoc(decomp: BandDecomposition, code: np.ndarray, config: PipelineConfig
 
 def _trial_features(model: EcocModel, trials: list[Trial], channel_names: list[str] | None) -> np.ndarray:
     """Every column's features of raw trials, side by side, ``(n_trials,
-    sum of feature_dim)``, filtering only the CSP projections read.
+    sum of feature_dim)``, reading only the CSP projections the columns use.
 
     :func:`~fingerbci.dsp.row_variances` gives the variance of every kept
     filter row of the model (see :attr:`EcocModel._rows`), and one gather per
@@ -262,7 +255,7 @@ def _trial_features(model: EcocModel, trials: list[Trial], channel_names: list[s
         if trial.n_channels != len(model.channel_names):
             raise ValueError(f"trial has {trial.n_channels} channels, model expects {len(model.channel_names)}")
     bands, rows, row_bands, blocks = model._rows
-    variances = row_variances(trials, model.sample_rate, bands, model.taps, rows, row_bands, model._plans)
+    variances = row_variances(trials, model.sample_rate, bands, model.taps, rows, row_bands)
     features = np.empty_like(variances)
     for block in blocks:
         features[:, block] = log_ratios(variances[:, block])
@@ -411,7 +404,7 @@ def _check_trees(forest: dict, j: int, params: EtParams, feature_dim: int) -> Et
              and min(counts, default=0) >= 0 and max(counts, default=0) < 2**63,
              "counts", f"column {j} has not two integer counts in [0, 2**63) per leaf")
     cut, counts = np.array(cut, dtype=np.float64), np.array(counts, dtype=np.int64).reshape(-1, 2)
-    return EtForest(attribute, cut, counts, sizes, params, feature_dim)
+    return EtForest(attribute, cut, counts, params, feature_dim)
 
 
 def _check_model(model: EcocModel) -> None:

@@ -73,17 +73,21 @@ class EtNode:
 @dataclass
 class EtForest:
     """Trees one after another, each in the grower's level order: ``attribute`` of every node (-1 for a
-    leaf), ``cut`` of every internal node, the two class ``counts`` of every leaf, ``(n_leaves, 2)``, and
-    ``sizes``, the node count of each tree.  A tree's k-th internal node sends values at most its cut to
-    the tree's node 2k + 1 and others to node 2k + 2, so no child index is stored (Louppe,
-    arXiv:1407.7502, ch. 5)."""
+    leaf), ``cut`` of every internal node and the two class ``counts`` of every leaf, ``(n_leaves, 2)``.
+    A tree's k-th internal node sends values at most its cut to the tree's node 2k + 1 and others to node
+    2k + 2, so no child index is stored (Louppe, arXiv:1407.7502, ch. 5), and ``attribute`` alone gives
+    each tree's node count (:attr:`sizes`)."""
 
     attribute: np.ndarray
     cut: np.ndarray
     counts: np.ndarray
-    sizes: np.ndarray
     params: EtParams
     feature_dim: int
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The node count of each tree (:func:`tree_sizes`)."""
+        return tree_sizes(self.attribute)
 
     @property
     def trees(self) -> list[EtNode]:
@@ -252,8 +256,7 @@ def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
     order = np.argsort(nodes.root, kind="stable")  # tree after tree, each in level order
     attribute = nodes.attribute[order]
     leaf = attribute < 0
-    sizes = np.bincount(nodes.root)[nodes.roots]
-    return EtForest(attribute, nodes.cut[order][~leaf], nodes.counts[order][leaf], sizes, params, x.shape[1])
+    return EtForest(attribute, nodes.cut[order][~leaf], nodes.counts[order][leaf], params, x.shape[1])
 
 
 class NodeTable(NamedTuple):

@@ -98,7 +98,6 @@ def check_trees(forest: dict, j: int, params: EtParams, feature_dim: int) -> EtF
         np.array([a for tree in trees for a in tree["attribute"]], dtype=np.int64),
         np.array([c for tree in trees for c in tree["cut"]], dtype=np.float64),
         np.array([c for tree in trees for c in tree["counts"]], dtype=np.int64).reshape(-1, 2),
-        np.array([len(tree["attribute"]) for tree in trees]),
         params,
         feature_dim,
     )

@@ -56,8 +56,10 @@ def array_forest(trees: list, params: EtParams, feature_dim: int) -> EtForest:
                 attribute.append(node.attribute)
                 cut.append(node.cut)
                 queue += [node.left, node.right]
-    return EtForest(np.array(attribute, dtype=np.int64), np.array(cut, dtype=np.float64),
-                    np.array(counts, dtype=np.int64).reshape(-1, 2), np.array(sizes), params, feature_dim)
+    forest = EtForest(np.array(attribute, dtype=np.int64), np.array(cut, dtype=np.float64),
+                      np.array(counts, dtype=np.int64).reshape(-1, 2), params, feature_dim)
+    assert forest.sizes.tolist() == sizes, "tree sizes derived from the attributes differ from the trees walked"
+    return forest
 
 
 def link(nodes, min_samples_split: int) -> list:

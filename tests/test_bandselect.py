@@ -18,7 +18,7 @@ from fingerbci.dsp import BandDecomposition
 from fingerbci.rng import child_seed, stream
 
 import bandselect_reference as reference
-import timeseries_reference
+import spectral_reference
 from bandselect_reference import lda_fit, lda_predict
 
 
@@ -385,17 +385,18 @@ class TestClassMeans:
                         np.testing.assert_allclose(means[b, k, c], expected[c], rtol=0, atol=tolerance)
 
     def test_column_means_equal_time_series_reference(self):
-        # fit_column's form: one training set, broadcast over the bands.
+        # fit_column's form: one training set, broadcast over the bands.  The reference sums each trial's
+        # time series one DFT bin at a time (spectral_reference).
         dataset = generate(oracle_like(5, 6, 4, 4.0, 2.0))
         bank = make_bank(5.0, 39.0, 2.0)
         decomp = decompose(dataset, bank)
         y = (decomp.labels >= 2).astype(np.int64)
         means = class_covariances(decomp.feature_covariances, np.stack([y == 0, y == 1])[np.newaxis, np.newaxis])
-        filtered = timeseries_reference.filter_bank(dataset.trials, bank.bands, bank.taps)
+        covariances = spectral_reference.band_covariances(dataset.trials, bank.bands, bank.taps)
         for b in range(decomp.n_bands):
             for c in (0, 1):
-                expected = timeseries_reference.normalised_class_mean([t for t, n in zip(filtered[b], y) if n == c])
-                np.testing.assert_allclose(means[b, 0, c], expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+                expected = np.mean([s / np.trace(s) for s in covariances[b, y == c]], axis=0)
+                np.testing.assert_allclose(means[b, 0, c], expected, rtol=0, atol=1e-9 * np.abs(expected).max())
 
 
 class TestPreservedErrors:

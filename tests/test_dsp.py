@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from fingerbci import (
 from fingerbci import dsp
 from fingerbci.csp import class_covariances, fit_csp_stack, kept_filters
 
-import timeseries_reference as reference
+import spectral_reference as reference
 from conftest import random_dataset
 
 
@@ -198,13 +199,24 @@ class TestDecompose:
 
 
 @pytest.mark.parametrize("picked", [[2, 3, 4], [16, 0, 9], [7]])
-def test_kernel_row_does_not_depend_on_its_band_list(picked):
-    # Training caches the kernels of all 17 default bands; serving caches the few bands a model reads.
+def test_weight_row_does_not_depend_on_its_band_list(picked):
+    # Training caches the weights of all 17 default bands; serving caches the few bands a model reads,
+    # at the union of their supports.
     bank = make_bank(5.0, 39.0, 2.0)
     n_fft = scipy.fft.next_fast_len(3 * 512, real=True)
-    full = dsp._kernel_spectra(tuple(bank.bands), 512.0, bank.taps, n_fft)
-    served = dsp._kernel_spectra(tuple(bank.bands[b] for b in picked), 512.0, bank.taps, n_fft)
-    assert np.array_equal(served, full[picked])
+
+    def every_bin(bands):
+        bins, weights = dsp._band_weights(tuple(bands), 512.0, bank.taps, n_fft)
+        rows = np.zeros((len(bands), n_fft // 2 + 1))
+        rows[:, bins] = weights
+        return rows
+
+    full = every_bin(bank.bands)
+    assert np.array_equal(every_bin([bank.bands[b] for b in picked]), full[picked])
+    for b in picked:
+        expected = reference.band_weights(*bank.bands[b], 512.0, bank.taps, n_fft)
+        assert np.flatnonzero(full[b]).tolist() == list(expected)
+        np.testing.assert_allclose(full[b, list(expected)], list(expected.values()), rtol=1e-9)
 
 
 def unequal_dataset(rng, lengths=(700, 900, 700, 1100), n_channels=3):
@@ -220,10 +232,10 @@ def unequal_dataset(rng, lengths=(700, 900, 700, 1100), n_channels=3):
 
 
 class TestFilterBankEquivalence:
-    """The filter bank against the time-series reference in ``timeseries_reference``.
+    """The filter bank against the per-bin reference in ``spectral_reference``.
 
-    The reference rounds each band trial to float32, so the stacks can
-    differ by that rounding (about 6e-8 relative) and no more.
+    Both compute the same sums in float64 in different orders, so they
+    agree far within 1e-9 relative.
     """
 
     bank = make_bank(8.0, 14.0, 2.0, taps=63)
@@ -235,18 +247,18 @@ class TestFilterBankEquivalence:
     def test_stack_matches_reference(self, dataset):
         decomp = decompose(dataset, self.bank)
         expected = reference.band_covariances(dataset.trials, self.bank.bands, self.bank.taps)
-        np.testing.assert_allclose(decomp.feature_covariances, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
+        np.testing.assert_allclose(decomp.feature_covariances, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
 
     def test_features_match_reference(self, dataset):
         decomp = decompose(dataset, self.bank)
-        filtered = reference.filter_bank(dataset.trials, self.bank.bands, self.bank.taps)
         means = class_covariances(decomp.feature_covariances, np.stack([decomp.labels == 0, decomp.labels == 1]))
         for b in range(decomp.n_bands):
             kept = kept_filters(fit_csp_stack(means[b, 0, 0], means[b, 0, 1], n_pairs=1)[0], 1)
+            variances = reference.row_variances(dataset.trials, self.bank.bands, self.bank.taps, kept, [b, b])
             np.testing.assert_allclose(
                 log_variance_features(decomp.feature_covariances[b], kept),
-                reference.variance_features(filtered[b], kept),
-                rtol=0, atol=1e-6,
+                np.log(variances / variances.sum(axis=1, keepdims=True)),
+                rtol=0, atol=1e-9,
             )
 
     def test_single_trial_equals_batch_bit_for_bit(self, dataset):
@@ -262,15 +274,17 @@ class TestFilterBankEquivalence:
         monkeypatch.setattr(dsp, "BATCH_SAMPLES", 3 * 3 * 1024)  # three trials per batch
         assert np.array_equal(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), whole)
 
-    def test_cached_kernel_spectra_change_no_bit(self, dataset):
+    def test_cached_band_weights_change_no_bit(self, dataset):
         cached = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
-        dsp._kernel_spectra.cache_clear()
+        dsp._band_weights.cache_clear()
+        dsp._window.cache_clear()
         assert np.array_equal(band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps), cached)
         bands = ((8.0, 10.0), (10.0, 12.0))
-        spectra = dsp._kernel_spectra(bands, 100.0, 63, 1024)
-        assert spectra is dsp._kernel_spectra(bands, 100.0, 63, 1024)
-        with pytest.raises(ValueError, match="read-only"):
-            spectra[0, 0] = 0.0
+        bins, weights = dsp._band_weights(bands, 100.0, 63, 1024)
+        assert dsp._band_weights(bands, 100.0, 63, 1024)[1] is weights
+        for array in (bins, weights, dsp._window(1024)[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     @pytest.mark.parametrize("picked", [[2], [1, 0], [2, 0, 1], [0, 2]])
     def test_band_subsets_and_orders_change_no_bit(self, dataset, picked):
@@ -282,7 +296,7 @@ class TestFilterBankEquivalence:
         dataset = unequal_dataset(np.random.default_rng(9))
         decomp = decompose(dataset, self.bank)
         expected = reference.band_covariances(dataset.trials, self.bank.bands, self.bank.taps)
-        np.testing.assert_allclose(decomp.feature_covariances, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
+        np.testing.assert_allclose(decomp.feature_covariances, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
 
     @pytest.mark.parametrize("n_samples", [3 * 63, 3 * 63 - 40])
     def test_short_trial_rejected_like_apply_filter(self, n_samples):
@@ -308,7 +322,7 @@ class TestFilterBankEquivalence:
 class TestProjectedVariances:
     """``row_variances`` against ``diag(W S W^T)`` of the covariance bank.
 
-    Both read the same filtered band signal, so they differ only in the
+    Both read the same spectra and weights, so they differ only in the
     order of roundings; 1e-9 relative is far above that and far below any
     real difference.
     """
@@ -340,8 +354,16 @@ class TestProjectedVariances:
             assert variances[b].shape == (len(dataset.trials), len(rows))
             np.testing.assert_allclose(variances[b], expected, rtol=1e-9, atol=0)
 
-    # Twelve rows over three bands of four channels filter the channels;
-    # six rows project the spectra.
+    def test_equals_reference(self):
+        rng = np.random.default_rng(19)
+        dataset = unequal_dataset(rng, n_channels=4)
+        rows, row_bands = rng.standard_normal((5, 4)), [2, 0, 1, 2, 0]
+        expected = reference.row_variances(dataset.trials, self.bank.bands, self.bank.taps, rows, row_bands)
+        served = dsp.row_variances(dataset.trials, 100.0, self.bank.bands, self.bank.taps, rows, row_bands)
+        np.testing.assert_allclose(served, expected, rtol=1e-9, atol=0)
+
+    # As many rows as channels times bands, and fewer: serving takes the
+    # same path for both.
     BOTH_WAYS = [(2, 4, 6), (1, 2, 3)]
 
     def test_single_trial_equals_batch_bit_for_bit(self):
@@ -362,8 +384,8 @@ class TestProjectedVariances:
             projections = self.projections(rng, 4, rows_per_band)
             monkeypatch.undo()
             whole = self.variances(dataset.trials, projections)
-            # Three trials per batch: a batch is bounded by the signals it filters.
-            monkeypatch.setattr(dsp, "BATCH_SAMPLES", 3 * max(4, sum(rows_per_band)) * 512)
+            # Three trials per batch: a batch counts the channels of its trials.
+            monkeypatch.setattr(dsp, "BATCH_SAMPLES", 3 * 4 * 512)
             split = self.variances(dataset.trials, projections)
             for joined, parts in zip(whole, split):
                 assert np.array_equal(joined, parts)
@@ -435,11 +457,18 @@ class TestFftPath:
         np.testing.assert_array_max_ulp(out, expected.astype(np.float32), maxulp=1)
 
     def test_spectra_are_complex128_for_float32_trials(self):
-        # numpy >= 2 transforms float32 in single precision; the bank casts first.
-        dataset = unequal_dataset(np.random.default_rng(18))
+        # numpy >= 2 transforms float32 in single precision; the bank casts first.  At 513 and 1025 samples
+        # the window's ramps end on a sample, where it equals scipy's Tukey window.
+        dataset = unequal_dataset(np.random.default_rng(18), lengths=(513, 1025, 513))
         assert all(trial.samples.dtype == np.float32 for trial in dataset.trials)
-        for batch, length, n_fft, spectra in dsp._spectra(dataset.trials, 100.0, 63):
+        bands = ((8.0, 10.0), (10.0, 12.0))
+        for batch, power, spectra, weights in dsp._spectra(dataset.trials, 100.0, bands, 63):
             assert spectra.dtype == np.complex128
             samples = np.stack([dataset.trials[i].samples.astype(np.float64) for i in batch])
-            reference = scipy.fft.rfft(samples, n_fft)
-            np.testing.assert_allclose(spectra, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+            n = samples.shape[-1]
+            n_fft = scipy.fft.next_fast_len(n, real=True)
+            bins, _ = dsp._band_weights(bands, 100.0, 63, n_fft)
+            tapered = (samples - samples.mean(axis=-1, keepdims=True)) * scipy.signal.windows.tukey(n, dsp.TAPER)
+            expected = scipy.fft.rfft(tapered, n_fft)[..., bins] * np.sqrt(2 / (n_fft * n))
+            np.testing.assert_allclose(spectra, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+            np.testing.assert_allclose(power, np.einsum("ict,ict->i", samples, samples) / n, rtol=1e-12)

@@ -400,8 +400,8 @@ def serving_model(rng, n_channels, taps, columns):
 
 class TestServingFeatures:
     """Serving features against the decomposition's, ``_column_features``
-    over ``decompose`` of the same trials.  Both read the same band signal
-    and differ only in rounding order; they must agree to 1e-9."""
+    over ``decompose`` of the same trials.  Both read the same spectra and
+    weights and differ only in rounding order; they must agree to 1e-9."""
 
     # Six channels, rows per band: band 0 two, band 2 2 + 4 + 2 = 8 from
     # three columns and band 1 six (both at least C), band 3 two, band 5
@@ -431,26 +431,32 @@ class TestServingFeatures:
             assert np.array_equal(ecoc._trial_features(model, [trial], None)[0], served[i])
 
 
+def more_rows_than_signals(model) -> bool:
+    """Whether the model's rows outnumber its channels times the bands they read."""
+    bands, rows, _, _ = model._rows
+    return len(rows) >= len(bands) * rows.shape[1]
+
+
 @pytest.fixture(scope="module")
-def plan_models(mini_decomp):
-    """A trained model whose rows outnumber the channels times the bands
-    they read, so its plans filter the channels, and a class-pair model
-    with fewer rows, whose plans project the spectra."""
+def served_models(mini_decomp):
+    """A trained model with at least as many rows as channels times the
+    bands they read ("channels") and a class-pair model with fewer
+    ("projecting"); serving takes one path for both."""
     dataset, decomp = mini_decomp
     channels = fit_small_ecoc(decomp)
     _, projecting = fit_small_pair(dataset, (0, 2), seed=4)
-    assert not channels._plans(256).project and projecting._plans(256).project
+    assert more_rows_than_signals(channels) and not more_rows_than_signals(projecting)
     return {"channels": channels, "projecting": projecting}
 
 
 class TestServingPlan:
-    """Each trial length is served from the model's plan for it; the plan
-    changes no output and no refusal."""
+    """Trials of every length are served the same way, trial by trial or
+    in a batch, with the same refusals, whatever the number of rows."""
 
     @pytest.mark.parametrize("branch", ["channels", "projecting"])
-    def test_single_trial_features_equal_batch_and_bands(self, plan_models, mini_decomp, branch):
+    def test_single_trial_features_equal_batch_and_bands(self, served_models, mini_decomp, branch):
         dataset, _ = mini_decomp
-        model = replace(plan_models[branch])
+        model = replace(served_models[branch])
         covariances = decompose(dataset, SMALL.bank()).feature_covariances
         batch = ecoc._trial_features(model, dataset.trials, None)
         for i, trial in enumerate(dataset.trials):
@@ -462,42 +468,21 @@ class TestServingPlan:
         assert [predict_ecoc(model, trial) for trial in dataset.trials] == list(predicted)
 
     @pytest.mark.parametrize("branch", ["channels", "projecting"])
-    def test_two_lengths_build_two_plans(self, plan_models, mini_decomp, tmp_path, branch):
+    def test_two_lengths_served_alike(self, served_models, mini_decomp, tmp_path, branch):
         dataset, _ = mini_decomp
-        model = replace(plan_models[branch])
+        model = replace(served_models[branch])
         save_model(model, tmp_path)
         trials = [Trial(t.label, t.samples[:, :n], t.sample_rate) for t, n in zip(dataset.trials, [256, 200] * 8)]
         served = [predict_ecoc(model, trial) for trial in trials]
-        assert model._plans.cache_info().currsize == 2
+        assert served == list(predict_trials(model, trials))
         assert served == [predict_ecoc(load_model(tmp_path), trial) for trial in trials]
         assert np.array_equal(ecoc._trial_features(model, trials, None),
                               ecoc._trial_features(load_model(tmp_path), trials, None))
 
-    def test_plans_kept_for_the_last_16_lengths(self, plan_models, mini_decomp):
-        dataset, _ = mini_decomp
-        model = replace(plan_models["projecting"])
-        for n in range(256, 238, -1):
-            predict_ecoc(model, Trial(0, dataset.trials[0].samples[:, :n], 128.0))
-        assert model._plans.cache_info().currsize == model._plans.cache_info().maxsize == 16
-
-    def test_replaced_model_builds_its_own_plan(self, plan_models, mini_decomp):
-        # The pair model's fields over a model that has served: its plans project, the first one's do not.
-        dataset, _ = mini_decomp
-        first = replace(plan_models["channels"])
-        predict_trials(first, dataset.trials)
-        pair = plan_models["projecting"]
-        second = replace(first, code=pair.code, classes=pair.classes, columns=pair.columns)
-        assert second._plans is not first._plans
-        assert second._plans(256).project and not first._plans(256).project
-        fresh = replace(pair)
-        assert np.array_equal(ecoc._trial_features(second, dataset.trials, None),
-                              ecoc._trial_features(fresh, dataset.trials, None))
-        assert np.array_equal(predict_trials(second, dataset.trials), predict_trials(fresh, dataset.trials))
-
     @pytest.mark.parametrize("branch", ["channels", "projecting"])
-    def test_refusals_keep_their_messages(self, plan_models, mini_decomp, branch):
+    def test_refusals_keep_their_messages(self, served_models, mini_decomp, branch):
         dataset, _ = mini_decomp
-        model = replace(plan_models[branch])
+        model = replace(served_models[branch])
         names, good = list(dataset.channel_names), dataset.trials[0]
         first = model.bands[min(b for column in model.columns for b in column.selected_bands)]
         zero = Trial(label=0, samples=np.zeros((4, 256)), sample_rate=128.0)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from fingerbci import dsp, make_bank
 from golden_decisions import first_difference, load, record
 
 
@@ -37,3 +38,21 @@ def test_first_difference_names_what_moved(edit, named):
     edit(moved)
     assert first_difference(expected, expected) is None
     assert first_difference(expected, moved).startswith(named)
+
+
+def test_smaller_weight_cutoff_selects_the_same_bands(decisions, monkeypatch):
+    # A cutoff 1,000 times smaller widens every band's support by bins of less than 1e-6 of its peak weight;
+    # no column of the three workloads selects other bands.
+    bank = make_bank(5.0, 39.0, 2.0)
+    support = len(dsp._band_weights(tuple(bank.bands[:1]), 512.0, bank.taps, 1024)[0])
+    monkeypatch.setattr(dsp, "WEIGHT_CUTOFF", dsp.WEIGHT_CUTOFF / 1000)
+    dsp._band_weights.cache_clear()
+    try:
+        assert len(dsp._band_weights(tuple(bank.bands[:1]), 512.0, bank.taps, 1024)[0]) > support
+        wider = record()
+    finally:
+        dsp._band_weights.cache_clear()
+    actual, _ = decisions
+    for name, workload in actual.items():
+        selected = [column["selected_bands"] for column in workload["columns"]]
+        assert [column["selected_bands"] for column in wider[name]["columns"]] == selected, name

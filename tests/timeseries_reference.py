@@ -1,21 +1,17 @@
-"""Time-series reference for the covariance-domain filter bank.
+"""Time-series reference for CSP.
 
-The filter bank reduces each band-filtered trial straight to its centred
-spatial covariance.  This module computes the same statistics the slow way,
-as the pipeline once did: filter every trial into every band with
-:func:`fingerbci.apply_filter` (float32 band trials), then take the centred
-covariance, CSP's class mean of centred covariances each divided by its
-trace (:func:`normalised_class_mean`), and the variance of each CSP
-projection over time.  :func:`fit_csp` and :func:`extract_features` fit and
-apply CSP to time-series trials through the pipeline's own solver and
-features; features take the kept filter rows, a ``(2 * n_pairs, C)`` array.
+:func:`centred_covariance` is a trial's centred spatial covariance, and
+:func:`variance_features` the log variance ratios of its CSP projections over
+time.  :func:`fit_csp` and :func:`extract_features` fit and apply CSP to
+time-series trials through the pipeline's own solver and features; features
+take the kept filter rows, a ``(2 * n_pairs, C)`` array.
 :func:`trial_covariance` is the uncentred ``X X^T / trace(X X^T)``, on which
 the solver's tests state exact values.
 """
 
 import numpy as np
 
-from fingerbci import Trial, apply_filter, design_bandpass, log_variance_features
+from fingerbci import Trial, log_variance_features
 from fingerbci.csp import fit_csp_stack
 
 
@@ -48,30 +44,10 @@ def extract_features(trial: Trial, filters: np.ndarray) -> np.ndarray:
     return log_variance_features(centred_covariance(trial), filters)
 
 
-def filter_bank(trials: list[Trial], bands, taps: int) -> list[list[Trial]]:
-    """Band-filtered trials, one list per band."""
-    sample_rate = trials[0].sample_rate
-    return [
-        [apply_filter(trial, design_bandpass(low, high, sample_rate, taps)) for trial in trials]
-        for low, high in bands
-    ]
-
-
 def centred_covariance(trial: Trial) -> np.ndarray:
     x = trial.samples.astype(np.float64)
     x = x - x.mean(axis=1, keepdims=True)
     return x @ x.T / x.shape[1]
-
-
-def band_covariances(trials: list[Trial], bands, taps: int) -> np.ndarray:
-    """Centred covariances of the band-filtered trials, (n_bands, n_trials, C, C)."""
-    return np.array([[centred_covariance(t) for t in band] for band in filter_bank(trials, bands, taps)])
-
-
-def normalised_class_mean(trials: list[Trial]) -> np.ndarray:
-    """Mean over ``trials`` of each centred covariance divided by its trace."""
-    covariances = [centred_covariance(trial) for trial in trials]
-    return np.mean([c / np.trace(c) for c in covariances], axis=0)
 
 
 def variance_features(trials: list[Trial], filters: np.ndarray) -> np.ndarray:
