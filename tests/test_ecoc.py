@@ -431,8 +431,8 @@ class TestServingFeatures:
             assert np.array_equal(ecoc._trial_features(model, [trial], None)[0], served[i])
 
 
-def more_rows_than_signals(model) -> bool:
-    """Whether the model's rows outnumber its channels times the bands they read."""
+def reads_many_rows(model) -> bool:
+    """Whether the model's rows number at least its channels times the bands they read."""
     bands, rows, _, _ = model._rows
     return len(rows) >= len(bands) * rows.shape[1]
 
@@ -445,7 +445,7 @@ def served_models(mini_decomp):
     dataset, decomp = mini_decomp
     channels = fit_small_ecoc(decomp)
     _, projecting = fit_small_pair(dataset, (0, 2), seed=4)
-    assert more_rows_than_signals(channels) and not more_rows_than_signals(projecting)
+    assert reads_many_rows(channels) and not reads_many_rows(projecting)
     return {"channels": channels, "projecting": projecting}
 
 
