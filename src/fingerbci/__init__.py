@@ -8,7 +8,6 @@ and a repeated-holdout evaluation harness.
 
 from .bandselect import BandScore, SelectionResult, select_bands
 from .config import PipelineConfig
-from .csp import log_variance_features
 from .dsp import (
     BandDecomposition,
     FilterBank,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .bandselect import DEFAULT_SHRINKAGE
 from .dsp import DEFAULT_TAPS, FilterBank, make_bank
-from .trialstore import describe, is_finite_number
+from .trialstore import describe, is_finite_number, is_list_of
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be a finite number, got {describe(value)}")
         for name in ("et_max_features", "et_min_samples_split", "et_n_estimators"):
             values = getattr(self, name)
-            if values is not None and not (type(values) is list and all(type(v) is int for v in values)):
+            if values is not None and not is_list_of(values, int):
                 raise ValueError(f"{name} must be a list of integers, got {describe(values)}")
         try:
             self.bank()

@@ -5,8 +5,8 @@ its trace (:func:`class_covariances`).
 Filters solve the generalized eigenproblem ``C_a w = lambda (C_a + C_b) w``
 so eigenvalues fall in [0, 1] and sum to 1 across the two classes; rows of
 the filter matrix are sorted by eigenvalue descending.  Features are log
-variance ratios of the projections through the first and last ``n_pairs``
-filters, read from each trial's centred covariance.
+variance ratios (:func:`log_ratios`) of the projections through the first
+and last ``n_pairs`` filters.
 """
 
 from __future__ import annotations
@@ -80,22 +80,6 @@ def _cholesky(composite: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError as exc:
                 raise ValueError(f"composite covariance is singular after regularization: {exc}") from exc
     return factors
-
-
-def log_variance_features(covariances: np.ndarray, filters: np.ndarray) -> np.ndarray:
-    """Log variance-ratio features from centred spatial covariances.
-
-    The variance of a trial projected through filter ``w`` is ``w S w^T``
-    for its centred covariance ``S``, so the features are
-    ``log(diag(W S W^T) / sum(diag(W S W^T)))`` over the kept filters ``W``,
-    a ``(2 * n_pairs, C)`` array.  ``(..., C, C)`` covariances give
-    ``(..., 2 * n_pairs)`` features; each trial's row is computed on its
-    own, so a batch equals its single trials.
-    """
-    covariances = np.asarray(covariances, dtype=np.float64)
-    if covariances.shape[-1] != filters.shape[-1]:
-        raise ValueError(f"trial has {covariances.shape[-1]} channels, model expects {filters.shape[-1]}")
-    return log_ratios(np.sum((filters @ covariances) * filters, axis=-1))
 
 
 def log_ratios(variances: np.ndarray) -> np.ndarray:

@@ -258,7 +258,7 @@ def _window(length: int) -> tuple[int, np.ndarray]:
 
 
 def _spectra(trials, sample_rate, bands, taps):
-    """Yield ``(batch, power, spectra, weights)``: each trial of ``batch``'s uncentred power ``trace(x x^T) / n``,
+    """Yield ``(batch, power, spectra, weights)``: each trial of ``batch``'s centred power ``trace(x x^T) / n``,
     its spectrum ``(len(batch), C, bins)`` at the bins of ``bands`` and the bands' weights there.
 
     The spectrum is the ``_next_fast_len(n)``-point rfft of the trial mean-removed and multiplied by
@@ -278,16 +278,16 @@ def _spectra(trials, sample_rate, bands, taps):
         step = max(1, BATCH_SAMPLES // (trials[0].n_channels * length))
         for batch in (indices[i : i + step] for i in range(0, len(indices), step)):
             samples = np.stack([trials[i].samples for i in batch], dtype=np.float64)
-            power = np.einsum("ict,ict->i", samples, samples) / length
             samples -= samples.mean(axis=-1, keepdims=True)
+            power = np.einsum("ict,ict->i", samples, samples) / length
             samples *= window
             yield batch, power, np.fft.rfft(samples, n_fft, axis=-1).take(bins, axis=-1), weights
 
 
 def _refuse_silent(band_power: np.ndarray, power: np.ndarray, batch: list[int], bands) -> None:
-    # A trial keeping at most 1e-12 of its uncentred power (``power[i, b]``, as the band's rows see it) in band b is
-    # all zero there: an all-zero trial, or a constant one that mean removal leaves as rounding.  Names the first
-    # band with a silent trial, and its first such trial.
+    # A trial keeping at most 1e-12 of its centred power (``power[i, b]``, as the band's rows see it) in band b is
+    # all zero there: an all-zero or constant trial, which mean removal leaves all zero.  A DC offset does not count.
+    # Names the first band with a silent trial, and its first such trial.
     silent = band_power <= 1e-12 * power
     if np.any(silent):
         b = int(np.argmax(silent.any(axis=0)))
@@ -300,7 +300,7 @@ def band_covariances(
     """Each trial's covariance in each band, the ``(n_bands, n_trials, C, C)`` stack of :class:`BandDecomposition`:
     ``S_b = 2 Re sum_k w_b(k) X_k X_k^H / (n_fft * n)`` over the support of band ``b``, from the spectrum ``X`` and
     weights ``w_b = |H_b|^4`` of :func:`_spectra`.  A trial whose trace in a band is at most 1e-12 of its
-    uncentred power is refused by name.
+    centred power is refused by name.
     """
     shape = (len(bands), len(trials), trials[0].n_channels, trials[0].n_channels) if trials else ()
     covariances = np.empty(shape)

@@ -22,11 +22,11 @@ import numpy as np
 
 from .bandselect import score_bands_for_labels, select_bands
 from .config import PipelineConfig
-from .csp import class_covariances, fit_csp_stack, kept_filters, log_ratios, log_variance_features
+from .csp import class_covariances, fit_csp_stack, kept_filters, log_ratios
 from .dsp import BandDecomposition, BankError, check_bank, row_variances
 from .extratrees import EtForest, EtParams, NodeTable, fit as et_fit, majority, node_table, tree_sizes, tune as et_tune
 from .rng import child_seed
-from .trialstore import Trial, describe, is_finite_number, replacing
+from .trialstore import Trial, describe, is_finite_number, is_list_of, replacing
 
 MODEL_NAME = "model.json"
 # Bundle layout 5: each column's kept CSP filters as one 3-D list, its forest as the three level-order lists.
@@ -88,9 +88,11 @@ def _column_features(selected_bands: list[int], filters: np.ndarray, covariances
 
     ``covariances[b]`` is the ``(n_trials, C, C)`` stack of centred
     covariances in band ``b`` of the model's band list; only the selected
-    bands are read.
+    bands are read.  Through band ``b``'s kept filters ``W``, a trial's
+    features are ``log(diag(W S W^T) / sum(diag(W S W^T)))`` of its ``S``,
+    computed trial by trial, so a batch equals its single trials.
     """
-    return np.hstack([log_variance_features(covariances[b], f) for b, f in zip(selected_bands, filters)])
+    return np.hstack([log_ratios(np.sum((f @ covariances[b]) * f, axis=-1)) for b, f in zip(selected_bands, filters)])
 
 
 @dataclass
@@ -360,14 +362,10 @@ def _require(ok: bool, name: str, message: str) -> None:
         raise ValueError(f"model bundle field {name!r}: {message}")
 
 
-def _is_list_of(values, kind: type) -> bool:
-    return type(values) is list and {kind}.issuperset(map(type, values))
-
-
 def _entries(data: dict, name: str, kind: type) -> list:
     """``data[name]`` as read, refused by name unless it is a list of ``kind``."""
     values = data[name]
-    _require(_is_list_of(values, kind), name, f"must be a list of {kind.__name__}")
+    _require(is_list_of(values, kind), name, f"must be a list of {kind.__name__}")
     return values
 
 
@@ -390,7 +388,7 @@ def _check_trees(forest: dict, j: int, params: EtParams, feature_dim: int) -> Et
     level-order lists hold ``params.n_estimators`` binary trees reading ``feature_dim`` features; of several
     faults, the first of attribute, n_estimators, cut and counts is named."""
     values = forest["attribute"]
-    _require(_is_list_of(values, int) and min(values, default=-1) >= -1 and max(values, default=-1) < feature_dim,
+    _require(is_list_of(values, int) and min(values, default=-1) >= -1 and max(values, default=-1) < feature_dim,
              "attribute", f"column {j} has attributes that are not integers in [-1, {feature_dim})")
     attribute = np.array(values, dtype=np.int64)
     sizes = tree_sizes(attribute)
@@ -400,7 +398,7 @@ def _check_trees(forest: dict, j: int, params: EtParams, feature_dim: int) -> Et
     cut, counts, inner = forest["cut"], forest["counts"], int(np.count_nonzero(attribute >= 0))
     _require(type(cut) is list and len(cut) == inner and all(map(is_finite_number, cut)), "cut",
              f"column {j} has not one finite numeric cut per internal node")
-    _require(_is_list_of(counts, int) and len(counts) == 2 * (len(attribute) - inner)
+    _require(is_list_of(counts, int) and len(counts) == 2 * (len(attribute) - inner)
              and min(counts, default=0) >= 0 and max(counts, default=0) < 2**63,
              "counts", f"column {j} has not two integer counts in [0, 2**63) per leaf")
     cut, counts = np.array(cut, dtype=np.float64), np.array(counts, dtype=np.int64).reshape(-1, 2)
@@ -418,7 +416,9 @@ def _check_model(model: EcocModel) -> None:
     except ValueError as exc:
         raise ValueError(f"model bundle field 'code': {exc}") from None
     for name in ("class_names", "channel_names"):
-        _require(_is_list_of(getattr(model, name), str), name, "must be a list of strings")
+        names = getattr(model, name)
+        _require(is_list_of(names, str), name, "must be a list of strings")
+        _require(len(set(names)) == len(names), name, f"{describe(names)} repeats a name")
     _require(is_finite_number(model.sample_rate), "sample_rate", f"{describe(model.sample_rate)} is not a finite number")
     for band in model.bands:
         ok = len(band) == 2 and all(map(is_finite_number, band))
@@ -428,7 +428,7 @@ def _check_model(model: EcocModel) -> None:
     except BankError as exc:
         raise ValueError(f"model bundle field {exc.field!r}: {exc}") from None
     code, classes = model.code, model.classes
-    _require(_is_list_of(classes, int), "classes", f"{describe(classes)} is not a list of integers")
+    _require(is_list_of(classes, int), "classes", f"{describe(classes)} is not a list of integers")
     _require(len(code) == len(classes), "classes", f"{len(classes)} entries for {len(code)} code rows")
     _require(
         len(set(classes)) == len(classes) and all(0 <= c < len(model.class_names) for c in classes),
@@ -441,7 +441,7 @@ def _column_from_json(data: dict, j: int, model: EcocModel) -> ColumnModel:
     """Column ``j`` of a bundle whose other fields ``model`` holds, refused naming the first field that
     cannot serve predictions."""
     bands = data["selected_bands"]
-    _require(_is_list_of(bands, int) and all(0 <= b < len(model.bands) for b in bands), "selected_bands",
+    _require(is_list_of(bands, int) and all(0 <= b < len(model.bands) for b in bands), "selected_bands",
              f"column {j} selects {bands} of {len(model.bands)} bands")
     filters, n_channels = _array(data, "filters"), len(model.channel_names)
     kept = filters.shape[1] if filters.ndim == 3 else 0

@@ -333,14 +333,6 @@ def majority(table: NodeTable, features: np.ndarray) -> np.ndarray:
     return (votes * 2 > table.trees).astype(np.int64)
 
 
-def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:
-    """Majority vote over trees for each row of ``features``; a tied forest votes class 0."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != forest.feature_dim:
-        raise ValueError(f"features of shape {x.shape} are not rows of the trained dimension {forest.feature_dim}")
-    return majority(node_table([forest]), x)[:, 0]
-
-
 def _stops(nodes: _Nodes, x: np.ndarray, trees: np.ndarray, samples: np.ndarray, min_samples_split_grid) -> np.ndarray:
     """``(len(grid), n_pairs)`` node where sample ``samples[i]`` stops in tree
     ``trees[i]`` at each ``min_samples_split``: the first node on its path

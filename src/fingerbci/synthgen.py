@@ -13,15 +13,13 @@ given the two seeds.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from sys import float_info
 
 import numpy as np
 
 from .dsp import apply_filter, design_bandpass
 from .rng import stream
-from .trialstore import Dataset, Trial, describe
+from .trialstore import Dataset, Trial, describe, is_finite_number, is_list_of
 
 # Path tags distinguishing the noise-seed streams.
 _SOURCE_STREAM = 0
@@ -60,15 +58,17 @@ class SynthConfig:
     def validate(self) -> None:
         """Raise ``ValueError`` naming the first field of the wrong type or range."""
         for name in ("n_classes", "trials_per_class", "n_channels", "mixing_seed", "noise_seed"):
-            if not _is_integer(getattr(self, name)):
+            if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {describe(getattr(self, name))}")
         for name in ("sample_rate", "trial_duration", "noise_variance"):
-            if not _is_number(getattr(self, name)):
+            if not is_finite_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {describe(getattr(self, name))}")
         for name in ("class_names", "channel_names"):
             names = getattr(self, name)
-            if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            if names is not None and not is_list_of(names, str):
                 raise ValueError(f"{name} must be null or a list of strings, got {describe(names)}")
+            if names is not None and len(set(names)) < len(names):
+                raise ValueError(f"{name} must not repeat a name, got {describe(names)}")
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.trials_per_class < 1:
@@ -84,7 +84,7 @@ class SynthConfig:
         if not isinstance(self.class_sources, list) or len(self.class_sources) != self.n_classes:
             raise ValueError(f"class_sources must list {self.n_classes} classes")
         for c, sources in enumerate(self.class_sources):
-            if not (_is_list_of_number_lists(sources) and all(len(source) == 3 for source in sources)):
+            if not (isinstance(sources, (list, tuple)) and all(_numbers(s) and len(s) == 3 for s in sources)):
                 raise ValueError(f"class_sources: class {c} has {describe(sources)}, not (low, high, variance) triples")
             for low, high, variance in sources:
                 if not 0.0 < low < high < self.sample_rate / 2.0:
@@ -99,7 +99,7 @@ class SynthConfig:
             if not isinstance(self.mixing_vectors, list) or len(self.mixing_vectors) != self.n_classes:
                 raise ValueError("mixing_vectors must list every class")
             for c, vectors in enumerate(self.mixing_vectors):
-                if not _is_list_of_number_lists(vectors):
+                if not (isinstance(vectors, (list, tuple)) and all(map(_numbers, vectors))):
                     raise ValueError(f"mixing_vectors: class {c} has {describe(vectors)}, not lists of finite numbers")
                 if len(vectors) != len(self.class_sources[c]):
                     raise ValueError(f"class {c}: one mixing vector per source required")
@@ -121,18 +121,8 @@ class SynthConfig:
         return cfg
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= float_info.max
-
-
-def _is_list_of_number_lists(values) -> bool:
-    return isinstance(values, (list, tuple)) and all(
-        isinstance(v, (list, tuple)) and all(map(_is_number, v)) for v in values
-    )
+def _numbers(values) -> bool:
+    return isinstance(values, (list, tuple)) and all(map(is_finite_number, values))
 
 
 def _synth_taps(sample_rate: float, n_samples: int) -> int:

@@ -161,8 +161,8 @@ def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
     Raises ``FileNotFoundError`` for missing files and ``ValueError`` naming
-    the field of a manifest value of the wrong type or range, or when the
-    manifest and the binary disagree on dimensions or payloads overlap.
+    the field of a manifest value of the wrong type or range or of a repeated
+    name, or when the manifest and the binary disagree on dimensions or payloads overlap.
     """
     directory = Path(path)
     manifest_path = directory / MANIFEST_NAME
@@ -183,6 +183,9 @@ def load_dataset(path: str | Path) -> Dataset:
     channel_names = _entries(manifest, "channel_names", str, "a list of strings")
     class_names = _entries(manifest, "class_names", str, "a list of strings")
     records = _entries(manifest, "trials", dict, "a list of objects")
+    for name, names in (("channel_names", channel_names), ("class_names", class_names)):
+        if len(set(names)) < len(names):
+            raise ValueError(f"manifest field {name!r}: {describe(names)} repeats a name")
     n_channels = len(channel_names)
     # One read of the whole file; each trial's samples are a view of it.
     size = trials_path.stat().st_size
@@ -217,6 +220,11 @@ def load_dataset(path: str | Path) -> Dataset:
 def is_finite_number(value) -> bool:
     """Whether ``value`` is an ``int`` or ``float``, finite and within float64's range (an ``int`` may exceed it)."""
     return type(value) in (int, float) and abs(value) <= float_info.max
+
+
+def is_list_of(values, kind: type) -> bool:
+    """Whether ``values`` is a ``list`` whose entries are all of type ``kind`` itself (a ``bool`` is no ``int``)."""
+    return type(values) is list and {kind}.issuperset(map(type, values))
 
 
 def describe(value) -> str:

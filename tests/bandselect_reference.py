@@ -16,7 +16,7 @@ import scipy.linalg
 
 from fingerbci.bandselect import DEFAULT_SHRINKAGE, BandScore
 from fingerbci.crossval import stratified_folds
-from fingerbci.csp import RIDGE, log_variance_features
+from fingerbci.csp import RIDGE, log_ratios
 from fingerbci.rng import stream
 
 
@@ -99,12 +99,17 @@ def fold_class_means(covariances, labels, train_mask):
     return tuple(means)
 
 
+def features(covariances, kept):
+    """Log variance ratios of each trial's projections through the ``kept`` filter rows."""
+    return log_ratios(np.einsum("ki,nij,kj->nk", kept, covariances, kept))
+
+
 def fit_fold_model(covariances, labels, train_mask, n_pairs, shrinkage):
     """Kept CSP filters (first and last ``n_pairs`` rows) and discriminant of
     one band fitted on one training fold."""
     filters, _ = fit_csp_from_covariances(*fold_class_means(covariances, labels, train_mask), n_pairs)
     kept = np.vstack([filters[:n_pairs], filters[-n_pairs:]])
-    lda = lda_fit(log_variance_features(covariances[train_mask], kept), labels[train_mask], shrinkage)
+    lda = lda_fit(features(covariances[train_mask], kept), labels[train_mask], shrinkage)
     return kept, lda
 
 
@@ -115,7 +120,7 @@ def cv_band_score(covariances, labels, n_pairs, folds, rng, shrinkage) -> float:
     for k in range(folds):
         test_mask = fold_ids == k
         kept, lda = fit_fold_model(covariances, labels, ~test_mask, n_pairs, shrinkage)
-        predictions = lda_predict(lda, log_variance_features(covariances[test_mask], kept))
+        predictions = lda_predict(lda, features(covariances[test_mask], kept))
         accuracies.append(float(np.mean(predictions == labels[test_mask])))
     return float(np.mean(accuracies))
 

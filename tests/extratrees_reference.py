@@ -9,7 +9,8 @@ seeded ``child_seed(seed, 1, max_features, fold)`` as
 :func:`fingerbci.extratrees.tune` seeds the forest it truncates and
 prefix-scores.  :func:`predict` votes tree by tree and sample by sample
 through :func:`tree_predict`, the scalar walk that the package's node
-table replaces.  Trees here are linked :class:`Node` objects;
+table replaces; :func:`table_predict` is that node table's vote of one
+forest.  Trees here are linked :class:`Node` objects;
 :func:`array_forest` lays them out as the package's array forest, and
 :func:`link` links a grown batch of package nodes.
 """
@@ -20,7 +21,7 @@ from collections import deque
 import numpy as np
 
 from fingerbci.crossval import stratified_folds
-from fingerbci.extratrees import EtForest, EtParams
+from fingerbci.extratrees import EtForest, EtParams, majority, node_table
 from fingerbci.rng import child_seed, stream
 
 MASK = (1 << 64) - 1
@@ -149,6 +150,11 @@ def fit(features: np.ndarray, labels: np.ndarray, params: EtParams) -> EtForest:
         for t in range(params.n_estimators)
     ]
     return array_forest(trees, params, x.shape[1])
+
+
+def table_predict(forest: EtForest, features: np.ndarray) -> np.ndarray:
+    """The package's vote of one forest: its node table's majority, the path serving takes."""
+    return majority(node_table([forest]), np.asarray(features, dtype=np.float64))[:, 0]
 
 
 def predict(forest: EtForest, features: np.ndarray) -> np.ndarray:

@@ -27,9 +27,11 @@ from fingerbci.config import PipelineConfig
 from fingerbci.crossval import stratified_folds
 from fingerbci.dsp import decompose
 from fingerbci.evaluation import repeated_holdout
-from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
+from fingerbci.extratrees import EtParams, fit as et_fit
 from fingerbci.rng import child_seed, stream
 from fingerbci.synthgen import SynthConfig, generate
+
+from extratrees_reference import table_predict
 
 PATH = Path(__file__).parent / "golden" / "decisions.json"
 COLUMN_FIELDS = ("band_scores", "selected_bands", "cv_accuracies", "tuned_params", "nodes", "leaves")
@@ -70,7 +72,7 @@ def _cv_accuracies(features, labels, max_features_grid, min_samples_split_grid, 
         for k in range(folds):
             test = fold_ids == k
             forest = et_fit(features[~test], labels[~test], EtParams(mf, ms, ne, seed=child_seed(seed, 1, mf, k)))
-            per_fold.append(float(np.mean(et_predict(forest, features[test]) == labels[test])))
+            per_fold.append(float(np.mean(table_predict(forest, features[test]) == labels[test])))
         accuracies.append(_digits(np.mean(per_fold)))
     return accuracies
 

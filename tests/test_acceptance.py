@@ -32,9 +32,10 @@ from fingerbci import (
 from fingerbci.bandselect import BandScore, score_bands_for_labels
 from fingerbci.config import PipelineConfig
 from fingerbci.ecoc import decode, fit_ecoc
-from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
+from fingerbci.extratrees import EtParams, fit as et_fit
 from fingerbci.rng import child_seed, stream
 
+from extratrees_reference import table_predict
 from timeseries_reference import class_covariance, fit_csp
 
 
@@ -201,7 +202,7 @@ def test_criterion_4_extra_trees_properties():
             labels = rng.integers(0, 2, 50)
             labels[:2] = [0, 1]
             forest = et_fit(features, labels, params)
-            assert np.array_equal(et_predict(forest, features), labels)
+            assert np.array_equal(table_predict(forest, features), labels)
 
             def total(node):
                 if node.is_leaf:
@@ -215,8 +216,8 @@ def test_criterion_4_extra_trees_properties():
         labels = rng.integers(0, 2, 60)
         labels[:2] = [0, 1]
         probes = rng.standard_normal((200, 5))
-        first = et_predict(et_fit(features, labels, params), probes)
-        second = et_predict(et_fit(features, labels, params), probes)
+        first = table_predict(et_fit(features, labels, params), probes)
+        second = table_predict(et_fit(features, labels, params), probes)
         assert first.tobytes() == second.tobytes()
 
 

@@ -92,6 +92,8 @@ SYNTH_REJECTED = {
     "sources not a list": ({"class_sources": "9-11"}, "class_sources must list 4 classes"),
     "class names a string": ({"class_names": "abcd"}, "class_names must be null or a list of strings"),
     "channel name a number": ({"channel_names": [1, 2, 3, 4]}, "channel_names must be null or a list of strings"),
+    "repeated channel name": ({"channel_names": ["c", "c", "d", "e"]}, "channel_names must not repeat a name"),
+    "repeated class name": ({"class_names": ["a", "a", "b", "c"]}, "class_names must not repeat a name"),
     "mixing vector of strings": ({"mixing_vectors": [[["1", "0", "0", "0"]]] * 4}, "mixing_vectors: class 0"),
     # json.dumps writes 10**400 out in digits, an integer beyond float64's range.
     "integer sample rate beyond float64": ({"sample_rate": 10**400}, "sample_rate must be a finite number"),

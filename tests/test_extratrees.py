@@ -6,11 +6,11 @@ import pytest
 from scipy import stats
 
 import extratrees_reference as reference
-from extratrees_reference import Node, array_forest, tree_predict
+from extratrees_reference import Node, array_forest, table_predict, tree_predict
 from fingerbci import extratrees
 from fingerbci.crossval import stratified_folds
 from fingerbci.extratrees import (
-    EtParams, _draw, _fold_votes, _grow, _root_keys, fit, majority, mix, node_table, predict, tree_sizes, tune,
+    EtParams, _draw, _fold_votes, _grow, _root_keys, fit, majority, mix, node_table, tree_sizes, tune,
 )
 from fingerbci.rng import child_seed, stream
 
@@ -60,7 +60,7 @@ class TestFit:
     def test_separable_resubstitution_perfect(self):
         features, labels = separable_clusters(np.random.default_rng(0))
         forest = fit(features, labels, EtParams(max_features=2, min_samples_split=2, n_estimators=50, seed=1))
-        assert np.array_equal(predict(forest, features), labels)
+        assert np.array_equal(table_predict(forest, features), labels)
 
     def test_large_min_split_gives_single_leaf_majority(self):
         rng = np.random.default_rng(1)
@@ -69,7 +69,7 @@ class TestFit:
         forest = fit(features, labels, EtParams(max_features=2, min_samples_split=11, n_estimators=5, seed=2))
         assert all(tree.is_leaf for tree in forest.trees)
         probes = rng.standard_normal((20, 3))
-        assert np.array_equal(predict(forest, probes), np.ones(20, dtype=int))
+        assert np.array_equal(table_predict(forest, probes), np.ones(20, dtype=int))
 
     def test_deterministic_same_seed(self):
         features, labels = separable_clusters(np.random.default_rng(3), margin=2.0)
@@ -78,7 +78,7 @@ class TestFit:
         second = fit(features, labels, params)
         assert all(nodes_equal(a, b) for a, b in zip(first.trees, second.trees))
         probes = np.random.default_rng(4).standard_normal((50, 2))
-        assert np.array_equal(predict(first, probes), predict(second, probes))
+        assert np.array_equal(table_predict(first, probes), table_predict(second, probes))
 
     def test_every_tree_sees_all_samples(self):
         # No bootstrap: leaf counts of each tree partition the full set.
@@ -94,7 +94,7 @@ class TestFit:
             labels = rng.integers(0, 2, 40)
             labels[:2] = [0, 1]
             forest = fit(features, labels, EtParams(max_features=2, min_samples_split=2, n_estimators=5, seed=8))
-            assert np.array_equal(predict(forest, features), labels)
+            assert np.array_equal(table_predict(forest, features), labels)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single class"):
@@ -116,7 +116,7 @@ class TestFit:
         features = np.hstack([np.ones((20, 1)), rng.standard_normal((20, 1))])
         labels = (features[:, 1] > 0).astype(int)
         forest = fit(features, labels, EtParams(max_features=2, min_samples_split=2, n_estimators=5, seed=12))
-        assert np.array_equal(predict(forest, features), labels)
+        assert np.array_equal(table_predict(forest, features), labels)
 
 
 class TestPredict:
@@ -124,7 +124,7 @@ class TestPredict:
         features, labels = separable_clusters(np.random.default_rng(13), margin=1.5)
         forest = fit(features, labels, EtParams(max_features=2, min_samples_split=2, n_estimators=1, seed=14))
         probes = np.random.default_rng(15).standard_normal((25, 2))
-        forest_votes = predict(forest, probes)
+        forest_votes = table_predict(forest, probes)
         tree_votes = np.array([tree_predict(forest.trees[0], p) for p in probes])
         assert np.array_equal(forest_votes, tree_votes)
 
@@ -132,7 +132,7 @@ class TestPredict:
         features, labels = separable_clusters(np.random.default_rng(16))
         forest = fit(features, labels, EtParams(max_features=2, min_samples_split=2, n_estimators=30, seed=17))
         centers = np.array([[0.0, 0.0], [20.0, 20.0]])
-        assert np.array_equal(predict(forest, centers), [0, 1])
+        assert np.array_equal(table_predict(forest, centers), [0, 1])
 
     def test_unanimous_vote_wins(self):
         features = np.array([[0.0], [0.0], [1.0]])
@@ -141,18 +141,12 @@ class TestPredict:
         forest = fit(features, labels, EtParams(max_features=1, min_samples_split=10, n_estimators=9, seed=18))
         votes = [tree_predict(t, np.array([5.0])) for t in forest.trees]
         assert set(votes) == {1}
-        assert predict(forest, np.array([[5.0]]))[0] == 1
+        assert table_predict(forest, np.array([[5.0]]))[0] == 1
 
     def test_leaf_tie_votes_class_zero(self):
         leaf = Node(counts=(3, 3))
         assert tree_predict(leaf, np.zeros(1)) == 0
-        assert predict(array_forest([leaf], EtParams(1, 2, 1), 1), np.zeros((1, 1)))[0] == 0
-
-    def test_dimension_mismatch_rejected(self):
-        features, labels = separable_clusters(np.random.default_rng(19), n=5)
-        forest = fit(features, labels, EtParams(max_features=1, min_samples_split=2, n_estimators=1))
-        with pytest.raises(ValueError, match="dimension"):
-            predict(forest, np.zeros((2, 5)))
+        assert table_predict(array_forest([leaf], EtParams(1, 2, 1), 1), np.zeros((1, 1)))[0] == 0
 
 
 def chain(length: int, feature_dim: int = 1) -> Node:
@@ -187,19 +181,19 @@ class TestNodeTable:
             table = node_table([forest])
             cuts = table.cut[table.attribute >= 0][np.isfinite(table.cut[table.attribute >= 0])]
             probes = np.vstack([probes, np.repeat(cuts[:, np.newaxis], features.shape[1], axis=1)])
-            assert np.array_equal(predict(forest, probes), reference.predict(forest, probes)), f"problem {i}"
+            assert np.array_equal(table_predict(forest, probes), reference.predict(forest, probes)), f"problem {i}"
 
     def test_single_leaf_tree(self):
         for counts, vote in (((1, 2), 1), ((2, 1), 0), ((0, 0), 0)):
             forest = array_forest([Node(counts=counts)], EtParams(1, 2, 1), 2)
             assert node_table([forest]).depth == 0
-            assert np.array_equal(predict(forest, np.zeros((3, 2))), [vote] * 3)
+            assert np.array_equal(table_predict(forest, np.zeros((3, 2))), [vote] * 3)
 
     def test_tied_forest_votes_zero(self):
         trees = [Node(counts=(0, 4)), Node(0, 0.0, Node(counts=(5, 0)), Node(counts=(0, 5)))]
         forest = array_forest(trees, EtParams(1, 2, 2), 1)
         # -1 splits left (two votes 1 and 0: a tie), 1 splits right (two votes 1).
-        assert np.array_equal(predict(forest, np.array([[-1.0], [1.0]])), [0, 1])
+        assert np.array_equal(table_predict(forest, np.array([[-1.0], [1.0]])), [0, 1])
         assert np.array_equal(reference.predict(forest, np.array([[-1.0], [1.0]])), [0, 1])
 
     def test_chain_deeper_than_recursion_limit(self):
@@ -211,7 +205,7 @@ class TestNodeTable:
         rows = np.array([[-1.0], [0.5], [1.0], [1000.5], [1998.0], [1999.0], [1999.5], [np.inf]])
         expected = [0, 1, 1, 1, 0, 1, 1, 1]
         assert [tree_predict(forest.trees[0], row) for row in rows] == expected
-        assert np.array_equal(predict(forest, rows), expected)
+        assert np.array_equal(table_predict(forest, rows), expected)
 
     def test_forests_of_different_dimensions_side_by_side(self):
         rng = np.random.default_rng(81)
@@ -237,9 +231,9 @@ class TestNodeTable:
         features, labels, params = random_problem(rng, 5)
         forest = fit(features, labels, replace(params, n_estimators=9))
         rows = rng.standard_normal((23, features.shape[1]))
-        whole = predict(forest, rows)
+        whole = table_predict(forest, rows)
         monkeypatch.setattr(extratrees, "BATCH_PAIRS", 4 * len(node_table([forest]).attribute))  # four rows a chunk
-        assert np.array_equal(predict(forest, rows), whole)
+        assert np.array_equal(table_predict(forest, rows), whole)
         assert np.array_equal(whole, reference.predict(forest, rows))
 
 
@@ -260,7 +254,7 @@ class TestArrayForest:
         assert table.left.tolist() == [0, 2, 2, 4, 4, 5] and table.right.tolist() == [0, 3, 2, 5, 4, 5]
         assert table.roots.tolist() == [0, 1] and table.depth == 2
         rows = np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 3.0]])
-        assert np.array_equal(predict(array_forest([tree], EtParams(1, 2, 1), 2), rows), [0, 1, 0])
+        assert np.array_equal(table_predict(array_forest([tree], EtParams(1, 2, 1), 2), rows), [0, 1, 0])
 
     def test_trees_view_lays_out_as_the_arrays(self):
         # The view, laid out again breadth first by the reference, gives the arrays back.
@@ -308,7 +302,7 @@ class TestTune:
         for k in range(4):
             mask = fold_ids == k
             forest = fit(features[~mask], labels[~mask], first)
-            accuracies.append(np.mean(predict(forest, features[mask]) == labels[mask]))
+            accuracies.append(np.mean(table_predict(forest, features[mask]) == labels[mask]))
         assert 0.35 <= np.mean(accuracies) <= 0.65
 
     def test_separable_data_tunes_well(self):
@@ -322,7 +316,7 @@ class TestTune:
         for k in range(4):
             mask = fold_ids == k
             forest = fit(features[~mask], labels[~mask], params)
-            accuracies.append(np.mean(predict(forest, features[mask]) == labels[mask]))
+            accuracies.append(np.mean(table_predict(forest, features[mask]) == labels[mask]))
         assert np.mean(accuracies) >= 0.95
 
     def test_tie_break_prefers_cheapest(self):
@@ -410,7 +404,7 @@ class TestReferenceEquivalence:
                 assert np.array_equal(getattr(fast, name), getattr(slow, name)), f"problem {i}: {name}"
             assert all(nodes_equal(a, b) for a, b in zip(fast.trees, slow.trees)), f"problem {i}: {params}"
             probes = np.vstack([features, rng.standard_normal((10, features.shape[1]))])
-            assert np.array_equal(predict(fast, probes), reference.predict(slow, probes)), f"problem {i}"
+            assert np.array_equal(table_predict(fast, probes), reference.predict(slow, probes)), f"problem {i}"
 
     def test_truncated_forest_equals_forest_grown_at_that_m(self):
         rng = np.random.default_rng(60)
@@ -465,7 +459,7 @@ class TestReferenceEquivalence:
         params = EtParams(max_features=1, min_samples_split=2, n_estimators=1, seed=0)
         forest = fit(features, labels, params)
         assert depth(forest.trees[0]) > sys.getrecursionlimit()
-        assert np.array_equal(predict(forest, features), labels)
-        assert np.array_equal(predict(forest, features[::40]), reference.predict(forest, features[::40]))
+        assert np.array_equal(table_predict(forest, features), labels)
+        assert np.array_equal(table_predict(forest, features[::40]), reference.predict(forest, features[::40]))
         with pytest.raises(RecursionError):
             reference.fit(features, labels, params)

@@ -43,10 +43,12 @@ class TestConfigValidation:
         ("sample_rate", 10**400), ("n_channels", 10.5 * 10**300), ("noise_seed", "7" * 5000),
         ("class_names", "x" * 5000), ("channel_names", ["c"] * 5000 + [1]),
         ("class_sources", [[(9.0, 11.0, "x" * 5000)], [(9.0, 11.0, 1.0)]]),
-        ("mixing_vectors", [[["x" * 5000] * 6], [[1.0] * 6]]),
+        ("mixing_vectors", [[["x" * 5000] * 6], [[1.0] * 6]]), ("n_channels", np.int64(6)),
+        ("sample_rate", np.float64(128.0)),
     ])
     def test_refusal_names_its_field_briefly(self, field, value):
-        # 10**400 or a 5,000-character string is named by its type and size, not repeated in full.
+        # 10**400 or a 5,000-character string is named by its type and size, not repeated in full.  Fields
+        # take the types JSON gives, as PipelineConfig's do, so a numpy scalar is refused too.
         with pytest.raises(ValueError, match=field) as caught:
             base_config(**{field: value}).validate()
         assert len(str(caught.value)) < 200

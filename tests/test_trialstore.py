@@ -256,6 +256,8 @@ MANIFEST_EDITS = {
     "channel_names a string": (_set(("channel_names",), "ab"), "'channel_names'"),
     "channel name a number": (_set(("channel_names", 0), 3), "'channel_names'"),
     "class_names a string": (_set(("class_names",), "xy"), "'class_names'"),
+    "repeated channel name": (_set(("channel_names", 1), "a"), "field 'channel_names': ['a', 'a'] repeats a name"),
+    "repeated class name": (_set(("class_names", 0), "y"), "field 'class_names': ['y', 'y'] repeats a name"),
     "string sample_rate": (_set(("sample_rate",), "100"), "'sample_rate'"),
     "zero sample_rate": (_set(("sample_rate",), 0), "'sample_rate'"),
     "infinite sample_rate": (_set(("sample_rate",), float("inf")), "'sample_rate'"),
@@ -334,6 +336,50 @@ class TestManifestChecks:
                     load_dataset(tmp_path)
                 except ValueError:
                     pass
+
+
+# A parsed manifest value is replaced by one of these, or deleted; "a" and "x" repeat a channel and a class name.
+DELETE = object()
+MUTANTS = [DELETE, None, True, False, 0, 1, -1, 1.5, 10**30, 10**400, -1e308, float("nan"), float("inf"), "", "a", "x",
+           [], {}, [[0.5]], {"a": 1}]
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """The manifest text of a saved two-class dataset, and its directory."""
+    directory = tmp_path_factory.mktemp("dataset")
+    save_dataset(two_class_dataset(), directory)
+    return (directory / "manifest.json").read_text(), directory
+
+
+class TestMutatedManifests:
+    """Random single mutations of a manifest value: ``load_dataset`` refuses
+    each with a ``ValueError`` (or ``FileNotFoundError``), or loads a dataset
+    whose channel and class names are distinct."""
+
+    @staticmethod
+    def paths(value, path=()):
+        keys = list(value) if type(value) is dict else range(len(value)) if type(value) is list else []
+        for key in keys:
+            yield path + (key,)
+            yield from TestMutatedManifests.paths(value[key], path + (key,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_manifest_refused_or_loaded(self, saved_files, data):
+        text, directory = saved_files
+        manifest = json.loads(text)
+        path = data.draw(st.sampled_from(list(self.paths(manifest))), label="path")
+        value = data.draw(st.sampled_from(MUTANTS), label="value")
+        (_drop(path) if value is DELETE else _set(path, value))(manifest)
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        try:
+            dataset = load_dataset(directory)
+        except (ValueError, FileNotFoundError):
+            return
+        for names in (dataset.channel_names, dataset.class_names):
+            assert len(set(names)) == len(names), names
+
 
 class TestStratifiedSplit:
     def test_exact_counts_10_per_class(self):

@@ -11,8 +11,8 @@ the solver's tests state exact values.
 
 import numpy as np
 
-from fingerbci import Trial, log_variance_features
-from fingerbci.csp import fit_csp_stack
+from fingerbci import Trial
+from fingerbci.csp import fit_csp_stack, log_ratios
 
 
 def trial_covariance(trial: Trial) -> np.ndarray:
@@ -41,7 +41,7 @@ def fit_csp(class_a: list[Trial], class_b: list[Trial], n_pairs: int) -> tuple[n
 
 def extract_features(trial: Trial, filters: np.ndarray) -> np.ndarray:
     """Log variance-ratio features of one trial through the kept ``filters`` (length 2 * n_pairs)."""
-    return log_variance_features(centred_covariance(trial), filters)
+    return log_ratios(np.sum((filters @ centred_covariance(trial)) * filters, axis=-1))
 
 
 def centred_covariance(trial: Trial) -> np.ndarray:
