@@ -56,14 +56,14 @@ def run_seed(seed: int, settings: dict) -> dict:
     names = dataset.class_names
     with selected_bands() as bands:
         multiclass = repeated_holdout(decomp, config)
-    record = {"seed": seed, "kappa": multiclass.kappa_mean, "kappas": multiclass.kappas}
+    record = {"seed": seed, "kappa": multiclass["kappa_mean"], "kappas": multiclass["kappas"]}
     record["columns"] = {"multiclass": bands}
     for section, pairs in (("rest_vs_finger", [(0, c) for c in (1, 2, 3)]), ("pairwise", [(1, 2), (1, 3), (2, 3)])):
         record[section] = {}
         for a, b in pairs:
             name = f"{names[a]} vs {names[b]}"
             with selected_bands() as bands:
-                record[section][name] = repeated_holdout(decomp, config, pair=(a, b)).mean
+                record[section][name] = repeated_holdout(decomp, config, pair=(a, b))["accuracy_mean"]
             record["columns"][name] = bands
     return record
 

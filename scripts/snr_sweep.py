@@ -56,7 +56,7 @@ def main() -> None:
     for snr in args.snr:
         dataset = sweep_dataset(snr, args.seed, args.trials_per_class)
         report = repeated_holdout(decompose(dataset, config.bank()), config)
-        print(f"{snr:8.4g}  {report.mean:8.3f}  {report.kappa_mean:6.3f}")
+        print(f"{snr:8.4g}  {report['accuracy_mean']:8.3f}  {report['kappa_mean']:6.3f}")
 
 
 if __name__ == "__main__":

@@ -6,18 +6,9 @@ exhaustive-code ECOC multiclass decoding, plus a synthetic EEG generator
 and a repeated-holdout evaluation harness.
 """
 
-from .bandselect import BandScore, SelectionResult, select_bands
+from .bandselect import SelectionResult, select_bands
 from .config import PipelineConfig
-from .dsp import (
-    BandDecomposition,
-    FilterBank,
-    FirFilter,
-    apply_filter,
-    band_covariances,
-    decompose,
-    design_bandpass,
-    make_bank,
-)
+from .dsp import BandDecomposition, FilterBank, band_covariances, decompose, design_bandpass, make_bank
 from .ecoc import (
     PAIR_CODE,
     EcocModel,
@@ -30,17 +21,9 @@ from .ecoc import (
     predict_trials,
     save_model,
 )
-from .evaluation import RunReport, accuracy, cohen_kappa, confusion_matrix, repeated_holdout
+from .evaluation import accuracy, cohen_kappa, confusion_matrix, repeated_holdout
 from .extratrees import EtForest, EtParams
 from .synthgen import SynthConfig, generate
-from .trialstore import (
-    Dataset,
-    SplitIndices,
-    Trial,
-    load_dataset,
-    save_dataset,
-    stratified_split,
-    subset_classes,
-)
+from .trialstore import Dataset, Trial, load_dataset, save_dataset, stratified_split, subset_classes
 
 __version__ = "0.1.0"

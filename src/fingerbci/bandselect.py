@@ -23,14 +23,8 @@ DEFAULT_SHRINKAGE = 1e-3
 
 
 @dataclass
-class BandScore:
-    band: tuple[float, float]
-    score: float
-
-
-@dataclass
 class SelectionResult:
-    scores: list[BandScore]
+    scores: np.ndarray
     threshold: float
     selected: list[int]
 
@@ -92,8 +86,9 @@ def score_bands_for_labels(
     folds: int = 5,
     seed: int = 0,
     shrinkage: float = DEFAULT_SHRINKAGE,
-) -> list[BandScore]:
-    """Per-band CV accuracy for an arbitrary binary labeling of the trials."""
+) -> np.ndarray:
+    """Per-band CV accuracy for an arbitrary binary labeling of the trials: ``(n_bands,)``, aligned with
+    ``decomp.bands``."""
     labels = np.asarray(labels)
     if len(labels) != decomp.n_trials:
         raise ValueError(f"{len(labels)} labels for {decomp.n_trials} trials")
@@ -106,15 +101,14 @@ def score_bands_for_labels(
     _, features, weights, biases = fit_folds(decomp.feature_covariances, labels, ~test, n_pairs, shrinkage)
     predictions = (features @ weights[..., np.newaxis])[..., 0] + biases[..., np.newaxis] > 0.0
     accuracies = ((predictions == (labels == 1)) & test).sum(axis=-1) / test.sum(axis=-1)
-    return [BandScore(band=band, score=float(score)) for band, score in zip(decomp.bands, accuracies.mean(axis=-1))]
+    return accuracies.mean(axis=-1)
 
 
-def select_bands(scores: list[BandScore]) -> SelectionResult:
+def select_bands(scores: np.ndarray) -> SelectionResult:
     """Keep bands scoring at least ``max - sample_std`` (never empty)."""
-    if not scores:
+    values = np.asarray(scores, dtype=np.float64)
+    if values.size == 0:
         raise ValueError("no band scores to select from")
-    values = np.array([s.score for s in scores], dtype=np.float64)
     spread = float(values.std(ddof=1)) if len(values) > 1 else 0.0
     threshold = float(values.max() - spread)
-    selected = [i for i, v in enumerate(values) if v >= threshold]
-    return SelectionResult(scores=list(scores), threshold=threshold, selected=selected)
+    return SelectionResult(scores=values, threshold=threshold, selected=np.flatnonzero(values >= threshold).tolist())

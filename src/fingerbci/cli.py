@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import PipelineConfig
+from .config import PipelineConfig, read_json
 from .dsp import decompose
 from .ecoc import PAIR_CODE, column_pools, exhaustive_code, fit_ecoc, load_model, predict_trials, save_model
 from .evaluation import repeated_holdout
@@ -52,9 +52,7 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = SynthConfig.from_dict(json.load(fh))
-    dataset = generate(config)
+    dataset = generate(SynthConfig.from_dict(read_json(args.config, "synth config")))
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset.trials)} trials to {args.out}")
     return 0
@@ -74,11 +72,12 @@ def cmd_score_bands(args: argparse.Namespace) -> int:
         pair, pair.labels, config.csp_pairs, config.cv_folds, config.seed, config.lda_shrinkage
     )
     selection = select_bands(scores)
+    scored = list(zip(pair.bands, scores.tolist()))
     _write_json(
         {
             "pair": [class_a, class_b],
             "pair_names": [dataset.class_names[class_a], dataset.class_names[class_b]],
-            "scores": [{"band": list(s.band), "score": s.score} for s in selection.scores],
+            "scores": [{"band": list(band), "score": score} for band, score in scored],
             "threshold": selection.threshold,
             "selected": selection.selected,
             "config": config.to_dict(),
@@ -89,8 +88,8 @@ def cmd_score_bands(args: argparse.Namespace) -> int:
     with open(out.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["band_low_hz", "band_high_hz", "score", "selected"])
-        for i, s in enumerate(selection.scores):
-            writer.writerow([s.band[0], s.band[1], s.score, int(i in selection.selected)])
+        for i, ((low, high), score) in enumerate(scored):
+            writer.writerow([low, high, score, int(i in selection.selected)])
     print(f"scored {len(scores)} bands; threshold {selection.threshold:.3f}; selected {selection.selected}")
     return 0
 
@@ -129,8 +128,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # One pass through the filter bank serves the multiclass run and every pair run.
     decomp = decompose(dataset, config.bank())
     if dataset.n_classes >= 3:
-        multiclass = repeated_holdout(decomp, config)
-        payload["multiclass"] = multiclass.summary()
+        payload["multiclass"] = multiclass = repeated_holdout(decomp, config)
         pairs_rest = [(0, c) for c in range(1, dataset.n_classes)]
         pairs_other = [
             (a, b) for a in range(1, dataset.n_classes) for b in range(a + 1, dataset.n_classes)
@@ -142,7 +140,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     for section, pairs in (("rest_vs_finger", pairs_rest), ("pairwise", pairs_other)):
         payload[section] = {
-            f"{names[a]} vs {names[b]}": repeated_holdout(decomp, config, pair=(a, b)).summary() for a, b in pairs
+            f"{names[a]} vs {names[b]}": repeated_holdout(decomp, config, pair=(a, b)) for a, b in pairs
         }
 
     _write_json(payload, out_dir / "report.json")
@@ -156,12 +154,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         writer = csv.writer(fh)
         writer.writerow(["repetition", "kappa"])
         if multiclass is not None:
-            for r, kappa in enumerate(multiclass.kappas):
-                writer.writerow([r, kappa])
+            writer.writerows(enumerate(multiclass["kappas"]))
     if multiclass is not None:
         print(
-            f"multiclass accuracy {multiclass.mean:.3f}+/-{multiclass.sd:.3f} "
-            f"(max {multiclass.max:.3f}), mean kappa {multiclass.kappa_mean:.3f}"
+            f"multiclass accuracy {multiclass['accuracy_mean']:.3f}+/-{multiclass['accuracy_sd']:.3f} "
+            f"(max {multiclass['accuracy_max']:.3f}), mean kappa {multiclass['kappa_mean']:.3f}"
         )
     print(f"report written to {out_dir}")
     return 0

@@ -84,6 +84,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        if type(data) is not dict:
+            raise ValueError(f"pipeline config must be a JSON object, got {describe(data)}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -91,5 +93,13 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
+        return cls.from_dict(read_json(path, "pipeline config"))
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in the file ``path``, refused naming ``what`` and the file unless it is JSON text."""
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return json.load(fh)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ValueError(f"{what} {path} is not JSON text: {exc}") from None

@@ -1,13 +1,12 @@
 """FIR bandpass design and the filter bank's band covariances.
 
 Filters are linear-phase windowed-sinc bandpasses (Hamming window),
-normalized to unit gain at the band center.  :func:`apply_filter` runs one
-filter over one trial's time series: zero-phase forward-backward filtering
-with the warm-up transients trimmed.
+normalized to unit gain at the band center.  Only synthesis runs one over a
+time series (:mod:`fingerbci.synthgen`).
 
-The decoder reads only second-order band statistics, and forward-backward
-filtering weights each frequency bin by ``|H_b(k)|^4``.  So every band
-covariance the decoder trains on (:func:`band_covariances`,
+The decoder reads only second-order band statistics, and zero-phase
+forward-backward filtering weights each frequency bin by ``|H_b(k)|^4``.
+So every band covariance the decoder trains on (:func:`band_covariances`,
 :func:`decompose`) and every variance it serves (:func:`row_variances`) is
 a weighted sum over one rfft of the trial, mean-removed and tapered: the
 spectrally weighted view of CSP (Tomioka et al., 2006).  No band time series
@@ -34,19 +33,6 @@ BATCH_SAMPLES = 1 << 18
 TAPER = 0.25
 # The share of a band's peak weight |H_b(k)|^4 that a bin of its support exceeds.
 WEIGHT_CUTOFF = 1e-6
-
-
-@dataclass(frozen=True)
-class FirFilter:
-    """Linear-phase FIR bandpass: symmetric coefficients, odd tap count."""
-
-    coefficients: np.ndarray
-    band: tuple[float, float]
-    sample_rate: float
-
-    @property
-    def taps(self) -> int:
-        return len(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -136,8 +122,8 @@ def check_bank(bands, sample_rate: float, taps: int) -> None:
             )
 
 
-def design_bandpass(low: float, high: float, sample_rate: float, taps: int) -> FirFilter:
-    """Windowed-sinc bandpass: ideal impulse response x Hamming window.
+def design_bandpass(low: float, high: float, sample_rate: float, taps: int) -> np.ndarray:
+    """The ``taps`` coefficients of a windowed-sinc bandpass: ideal impulse response x Hamming window.
 
     The kernel is normalized to unit magnitude response at the band center
     (narrow bands would otherwise sit far below unity gain), and built by
@@ -166,7 +152,7 @@ def design_bandpass(low: float, high: float, sample_rate: float, taps: int) -> F
     f0 = 0.5 * (low + high)
     gain = np.abs(np.sum(h * np.exp(-2j * np.pi * f0 / sample_rate * np.arange(taps))))
     h /= gain
-    return FirFilter(coefficients=h, band=(low, high), sample_rate=sample_rate)
+    return h
 
 
 def _next_fast_len(n: int) -> int:
@@ -181,38 +167,6 @@ def _next_fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _causal(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # Causal FIR pass along the last axis, same length as the input: the
-    # full linear convolution by one zero-padded real FFT product, truncated.
-    n = x.shape[1]
-    n_fft = _next_fast_len(n + len(h) - 1)
-    return np.fft.irfft(np.fft.rfft(x, n_fft, axis=1) * np.fft.rfft(h, n_fft), n_fft, axis=1)[:, :n]
-
-
-def _check_filterable(trial: Trial, sample_rate: float, taps: int) -> None:
-    if trial.sample_rate != sample_rate:
-        raise ValueError(f"trial rate {trial.sample_rate} != filter rate {sample_rate}")
-    if trial.n_samples <= 3 * taps:
-        raise ValueError(f"trial too short to filter: {trial.n_samples} samples <= 3 x {taps} taps")
-
-
-def apply_filter(trial: Trial, fir: FirFilter) -> Trial:
-    """Zero-phase forward-backward filtering of one trial.
-
-    Runs the kernel causally, reverses, runs it again and reverses back, so
-    the net phase is zero and the magnitude response is squared.  The first
-    and last ``taps - 1`` samples (filter warm-up in each direction) are
-    discarded.
-    """
-    taps = fir.taps
-    _check_filterable(trial, fir.sample_rate, taps)
-    x = trial.samples.astype(np.float64)
-    y = _causal(x, fir.coefficients)
-    y = _causal(y[:, ::-1], fir.coefficients)[:, ::-1]
-    y = y[:, taps - 1 : trial.n_samples - (taps - 1)]
-    return Trial(label=trial.label, samples=y, sample_rate=trial.sample_rate)
 
 
 def make_bank(start: float, stop: float, width: float, taps: int = DEFAULT_TAPS) -> FilterBank:
@@ -237,7 +191,7 @@ def _band_weights(bands: tuple, sample_rate: float, taps: int, n_fft: int) -> tu
     # weight exceeds WEIGHT_CUTOFF of its peak.  The union of the supports and the (n_bands, bins) weights there,
     # zero off each band's own support, built once per band list and length and shared read-only.  Each row
     # comes from its own kernel, so a band's weights do not depend on the list they are cached with.
-    kernels = [design_bandpass(low, high, sample_rate, taps).coefficients for low, high in bands]
+    kernels = [design_bandpass(low, high, sample_rate, taps) for low, high in bands]
     weights = np.abs(np.stack([np.fft.rfft(h, n_fft) for h in kernels])) ** 4
     weights[weights <= WEIGHT_CUTOFF * weights.max(axis=1, keepdims=True)] = 0.0
     bins = np.flatnonzero(weights.any(axis=0))
@@ -270,7 +224,10 @@ def _spectra(trials, sample_rate, bands, taps):
         raise ValueError("no trials to filter")
     same_length: dict[int, list[int]] = {}
     for i, trial in enumerate(trials):
-        _check_filterable(trial, sample_rate, taps)
+        if trial.sample_rate != sample_rate:
+            raise ValueError(f"trial rate {trial.sample_rate} != filter rate {sample_rate}")
+        if trial.n_samples <= 3 * taps:
+            raise ValueError(f"trial too short to filter: {trial.n_samples} samples <= 3 x {taps} taps")
         same_length.setdefault(trial.n_samples, []).append(i)
     for length, indices in sorted(same_length.items()):
         n_fft, window = _window(length)

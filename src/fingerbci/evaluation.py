@@ -8,7 +8,7 @@ per repetition, computed on the pooled test confusion of that repetition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,48 +57,12 @@ def cohen_kappa(cm: np.ndarray) -> float:
     return float((p_observed - p_expected) / (1.0 - p_expected))
 
 
-@dataclass
-class RunReport:
-    """Per-repetition accuracies, kappas and confusion matrices."""
-
-    accuracies: list[float]
-    kappas: list[float]
-    confusions: list[np.ndarray] = field(repr=False)
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.accuracies))
-
-    @property
-    def sd(self) -> float:
-        if len(self.accuracies) < 2:
-            return 0.0
-        return float(np.std(self.accuracies, ddof=1))
-
-    @property
-    def max(self) -> float:
-        return float(np.max(self.accuracies))
-
-    @property
-    def kappa_mean(self) -> float:
-        return float(np.mean(self.kappas))
-
-    def summary(self) -> dict:
-        return {
-            "accuracies": self.accuracies,
-            "accuracy_mean": self.mean,
-            "accuracy_sd": self.sd,
-            "accuracy_max": self.max,
-            "kappas": self.kappas,
-            "kappa_mean": self.kappa_mean,
-            "confusions": [cm.tolist() for cm in self.confusions],
-        }
-
-
 def repeated_holdout(
     decomp: BandDecomposition, config: PipelineConfig, pair: tuple[int, int] | None = None
-) -> RunReport:
-    """``config.repetitions`` seeded stratified holdout rounds of the full pipeline.
+) -> dict:
+    """``config.repetitions`` seeded stratified holdout rounds of the full pipeline, as a section of
+    ``report.json``: per repetition the ``accuracies``, ``kappas`` and ``confusions``, and the
+    ``accuracy_mean``, ``accuracy_sd`` (sample SD, 0 for one repetition), ``accuracy_max`` and ``kappa_mean``.
 
     Multiclass by default (exhaustive-code ECOC); with ``pair`` given, the
     one-column :data:`PAIR_CODE` decoder on those two classes.  ``decomp``
@@ -117,12 +81,18 @@ def repeated_holdout(
 
     confusions = []
     for r in range(config.repetitions):
-        split = stratified_split(decomp.labels, config.test_fraction, child_seed(config.seed, r, 0))
-        model = fit_ecoc(decomp.subset(split.train), code, replace(config, seed=child_seed(config.seed, r, 1)))
-        predicted = predict_from_bands(model, decomp.feature_covariances[:, split.test])
-        confusions.append(confusion_matrix(decomp.labels[split.test], predicted, n_classes))
-    return RunReport(
-        accuracies=[accuracy(cm) for cm in confusions],
-        kappas=[cohen_kappa(cm) for cm in confusions],
-        confusions=confusions,
-    )
+        train, test = stratified_split(decomp.labels, config.test_fraction, child_seed(config.seed, r, 0))
+        model = fit_ecoc(decomp.subset(train), code, replace(config, seed=child_seed(config.seed, r, 1)))
+        predicted = predict_from_bands(model, decomp.feature_covariances[:, test])
+        confusions.append(confusion_matrix(decomp.labels[test], predicted, n_classes))
+    accuracies = [accuracy(cm) for cm in confusions]
+    kappas = [cohen_kappa(cm) for cm in confusions]
+    return {
+        "accuracies": accuracies,
+        "accuracy_mean": float(np.mean(accuracies)),
+        "accuracy_sd": float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0,
+        "accuracy_max": float(np.max(accuracies)),
+        "kappas": kappas,
+        "kappa_mean": float(np.mean(kappas)),
+        "confusions": [cm.tolist() for cm in confusions],
+    }

@@ -7,8 +7,9 @@ through fixed unit-norm mixing vectors, plus white sensor noise:
 
 Mixing vectors are constant per (class, source) across trials while source
 realizations are fresh per trial, which is exactly the spatial-variance
-structure a CSP decoder is built to find.  Everything is deterministic
-given the two seeds.
+structure a CSP decoder is built to find.  Each source is white noise shaped
+by a zero-phase forward-backward pass of the band's FIR kernel
+(:func:`_forward_backward`).  Everything is deterministic given the two seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import apply_filter, design_bandpass
+from .dsp import _next_fast_len, design_bandpass
 from .rng import stream
 from .trialstore import Dataset, Trial, describe, is_finite_number, is_list_of
 
@@ -111,8 +112,9 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if type(data) is not dict:
+            raise ValueError(f"synth config must be a JSON object, got {describe(data)}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
         cfg = cls(**data)
@@ -127,7 +129,7 @@ def _numbers(values) -> bool:
 
 def _synth_taps(sample_rate: float, n_samples: int) -> int:
     # Long kernel (about 2 s) for steep band edges, capped at n_samples - 3 so
-    # the padded noise segment passes apply_filter's length > 3 * taps check.
+    # the padded noise segment is longer than three kernels.
     taps = min(int(2 * sample_rate), n_samples - 3)
     if taps % 2 == 0:
         taps -= 1
@@ -145,13 +147,36 @@ def mixing_vector(config: SynthConfig, class_index: int, source_index: int) -> n
     return v / np.linalg.norm(v)
 
 
-def _bandlimited_noise(noise_seed: int, trials: range, s: int, fir, n_samples: int, variance: float) -> np.ndarray:
-    """Source ``s`` of ``trials``, one row per trial, shaped in one filter pass."""
+def _causal(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # Causal FIR pass along the last axis, same length as the input: the
+    # full linear convolution by one zero-padded real FFT product, truncated.
+    n = x.shape[1]
+    n_fft = _next_fast_len(n + len(h) - 1)
+    return np.fft.irfft(np.fft.rfft(x, n_fft, axis=1) * np.fft.rfft(h, n_fft), n_fft, axis=1)[:, :n]
+
+
+def _forward_backward(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Zero-phase filtering of each row of ``x`` by the kernel ``h``.
+
+    Runs the kernel causally, reverses, runs it again and reverses back, so
+    the net phase is zero and the magnitude response is squared.  The first
+    and last ``len(h) - 1`` samples (filter warm-up in each direction) are
+    discarded.
+    """
+    trim = len(h) - 1
+    return _causal(_causal(x, h)[:, ::-1], h)[:, ::-1][:, trim : x.shape[1] - trim]
+
+
+def _bandlimited_noise(
+    noise_seed: int, trials: range, s: int, h: np.ndarray, n_samples: int, variance: float
+) -> np.ndarray:
+    """Source ``s`` of ``trials``, one row per trial, shaped in one pass of the kernel ``h``."""
     if variance == 0.0:
         return np.zeros((len(trials), n_samples))
-    draws = [stream(noise_seed, _SOURCE_STREAM, t, s).standard_normal(n_samples + 2 * (fir.taps - 1)) for t in trials]
-    white = Trial(label=0, samples=np.stack(draws), sample_rate=fir.sample_rate)  # float32, like a stored trial
-    shaped = apply_filter(white, fir).samples.astype(np.float64)
+    draws = [stream(noise_seed, _SOURCE_STREAM, t, s).standard_normal(n_samples + 2 * (len(h) - 1)) for t in trials]
+    # The white and the shaped rows are rounded to float32, the precision of a stored trial.
+    white = np.stack(draws).astype(np.float32).astype(np.float64)
+    shaped = _forward_backward(white, h).astype(np.float32).astype(np.float64)
     return shaped * (np.sqrt(variance) / shaped.std(axis=1, keepdims=True))
 
 
@@ -162,7 +187,7 @@ def generate(config: SynthConfig) -> Dataset:
     taps = _synth_taps(config.sample_rate, n_samples)
 
     bands = {(low, high) for sources in config.class_sources for low, high, _ in sources}
-    filters = {band: design_bandpass(*band, config.sample_rate, taps) for band in bands}
+    kernels = {band: design_bandpass(*band, config.sample_rate, taps) for band in bands}
 
     chunk = max(1, CHUNK_SAMPLES // (n_samples + 2 * (taps - 1)))
     trials = []
@@ -172,7 +197,7 @@ def generate(config: SynthConfig) -> Dataset:
         for start in range(c * config.trials_per_class, end, chunk):
             indices = range(start, min(start + chunk, end))
             sources = [
-                _bandlimited_noise(config.noise_seed, indices, s, filters[(low, high)], n_samples, variance)
+                _bandlimited_noise(config.noise_seed, indices, s, kernels[(low, high)], n_samples, variance)
                 for s, (low, high, variance) in enumerate(config.class_sources[c])
             ]
             for row, trial_index in enumerate(indices):

@@ -101,20 +101,8 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    @property
-    def n_channels(self) -> int:
-        return len(self.channel_names)
-
     def labels(self) -> np.ndarray:
         return np.array([t.label for t in self.trials], dtype=np.int64)
-
-
-@dataclass
-class SplitIndices:
-    """Disjoint train/test trial indices covering a whole dataset."""
-
-    train: list[int]
-    test: list[int]
 
 
 @contextmanager
@@ -258,8 +246,9 @@ def _entries(data: dict, name: str, kind: type, need: str) -> list:
     return values
 
 
-def stratified_split(labels: np.ndarray, test_fraction: float, seed: int) -> SplitIndices:
-    """Seeded stratified holdout split of the trials with these labels.
+def stratified_split(labels: np.ndarray, test_fraction: float, seed: int) -> tuple[list[int], list[int]]:
+    """Seeded stratified holdout split of the trials with these labels: disjoint sorted ``(train, test)``
+    trial indices covering them all.
 
     Per class present, in increasing label order, the test count is
     round-half-up(class_count * test_fraction) with a minimum of one trial,
@@ -282,7 +271,7 @@ def stratified_split(labels: np.ndarray, test_fraction: float, seed: int) -> Spl
         order = rng.permutation(len(indices))
         test.extend(indices[order[:n_test]].tolist())
         train.extend(indices[order[n_test:]].tolist())
-    return SplitIndices(train=sorted(train), test=sorted(test))
+    return sorted(train), sorted(test)
 
 
 def subset_classes(dataset: Dataset, class_a: int, class_b: int) -> Dataset:

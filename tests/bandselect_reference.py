@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from fingerbci.bandselect import DEFAULT_SHRINKAGE, BandScore
+from fingerbci.bandselect import DEFAULT_SHRINKAGE
 from fingerbci.crossval import stratified_folds
 from fingerbci.csp import RIDGE, log_ratios
 from fingerbci.rng import stream
@@ -128,10 +128,7 @@ def cv_band_score(covariances, labels, n_pairs, folds, rng, shrinkage) -> float:
 def score_bands_for_labels(decomp, labels, n_pairs=2, folds=5, seed=0, shrinkage=DEFAULT_SHRINKAGE):
     """Per-band scores of :func:`fingerbci.bandselect.score_bands_for_labels`, one band at a time."""
     labels = np.asarray(labels)
-    return [
-        BandScore(
-            band=band,
-            score=cv_band_score(decomp.feature_covariances[i], labels, n_pairs, folds, stream(seed, i), shrinkage),
-        )
-        for i, band in enumerate(decomp.bands)
-    ]
+    return np.array([
+        cv_band_score(decomp.feature_covariances[i], labels, n_pairs, folds, stream(seed, i), shrinkage)
+        for i in range(decomp.n_bands)
+    ])

@@ -90,7 +90,7 @@ def _columns_recorded():
 
     def scored(*args, **kwargs):
         scores = score(*args, **kwargs)
-        pending["band_scores"] = [_digits(s.score) for s in scores]
+        pending["band_scores"] = [_digits(score) for score in scores.tolist()]
         return scores
 
     def tuned(features, labels, max_features_grid, min_samples_split_grid, n_estimators_grid, folds, seed):
@@ -127,7 +127,7 @@ def _train(calibration: SynthConfig, test: SynthConfig, config: PipelineConfig) 
 def _repetition(dataset: SynthConfig, config: PipelineConfig) -> dict:
     with _columns_recorded() as columns:
         report = repeated_holdout(decompose(generate(dataset), config.bank()), config)
-    return {"columns": columns, "confusion": report.confusions[0].tolist()}
+    return {"columns": columns, "confusion": report["confusions"][0]}
 
 
 def record() -> dict:

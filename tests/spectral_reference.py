@@ -36,7 +36,7 @@ def dft_matrix(n: int, n_fft: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def band_weights(low: float, high: float, sample_rate: float, taps: int, n_fft: int) -> dict[int, float]:
     """``{bin: w_b(bin)}`` over the band's support."""
-    gain = np.abs(dft_matrix(taps, n_fft) @ design_bandpass(low, high, sample_rate, taps).coefficients)
+    gain = np.abs(dft_matrix(taps, n_fft) @ design_bandpass(low, high, sample_rate, taps))
     weights = gain**4
     return {int(k): float(weights[k]) for k in np.flatnonzero(weights > WEIGHT_CUTOFF * weights.max())}
 

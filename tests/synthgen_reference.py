@@ -8,16 +8,17 @@ source), zero-variance sources included, then mixing and sensor noise.
 
 import numpy as np
 
-from fingerbci import Dataset, Trial, apply_filter, design_bandpass
+from fingerbci import Dataset, Trial, design_bandpass
 from fingerbci.rng import stream
-from fingerbci.synthgen import _SENSOR_STREAM, _SOURCE_STREAM, SynthConfig, _synth_taps, mixing_vector
+from fingerbci.synthgen import (
+    _SENSOR_STREAM, _SOURCE_STREAM, SynthConfig, _forward_backward, _synth_taps, mixing_vector,
+)
 
 
-def _bandlimited_noise(rng: np.random.Generator, fir, n_samples: int, variance: float) -> np.ndarray:
-    white = rng.standard_normal(n_samples + 2 * (fir.taps - 1))
-    shaped = apply_filter(
-        Trial(label=0, samples=white[np.newaxis, :], sample_rate=fir.sample_rate), fir
-    ).samples[0].astype(np.float64)
+def _bandlimited_noise(rng: np.random.Generator, h: np.ndarray, n_samples: int, variance: float) -> np.ndarray:
+    # The white and the shaped row rounded to float32, as a stored trial would be.
+    white = rng.standard_normal(n_samples + 2 * (len(h) - 1)).astype(np.float32).astype(np.float64)
+    shaped = _forward_backward(white[np.newaxis, :], h)[0].astype(np.float32).astype(np.float64)
     if variance == 0.0:
         return np.zeros(n_samples)
     return shaped * (np.sqrt(variance) / shaped.std())
@@ -28,11 +29,11 @@ def generate(config: SynthConfig) -> Dataset:
     config.validate()
     n_samples = int(round(config.sample_rate * config.trial_duration))
     taps = _synth_taps(config.sample_rate, n_samples)
-    filters = {}
+    kernels = {}
     for sources in config.class_sources:
         for low, high, _ in sources:
-            if (low, high) not in filters:
-                filters[(low, high)] = design_bandpass(low, high, config.sample_rate, taps)
+            if (low, high) not in kernels:
+                kernels[(low, high)] = design_bandpass(low, high, config.sample_rate, taps)
 
     trials = []
     trial_index = 0
@@ -41,7 +42,7 @@ def generate(config: SynthConfig) -> Dataset:
             samples = np.zeros((config.n_channels, n_samples))
             for s, (low, high, variance) in enumerate(config.class_sources[c]):
                 rng = stream(config.noise_seed, _SOURCE_STREAM, trial_index, s)
-                source = _bandlimited_noise(rng, filters[(low, high)], n_samples, variance)
+                source = _bandlimited_noise(rng, kernels[(low, high)], n_samples, variance)
                 samples += mixing_vector(config, c, s)[:, np.newaxis] * source[np.newaxis, :]
             if config.noise_variance > 0:
                 rng = stream(config.noise_seed, _SENSOR_STREAM, trial_index)

@@ -11,7 +11,7 @@ from fingerbci import (
     make_bank,
     select_bands,
 )
-from fingerbci.bandselect import DEFAULT_SHRINKAGE, BandScore, fit_folds, score_bands_for_labels
+from fingerbci.bandselect import DEFAULT_SHRINKAGE, fit_folds, score_bands_for_labels
 from fingerbci.crossval import stratified_folds
 from fingerbci.csp import class_covariances
 from fingerbci.dsp import BandDecomposition
@@ -145,18 +145,18 @@ def scored_decomposition():
 class TestScoreBands:
     def test_planted_band_scores_high(self, scored_decomposition):
         scores = score_bands_for_labels(scored_decomposition, scored_decomposition.labels, n_pairs=2, folds=5, seed=3)
-        by_band = {s.band: s.score for s in scores}
+        by_band = dict(zip(scored_decomposition.bands, scores))
         assert by_band[(8.0, 10.0)] >= 0.9 or by_band[(10.0, 12.0)] >= 0.9
 
     def test_noise_band_scores_chance(self, scored_decomposition):
         scores = score_bands_for_labels(scored_decomposition, scored_decomposition.labels, n_pairs=2, folds=5, seed=3)
-        by_band = {s.band: s.score for s in scores}
+        by_band = dict(zip(scored_decomposition.bands, scores))
         assert 0.35 <= by_band[(22.0, 24.0)] <= 0.65
 
     def test_deterministic(self, scored_decomposition):
         first = score_bands_for_labels(scored_decomposition, scored_decomposition.labels, seed=11)
         second = score_bands_for_labels(scored_decomposition, scored_decomposition.labels, seed=11)
-        assert [s.score for s in first] == [s.score for s in second]
+        assert np.array_equal(first, second)
 
     def test_missing_class_rejected(self, scored_decomposition):
         with pytest.raises(ValueError, match="present"):
@@ -202,21 +202,18 @@ class TestScoreBands:
 
 
 class TestSelectBands:
-    def score_list(self, values):
-        return [BandScore(band=(float(i), float(i + 2)), score=v) for i, v in enumerate(values)]
-
     def test_hand_computed_threshold(self):
-        result = select_bands(self.score_list([0.8, 0.7, 0.6]))
+        result = select_bands([0.8, 0.7, 0.6])
         assert result.threshold == pytest.approx(0.7, abs=1e-12)
         assert result.selected == [0, 1]
 
     def test_all_equal_selects_all(self):
-        result = select_bands(self.score_list([0.6, 0.6, 0.6, 0.6]))
+        result = select_bands([0.6, 0.6, 0.6, 0.6])
         assert result.threshold == pytest.approx(0.6)
         assert result.selected == [0, 1, 2, 3]
 
     def test_single_band_selected(self):
-        result = select_bands(self.score_list([0.42]))
+        result = select_bands([0.42])
         assert result.selected == [0]
 
     def test_empty_rejected(self):
@@ -226,7 +223,7 @@ class TestSelectBands:
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=17))
     def test_selection_never_empty(self, values):
-        result = select_bands(self.score_list(values))
+        result = select_bands(values)
         assert result.selected
         assert int(np.argmax(values)) in result.selected
 
@@ -236,8 +233,8 @@ class TestSelectBands:
         extra=st.floats(0.0, 1.0),
     )
     def test_monotone_safety(self, values, extra):
-        before = select_bands(self.score_list(values))
-        after = select_bands(self.score_list(values + [extra]))
+        before = select_bands(values)
+        after = select_bands(values + [extra])
         for i in before.selected:
             if values[i] >= after.threshold:
                 assert i in after.selected
@@ -269,8 +266,8 @@ def random_problem(seed, n_bands=3, trials_per_class=10, n_channels=4, dof=None)
 
 def stacked_and_reference(decomp, labels, **kwargs):
     return (
-        [s.score for s in score_bands_for_labels(decomp, labels, **kwargs)],
-        [s.score for s in reference.score_bands_for_labels(decomp, labels, **kwargs)],
+        score_bands_for_labels(decomp, labels, **kwargs).tolist(),
+        reference.score_bands_for_labels(decomp, labels, **kwargs).tolist(),
     )
 
 
@@ -353,9 +350,9 @@ class TestStackedEquivalence:
 
     def test_bool_and_float_labels(self):
         decomp = random_problem(2, trials_per_class=12)
-        expected = [s.score for s in reference.score_bands_for_labels(decomp, decomp.labels)]
+        expected = reference.score_bands_for_labels(decomp, decomp.labels).tolist()
         for labels in (decomp.labels == 1, decomp.labels.astype(np.float64)):
-            assert [s.score for s in score_bands_for_labels(decomp, labels)] == expected
+            assert score_bands_for_labels(decomp, labels).tolist() == expected
 
     def test_thirty_two_channels(self):
         decomp = decompose(generate(oracle_like(4, 8, 32, 0.1, 2.0)), make_bank(5.0, 39.0, 2.0))

@@ -111,6 +111,22 @@ def test_synth_rejects_malformed_values_by_name(case, tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("command, kind", [("synth", "synth"), ("train", "pipeline")])
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"abc"', "{"])
+def test_config_that_is_not_an_object_refused_by_name(command, kind, text, tmp_path, capsys):
+    # train reads its config before the dataset, so the dataset need not exist.
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    dataset = ["--dataset", str(tmp_path / "no-data")] if command == "train" else []
+    assert main([command, "--config", str(path), *dataset, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    if text == "{":
+        assert f"error: {kind} config {path} is not JSON text: " in err
+    else:
+        assert f"error: {kind} config must be a JSON object, got {fingerbci.trialstore.describe(json.loads(text))}" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestScoreBands:
     def test_schema_and_planted_band(self, workspace):
         out = workspace / "scores.json"

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -131,3 +132,26 @@ def test_unknown_keys_rejected():
 
 def test_missing_keys_take_defaults():
     assert PipelineConfig.from_dict({"seed": 3}) == PipelineConfig(seed=3)
+
+
+# JSON texts of a value that is not an object, and how the refusal shows the value.
+NOT_OBJECTS = {"5": "5", "null": "None", "[]": "[]", '"abc"': "'abc'"}
+
+
+@pytest.mark.parametrize("text", list(NOT_OBJECTS))
+def test_config_that_is_not_an_object_refused(text, tmp_path):
+    message = re.escape(f"pipeline config must be a JSON object, got {NOT_OBJECTS[text]}")
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig.from_dict(json.loads(text))
+    path = tmp_path / "pipeline.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig.from_json(path)
+
+
+@pytest.mark.parametrize("content", [b"", b"band_start = 5", b"\xff\xfe{}"], ids=["empty", "not JSON", "not UTF-8"])
+def test_config_that_is_not_json_refused_naming_its_file(content, tmp_path):
+    path = tmp_path / "pipeline.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(f"pipeline config {path} is not JSON text: ")):
+        PipelineConfig.from_json(path)

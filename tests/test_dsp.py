@@ -5,15 +5,7 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingerbci import (
-    Dataset,
-    Trial,
-    apply_filter,
-    band_covariances,
-    decompose,
-    design_bandpass,
-    make_bank,
-)
+from fingerbci import Dataset, FilterBank, Trial, band_covariances, decompose, design_bandpass, make_bank
 from fingerbci import dsp
 from fingerbci.csp import class_covariances, fit_csp_stack, kept_filters
 from fingerbci.ecoc import _column_features
@@ -35,14 +27,15 @@ def sinusoid_trial(freq_hz, sample_rate=512.0, seconds=4.0, label=0):
 
 class TestDesign:
     def test_reference_band_response(self):
-        fir = design_bandpass(9.0, 11.0, 512.0, 257)
-        assert 0.95 <= dtft_magnitude(fir.coefficients, 10.0, 512.0) <= 1.05
-        assert dtft_magnitude(fir.coefficients, 0.0, 512.0) <= 0.01
-        assert dtft_magnitude(fir.coefficients, 30.0, 512.0) <= 0.01
+        h = design_bandpass(9.0, 11.0, 512.0, 257)
+        assert h.shape == (257,)
+        assert 0.95 <= dtft_magnitude(h, 10.0, 512.0) <= 1.05
+        assert dtft_magnitude(h, 0.0, 512.0) <= 0.01
+        assert dtft_magnitude(h, 30.0, 512.0) <= 0.01
 
     def test_coefficients_exactly_symmetric(self):
-        fir = design_bandpass(9.0, 11.0, 512.0, 257)
-        assert np.array_equal(fir.coefficients, fir.coefficients[::-1])
+        h = design_bandpass(9.0, 11.0, 512.0, 257)
+        assert np.array_equal(h, h[::-1])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -51,8 +44,8 @@ class TestDesign:
         half_taps=st.integers(15, 200),
     )
     def test_symmetry_property(self, low, width, half_taps):
-        fir = design_bandpass(low, low + width, 512.0, 2 * half_taps + 1)
-        assert np.array_equal(fir.coefficients, fir.coefficients[::-1])
+        h = design_bandpass(low, low + width, 512.0, 2 * half_taps + 1)
+        assert np.array_equal(h, h[::-1])
 
     def test_invalid_edges(self):
         with pytest.raises(ValueError):
@@ -67,61 +60,6 @@ class TestDesign:
             design_bandpass(9.0, 11.0, 512.0, 256)
         with pytest.raises(ValueError):
             design_bandpass(9.0, 11.0, 512.0, 15)
-
-
-class TestApplyFilter:
-    def test_in_band_sinusoid_passes(self):
-        fir = design_bandpass(9.0, 11.0, 512.0, 257)
-        trial = sinusoid_trial(10.0)
-        out = apply_filter(trial, fir)
-        in_rms = np.sqrt(np.mean(trial.samples.astype(float) ** 2))
-        out_rms = np.sqrt(np.mean(out.samples.astype(float) ** 2))
-        assert out_rms >= 0.9 * in_rms
-
-    def test_out_of_band_sinusoid_blocked(self):
-        fir = design_bandpass(9.0, 11.0, 512.0, 257)
-        trial = sinusoid_trial(30.0)
-        out = apply_filter(trial, fir)
-        in_rms = np.sqrt(np.mean(trial.samples.astype(float) ** 2))
-        out_rms = np.sqrt(np.mean(out.samples.astype(float) ** 2))
-        assert out_rms <= 0.02 * in_rms
-
-    def test_zero_in_zero_out(self):
-        fir = design_bandpass(9.0, 11.0, 512.0, 257)
-        trial = Trial(label=3, samples=np.zeros((2, 2048), dtype=np.float32), sample_rate=512.0)
-        out = apply_filter(trial, fir)
-        assert np.array_equal(out.samples, np.zeros_like(out.samples))
-        assert out.label == 3
-
-    def test_output_length_trimmed(self):
-        fir = design_bandpass(9.0, 11.0, 512.0, 257)
-        trial = sinusoid_trial(10.0, seconds=3.0)
-        out = apply_filter(trial, fir)
-        assert out.n_samples == trial.n_samples - 2 * (fir.taps - 1)
-
-    def test_too_short_rejected(self):
-        fir = design_bandpass(9.0, 11.0, 512.0, 257)
-        trial = Trial(label=0, samples=np.zeros((1, 500), dtype=np.float32), sample_rate=512.0)
-        with pytest.raises(ValueError, match="too short"):
-            apply_filter(trial, fir)
-
-    def test_rate_mismatch_rejected(self):
-        fir = design_bandpass(9.0, 11.0, 512.0, 257)
-        trial = Trial(label=0, samples=np.zeros((1, 2048), dtype=np.float32), sample_rate=256.0)
-        with pytest.raises(ValueError, match="rate"):
-            apply_filter(trial, fir)
-
-    def test_energy_confinement_white_noise(self):
-        # >= 85% of output power within [low - 1, high + 1] Hz.
-        rng = np.random.default_rng(12)
-        for low, high in ((5.0, 7.0), (9.0, 11.0), (25.0, 27.0)):
-            fir = design_bandpass(low, high, 512.0, 257)
-            trial = Trial(label=0, samples=rng.standard_normal((1, 8192)), sample_rate=512.0)
-            out = apply_filter(trial, fir).samples[0].astype(np.float64)
-            spectrum = np.abs(np.fft.rfft(out)) ** 2
-            freqs = np.fft.rfftfreq(len(out), d=1 / 512.0)
-            inside = spectrum[(freqs >= low - 1.0) & (freqs <= high + 1.0)].sum()
-            assert inside / spectrum.sum() >= 0.85
 
 
 class TestBanks:
@@ -156,8 +94,6 @@ class TestDecompose:
         for label in range(2):
             samples = np.sin(2 * np.pi * 10.0 * t)[np.newaxis, :]
             trials.append(Trial(label=label, samples=samples, sample_rate=512.0))
-        from fingerbci import Dataset
-
         dataset = Dataset(sample_rate=512.0, channel_names=["c"], class_names=["a", "b"], trials=trials)
         decomp = decompose(dataset, make_bank(5.0, 39.0, 2.0))
         assert decomp.n_bands == 17
@@ -209,12 +145,12 @@ class TestDecompose:
                 dsp.row_variances(dataset.trials, 100.0, bank.bands, bank.taps, rows, row_bands)
 
     def test_wide_band_passthrough(self):
-        fir = design_bandpass(1.0, 200.0, 512.0, 257)
+        # A band wider than a 50 Hz sinusoid's spectrum keeps all of its tapered power (see dsp._spectra).
         trial = sinusoid_trial(50.0)
-        out = apply_filter(trial, fir)
-        in_rms = np.sqrt(np.mean(trial.samples.astype(float) ** 2))
-        out_rms = np.sqrt(np.mean(out.samples.astype(float) ** 2))
-        assert out_rms == pytest.approx(in_rms, rel=0.02)
+        dataset = Dataset(sample_rate=512.0, channel_names=["c"], class_names=["a"], trials=[trial])
+        covariance = decompose(dataset, FilterBank(bands=[(1.0, 200.0)])).feature_covariances[0, 0]
+        tapered = trial.samples[0].astype(np.float64) * scipy.signal.windows.tukey(trial.n_samples, dsp.TAPER)
+        assert covariance[0, 0] == pytest.approx(np.mean(tapered**2), rel=0.02)
 
 
 @pytest.mark.parametrize("picked", [[2, 3, 4], [16, 0, 9], [7]])
@@ -322,12 +258,14 @@ class TestFilterBankEquivalence:
     @pytest.mark.parametrize("n_samples", [3 * 63, 3 * 63 - 40])
     def test_short_trial_rejected_like_apply_filter(self, n_samples):
         dataset = random_dataset(np.random.default_rng(10), n_samples=n_samples)
-        fir = design_bandpass(8.0, 10.0, 100.0, 63)
-        with pytest.raises(ValueError) as expected:
-            apply_filter(dataset.trials[0], fir)
         with pytest.raises(ValueError) as raised:
             decompose(dataset, self.bank)
-        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == f"trial too short to filter: {n_samples} samples <= 3 x 63 taps"
+
+    def test_rate_mismatch_rejected(self, dataset):
+        with pytest.raises(ValueError) as raised:
+            band_covariances(dataset.trials, 256.0, self.bank.bands, self.bank.taps)
+        assert str(raised.value) == "trial rate 100.0 != filter rate 256.0"
 
     def test_pair_view_equals_decomposed_pair_subset(self):
         from fingerbci import subset_classes
@@ -446,36 +384,12 @@ class TestProjectedVariances:
             self.variances(trials, projections)
 
 
-def direct_causal(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Time-domain causal FIR pass of each row, same length as the row."""
-    return np.stack([np.convolve(row, h)[: len(row)] for row in x])
-
-
 class TestFftPath:
     """The numpy FFT path against references that do not share its code."""
 
     def test_fast_length_equals_scipy(self):
         lengths = range(1, 20_001)
         assert [dsp._next_fast_len(n) for n in lengths] == [scipy.fft.next_fast_len(n, real=True) for n in lengths]
-
-    # 700 + 62 pads to 768 and 1000 + 256 to 1280; 1025 + 62 = 1087 pads to 1125.
-    @pytest.mark.parametrize("n_samples, taps", [(700, 63), (1000, 257), (1025, 63)])
-    def test_apply_filter_matches_direct_convolution(self, n_samples, taps):
-        rng = np.random.default_rng(n_samples)
-        trial = Trial(label=0, samples=rng.standard_normal((3, n_samples)), sample_rate=100.0)
-        fir = design_bandpass(8.0, 12.0, 100.0, taps)
-        x, h = trial.samples.astype(np.float64), fir.coefficients
-        forward = direct_causal(x, h)
-        expected = direct_causal(forward[:, ::-1], h)[:, ::-1][:, taps - 1 : n_samples - (taps - 1)]
-        scale = np.max(np.abs(expected))
-        # The float64 passes agree within 1e-12 of the signal's scale ...
-        assert np.max(np.abs(dsp._causal(x, h) - forward)) <= 1e-12 * np.max(np.abs(forward))
-        twice = dsp._causal(dsp._causal(x, h)[:, ::-1], h)[:, ::-1][:, taps - 1 : n_samples - (taps - 1)]
-        assert np.max(np.abs(twice - expected)) <= 1e-12 * scale
-        # ... and the stored float32 output is the reference's rounding, up to one unit in the last place.
-        out = apply_filter(trial, fir).samples
-        assert out.dtype == np.float32
-        np.testing.assert_array_max_ulp(out, expected.astype(np.float32), maxulp=1)
 
     def test_spectra_are_complex128_for_float32_trials(self):
         # numpy >= 2 transforms float32 in single precision; the bank casts first.  At 513 and 1025 samples

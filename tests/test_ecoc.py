@@ -620,7 +620,7 @@ class TestModelBundle:
         save_model(model, tmp_path)
         loaded = load_model(tmp_path)
         assert np.array_equal(predict_trials(loaded, dataset.trials), predict_trials(model, dataset.trials))
-        assert repeated_holdout(decomp, replace(SMALL, repetitions=1, test_fraction=0.25)).kappas
+        assert repeated_holdout(decomp, replace(SMALL, repetitions=1, test_fraction=0.25))["kappas"]
         with pytest.raises(AssertionError, match="linked"):
             loaded.columns[0].forest.trees
 

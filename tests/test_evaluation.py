@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fingerbci import accuracy, cohen_kappa, confusion_matrix, decompose, make_bank, repeated_holdout
-from fingerbci.evaluation import RunReport
 
 
 class TestConfusionMatrix:
@@ -64,21 +64,27 @@ class TestCohenKappa:
 
 
 class TestRunReport:
-    def test_single_repetition_degenerates(self):
-        report = RunReport(accuracies=[0.8], kappas=[0.5], confusions=[np.eye(2, dtype=int)])
-        assert report.mean == report.max == 0.8
-        assert report.sd == 0.0
+    """The dict :func:`repeated_holdout` returns: one section of ``report.json``."""
 
-    def test_max_at_least_mean_and_sd_sample(self):
-        report = RunReport(accuracies=[0.5, 0.7, 0.9], kappas=[0.0, 0.2, 0.4], confusions=[])
-        assert report.max >= report.mean
-        assert report.sd == pytest.approx(np.std([0.5, 0.7, 0.9], ddof=1))
+    def test_single_repetition_degenerates(self, four_class, fast_config):
+        report = repeated_holdout(four_class, replace(fast_config, repetitions=1, seed=5))
+        assert report["accuracy_mean"] == report["accuracy_max"] == report["accuracies"][0]
+        assert report["accuracy_sd"] == 0.0
+        assert report["kappa_mean"] == report["kappas"][0]
 
-    def test_summary_fields(self):
-        report = RunReport(accuracies=[1.0], kappas=[1.0], confusions=[np.eye(2, dtype=int)])
-        summary = report.summary()
-        for key in ("accuracies", "accuracy_mean", "accuracy_sd", "accuracy_max", "kappas", "kappa_mean", "confusions"):
-            assert key in summary
+    def test_max_at_least_mean_and_sd_sample(self, four_class, fast_config):
+        report = repeated_holdout(four_class, replace(fast_config, repetitions=3, seed=3), pair=(0, 1))
+        assert report["accuracy_max"] == max(report["accuracies"]) >= report["accuracy_mean"]
+        assert report["accuracy_mean"] == pytest.approx(np.mean(report["accuracies"]))
+        assert report["accuracy_sd"] == pytest.approx(np.std(report["accuracies"], ddof=1))
+        assert report["kappa_mean"] == pytest.approx(np.mean(report["kappas"]))
+
+    def test_summary_fields(self, four_class, fast_config):
+        report = repeated_holdout(four_class, replace(fast_config, repetitions=1, seed=5))
+        assert set(report) == {
+            "accuracies", "accuracy_mean", "accuracy_sd", "accuracy_max", "kappas", "kappa_mean", "confusions"
+        }
+        assert json.loads(json.dumps(report)) == report  # plain JSON values, as report.json stores them
 
 
 @pytest.fixture()
@@ -90,21 +96,19 @@ class TestRepeatedHoldout:
     def test_binary_pair_runs_and_is_deterministic(self, four_class, fast_config):
         first = repeated_holdout(four_class, replace(fast_config, repetitions=2, seed=3), pair=(0, 1))
         second = repeated_holdout(four_class, replace(fast_config, repetitions=2, seed=3), pair=(0, 1))
-        assert first.accuracies == second.accuracies
-        assert first.kappas == second.kappas
-        assert all(cm.shape == (2, 2) for cm in first.confusions)
-        assert all(cm.sum() == 4 for cm in first.confusions)  # 2 test trials per class
+        assert first == second
+        assert all(np.shape(cm) == (2, 2) for cm in first["confusions"])
+        assert all(np.sum(cm) == 4 for cm in first["confusions"])  # 2 test trials per class
 
     def test_multiclass_shapes(self, four_class, fast_config):
         report = repeated_holdout(four_class, replace(fast_config, repetitions=1, seed=5))
-        assert len(report.accuracies) == len(report.kappas) == 1
-        assert report.confusions[0].shape == (4, 4)
-        assert report.confusions[0].sum() == 8  # 2 test trials x 4 classes
-        assert report.max >= report.mean
+        assert len(report["accuracies"]) == len(report["kappas"]) == 1
+        assert np.shape(report["confusions"][0]) == (4, 4)
+        assert np.sum(report["confusions"][0]) == 8  # 2 test trials x 4 classes
 
     def test_separable_pair_scores_high(self, four_class, fast_config):
         report = repeated_holdout(four_class, replace(fast_config, repetitions=2, seed=7), pair=(0, 2))
-        assert report.mean >= 0.75
+        assert report["accuracy_mean"] >= 0.75
 
     def test_decomposition_from_another_bank_rejected(self, mini_four_class, fast_config):
         decomp = decompose(mini_four_class, make_bank(8.0, 14.0, 2.0, taps=31))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import synthgen_reference
-from fingerbci import SynthConfig, generate, synthgen
-from fingerbci.synthgen import mixing_vector
+from fingerbci import SynthConfig, design_bandpass, generate, synthgen
+from fingerbci.synthgen import _causal, _forward_backward, mixing_vector
 
 
 def base_config(**overrides):
@@ -183,6 +183,70 @@ class TestChunkedShaping:
         assert digest.hexdigest() == "a761e086339f2fc098ae639c8b77c135ac82c617cb4cc419595f8d6dce0af8c5"
 
     def test_zero_variance_source_is_not_filtered(self, monkeypatch):
-        monkeypatch.setattr(synthgen, "apply_filter", lambda *args: pytest.fail("filtered a zero-variance source"))
+        monkeypatch.setattr(synthgen, "_forward_backward", lambda *args: pytest.fail("filtered a zero-variance source"))
         dataset = generate(base_config(class_sources=[[(9.0, 11.0, 0.0)], []], noise_variance=0.0))
         assert all(not trial.samples.any() for trial in dataset.trials)
+
+
+def sinusoid(freq_hz, sample_rate=512.0, seconds=4.0):
+    t = np.arange(int(sample_rate * seconds)) / sample_rate
+    return np.sin(2 * np.pi * freq_hz * t)[np.newaxis, :]
+
+
+def rms(x):
+    return np.sqrt(np.mean(x**2))
+
+
+def direct_causal(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Time-domain causal FIR pass of each row, same length as the row."""
+    return np.stack([np.convolve(row, h)[: len(row)] for row in x])
+
+
+class TestForwardBackward:
+    """The zero-phase FIR pass that shapes each source, with the 9-11 Hz kernel of a 512 Hz, 257-tap design."""
+
+    h = design_bandpass(9.0, 11.0, 512.0, 257)
+
+    def test_zero_phase(self):
+        # Unit gain at the band centre and no phase shift: a 10 Hz sinusoid comes out as the input's kept samples.
+        x = sinusoid(10.0)
+        np.testing.assert_allclose(_forward_backward(x, self.h), x[:, 256:-256], rtol=0, atol=1e-9)
+
+    def test_in_band_sinusoid_passes(self):
+        x = sinusoid(10.0)
+        assert rms(_forward_backward(x, self.h)) >= 0.9 * rms(x)
+
+    def test_out_of_band_sinusoid_blocked(self):
+        x = sinusoid(30.0)
+        assert rms(_forward_backward(x, self.h)) <= 0.02 * rms(x)
+
+    def test_wide_band_passthrough(self):
+        x = sinusoid(50.0)
+        assert rms(_forward_backward(x, design_bandpass(1.0, 200.0, 512.0, 257))) == pytest.approx(rms(x), rel=0.02)
+
+    def test_zero_in_zero_out(self):
+        assert not _forward_backward(np.zeros((2, 2048)), self.h).any()
+
+    def test_output_length_trimmed(self):
+        assert _forward_backward(sinusoid(10.0, seconds=3.0), self.h).shape == (1, 3 * 512 - 2 * 256)
+
+    def test_energy_confinement_white_noise(self):
+        # >= 85% of output power within [low - 1, high + 1] Hz.
+        rng = np.random.default_rng(12)
+        for low, high in ((5.0, 7.0), (9.0, 11.0), (25.0, 27.0)):
+            out = _forward_backward(rng.standard_normal((1, 8192)), design_bandpass(low, high, 512.0, 257))[0]
+            spectrum = np.abs(np.fft.rfft(out)) ** 2
+            freqs = np.fft.rfftfreq(len(out), d=1 / 512.0)
+            inside = spectrum[(freqs >= low - 1.0) & (freqs <= high + 1.0)].sum()
+            assert inside / spectrum.sum() >= 0.85
+
+    # 700 + 62 pads to 768 and 1000 + 256 to 1280; 1025 + 62 = 1087 pads to 1125.
+    @pytest.mark.parametrize("n_samples, taps", [(700, 63), (1000, 257), (1025, 63)])
+    def test_forward_backward_matches_direct_convolution(self, n_samples, taps):
+        x = np.random.default_rng(n_samples).standard_normal((3, n_samples))
+        h = design_bandpass(8.0, 12.0, 100.0, taps)
+        forward = direct_causal(x, h)
+        expected = direct_causal(forward[:, ::-1], h)[:, ::-1][:, taps - 1 : n_samples - (taps - 1)]
+        # The FFT passes agree with the time-domain ones within 1e-12 of the signal's scale.
+        assert np.max(np.abs(_causal(x, h) - forward)) <= 1e-12 * np.max(np.abs(forward))
+        assert np.max(np.abs(_forward_backward(x, h) - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -385,23 +385,23 @@ class TestStratifiedSplit:
     def test_exact_counts_10_per_class(self):
         dataset = random_dataset(np.random.default_rng(1), n_classes=4, trials_per_class=10)
         for seed in (0, 1, 2):
-            split = stratified_split(dataset.labels(), 0.2, seed)
+            _, test = stratified_split(dataset.labels(), 0.2, seed)
             labels = dataset.labels()
             for c in range(4):
-                assert sum(1 for i in split.test if labels[i] == c) == 2
+                assert sum(1 for i in test if labels[i] == c) == 2
 
     def test_five_per_class_fraction_point_two(self):
         dataset = random_dataset(np.random.default_rng(2), n_classes=4, trials_per_class=5)
-        split = stratified_split(dataset.labels(), 0.2, seed=3)
+        _, test = stratified_split(dataset.labels(), 0.2, seed=3)
         labels = dataset.labels()
         for c in range(4):
-            assert sum(1 for i in split.test if labels[i] == c) == 1
+            assert sum(1 for i in test if labels[i] == c) == 1
 
     def test_deterministic(self):
         dataset = random_dataset(np.random.default_rng(3), trials_per_class=10)
         first = stratified_split(dataset.labels(), 0.2, seed=11)
         second = stratified_split(dataset.labels(), 0.2, seed=11)
-        assert first.train == second.train and first.test == second.test
+        assert first == second
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -411,12 +411,12 @@ class TestStratifiedSplit:
     )
     def test_partition_property(self, seed, trials_per_class, fraction):
         dataset = random_dataset(np.random.default_rng(0), n_classes=3, trials_per_class=trials_per_class)
-        split = stratified_split(dataset.labels(), fraction, seed)
-        assert not set(split.train) & set(split.test)
-        assert sorted(split.train + split.test) == list(range(len(dataset.trials)))
+        train, test = stratified_split(dataset.labels(), fraction, seed)
+        assert not set(train) & set(test)
+        assert sorted(train + test) == list(range(len(dataset.trials)))
         labels = dataset.labels()
         for c in range(3):
-            n_test = sum(1 for i in split.test if labels[i] == c)
+            n_test = sum(1 for i in test if labels[i] == c)
             expected = max(1, int(np.floor(trials_per_class * fraction + 0.5)))
             assert n_test == expected
 
@@ -433,10 +433,10 @@ class TestStratifiedSplit:
     def test_splits_the_classes_present(self):
         # Labels need not run from 0: each label present is split on its own.
         labels = np.array([3, 5, 3, 5, 3, 5, 3, 5])
-        split = stratified_split(labels, 0.5, seed=2)
-        assert sorted(split.train + split.test) == list(range(8))
-        assert sorted(labels[split.test].tolist()) == [3, 3, 5, 5]
-        assert all(type(i) is int for i in split.train + split.test)
+        train, test = stratified_split(labels, 0.5, seed=2)
+        assert sorted(train + test) == list(range(8))
+        assert sorted(labels[test].tolist()) == [3, 3, 5, 5]
+        assert all(type(i) is int for i in train + test)
 
     def test_invalid_fraction(self):
         dataset = random_dataset(np.random.default_rng(6))
