@@ -262,6 +262,11 @@ class TestFilterBankEquivalence:
             decompose(dataset, self.bank)
         assert str(raised.value) == f"trial too short to filter: {n_samples} samples <= 3 x 63 taps"
 
+    def test_too_short_rejected(self):
+        trial = Trial(label=0, samples=np.zeros((1, 500), dtype=np.float32), sample_rate=512.0)
+        with pytest.raises(ValueError, match="too short"):
+            band_covariances([trial], 512.0, [(9.0, 11.0)], 257)
+
     def test_rate_mismatch_rejected(self, dataset):
         with pytest.raises(ValueError) as raised:
             band_covariances(dataset.trials, 256.0, self.bank.bands, self.bank.taps)
